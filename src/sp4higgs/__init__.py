@@ -7,7 +7,7 @@ and the connected-component census with its deformation verdicts.
 from .numfield import (
     DivisionByZero, FieldElem, Rational,
     ZERO, ONE, I_UNIT, SQRT2, SQRT3, SQRT6,
-    fe, embed_u_v, numeric,
+    fe, embed_u_v,
 )
 from .matalg import (
     SingularMatrix, SqMatrix, kron, conjugate, is_symplectic,

@@ -105,19 +105,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_f2scan(args) -> int:
-    if args.exhaustive:
-        exhaustive = True
-    elif args.samples is not None:
-        exhaustive = False
-    else:
-        exhaustive = args.genus <= 3
-    image = f2_image_scan(args.genus, exhaustive=exhaustive,
-                          samples=args.samples or 10 ** 6)
+    image = f2_image_scan(args.genus)
     universe = {(v, w) for v in F2Vector.all_vectors(2 * args.genus)
                 for w in (0, 1)}
     missing = sorted((v.to_string(), w) for v, w in universe - image)
     _emit({"genus": args.genus,
-           "mode": "exhaustive" if exhaustive else "sampled",
+           "mode": "exhaustive",
            "image_size": len(image),
            "missing": [[v, w] for v, w in missing]})
     return 0
@@ -168,9 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("f2-scan", help="image of the mod-2 invariant map")
     p.add_argument("--genus", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int, default=None)
     p.set_defaults(func=_cmd_f2scan)
 
     p = sub.add_parser("fiber", help="fiber geometry of an intermediate "

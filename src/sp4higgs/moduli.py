@@ -11,13 +11,9 @@ rank-1 pieces.
 from __future__ import annotations
 
 import enum
-import os
-import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import FrozenSet, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Sequence, Set, Tuple, Union
 
 from .f2 import F2Vector
 from .higgs import (
@@ -302,60 +298,34 @@ def f2_sw_map(x: F2Vector, y: F2Vector) -> Tuple[F2Vector, int]:
     return (x + y, x.pairing(y))
 
 
-def _scan_worker(args) -> Set[Tuple[F2Vector, int]]:
-    two_g, chunk = args
-    found = set()
-    for xbits in chunk:
-        x = F2Vector(xbits)
-        for ybits in product((0, 1), repeat=two_g):
-            y = F2Vector(ybits)
-            found.add(f2_sw_map(x, y))
-    return found
-
-
-def f2_image_scan(genus: int, exhaustive: Optional[bool] = None,
-                  samples: int = 10 ** 6,
-                  seed: int = 0) -> Set[Tuple[F2Vector, int]]:
+def f2_image_scan(genus: int,
+                  exhaustive: bool = True) -> Set[Tuple[F2Vector, int]]:
     """Image of the pair-sum map over all (x, y) in F2^(2g) x F2^(2g).
 
-    Exhaustive for genus <= 3 (2^(4g) pairs); genus 4 is sampled with
-    ``samples`` random pairs unless exhaustive=True is forced; genus > 4
-    raises ScanBudgetExceeded.  The expected image is everything except
-    (0, 1).  Workers are capped by the HIGGS_SP4_THREADS environment
-    variable; the merge is a set union, so worker count never changes
-    the result.
+    Always exhaustive: the 2^(4g) pairs are enumerated on vectors packed
+    as ints, for genus <= 5; genus >= 6 raises ScanBudgetExceeded.  The
+    expected image is everything except (0, 1).  ``exhaustive`` is kept
+    for compatibility and must stay True; False raises ValueError.
     """
+    if not exhaustive:
+        raise ValueError("only the exhaustive scan exists")
     if genus < 1:
         raise ValueError("genus must be at least 1")
+    if genus > 5:
+        raise ScanBudgetExceeded("exhaustive scan supported for genus <= 5")
+    # Bit 2g-1-k of a packed vector is F2Vector coordinate k, so the
+    # a-half is the high g bits.  With x's halves swapped, x_s & y holds
+    # xa & yb and xb & ya, whose popcount parity is the pairing <x, y>.
+    # An image entry (w1, w2) is packed as w1 << 1 | w2.
     two_g = 2 * genus
-    if exhaustive is None:
-        exhaustive = genus <= 3
-    if exhaustive and genus > 4:
-        raise ScanBudgetExceeded("exhaustive scan supported for genus <= 4")
-    if not exhaustive and genus > 4:
-        raise ScanBudgetExceeded("scan supported for genus <= 4")
-
-    if not exhaustive:
-        rng = random.Random(seed)
-        found: Set[Tuple[F2Vector, int]] = set()
-        for _ in range(samples):
-            x = F2Vector(rng.getrandbits(1) for _ in range(two_g))
-            y = F2Vector(rng.getrandbits(1) for _ in range(two_g))
-            found.add(f2_sw_map(x, y))
-        return found
-
-    xs = list(product((0, 1), repeat=two_g))
-    workers = int(os.environ.get("HIGGS_SP4_THREADS", "1"))
-    if workers <= 1:
-        return _scan_worker((two_g, xs))
-    workers = min(workers, len(xs))
-    chunks = [xs[k::workers] for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_scan_worker, [(two_g, ch) for ch in chunks])
-    result: Set[Tuple[F2Vector, int]] = set()
-    for part in parts:
-        result |= part
-    return result
+    mask = (1 << genus) - 1
+    found: Set[int] = set()
+    for x in range(1 << two_g):
+        x_s = (x & mask) << genus | x >> genus
+        found.update((x ^ y) << 1 | (x_s & y).bit_count() & 1
+                     for y in range(1 << two_g))
+    return {(F2Vector.from_string(format(code >> 1, "0%db" % two_g)), code & 1)
+            for code in found}
 
 
 # -- higher-rank witnesses -----------------------------------------------------------

@@ -14,16 +14,15 @@ The module also provides the two nested radicals
 
     u = -4*sqrt(6 + 3*sqrt3)   and   v = 2/sqrt(2 + sqrt3)
 
-in denested form (u = -2*sqrt6 - 6*sqrt2, v = sqrt6 - sqrt2), plus a
-high-precision numeric evaluation used as a test oracle.
+in denested form (u = -2*sqrt6 - 6*sqrt2, v = sqrt6 - sqrt2).  The
+high-precision numeric oracle that cross-checks them lives with the
+tests; this module has no dependencies outside the standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 __all__ = [
     "DivisionByZero",
@@ -37,7 +36,6 @@ __all__ = [
     "SQRT6",
     "fe",
     "embed_u_v",
-    "numeric",
 ]
 
 Rational = Fraction
@@ -264,27 +262,8 @@ def embed_u_v() -> tuple:
 
     The denesting uses sqrt(2 + sqrt3) = (1 + sqrt3)/sqrt2 and
     sqrt(6 + 3*sqrt3) = sqrt3 * sqrt(2 + sqrt3); it is unit-tested
-    against the high-precision numeric oracle.
+    against the high-precision numeric oracle in the tests.
     """
     u = FieldElem.from_parts(sqrt2=-6, sqrt6=-2)
     v = FieldElem.from_parts(sqrt2=-1, sqrt6=1)
     return u, v
-
-
-def numeric(a: FieldElem, dps: int = 40):
-    """High-precision numeric value of ``a`` (mpmath mpf, or mpc if complex).
-
-    Accurate to well below 1e-12 for coordinate sizes up to 1e6 at the
-    default precision; used only as a test oracle.
-    """
-    with mpmath.workdps(dps):
-        radicals = (mpmath.mpf(1), mpmath.sqrt(2), mpmath.sqrt(3), mpmath.sqrt(6))
-        re = mpmath.fsum(
-            mpmath.mpf(c.numerator) / c.denominator * radicals[k]
-            for k, c in enumerate(a.coeffs[:4]) if c)
-        im = mpmath.fsum(
-            mpmath.mpf(c.numerator) / c.denominator * radicals[k]
-            for k, c in enumerate(a.coeffs[4:]) if c)
-        if im == 0:
-            return re
-        return mpmath.mpc(re, im)

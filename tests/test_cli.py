@@ -113,6 +113,27 @@ def test_f2_scan_command(capsys):
     assert payload["mode"] == "exhaustive"
 
 
+def test_f2_scan_genus4_is_exhaustive(capsys):
+    code, out = run_cli(capsys, "f2-scan", "--genus", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["image_size"] == 511
+    assert payload["missing"] == [["00000000", 1]]
+    assert payload["mode"] == "exhaustive"
+
+
+def test_f2_scan_over_budget_is_domain_error(capsys):
+    code, out = run_cli(capsys, "f2-scan", "--genus", "6")
+    assert code == 1
+    assert json.loads(out)["error"] == "ScanBudgetExceeded"
+
+
+@pytest.mark.parametrize("flags", [["--samples", "5"], ["--exhaustive"]])
+def test_f2_scan_removed_flags_are_usage_errors(capsys, flags):
+    code, _ = run_cli(capsys, "f2-scan", "--genus", "2", *flags)
+    assert code == 2
+
+
 def test_fiber_command(capsys):
     code, out = run_cli(capsys, "fiber", "--genus", "4", "--c", "1")
     assert code == 0
@@ -211,3 +232,12 @@ def test_subprocess_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["total"] == 194
+
+
+def test_import_pulls_no_runtime_dependencies():
+    code = ("import sp4higgs, sys; print(sorted("
+            "{'mpmath', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

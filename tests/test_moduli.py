@@ -197,21 +197,32 @@ def test_scan_nonzero_w1_with_unit_pairing_always_present():
             assert (v, 1) in image
 
 
-def test_scan_threaded_matches_serial(monkeypatch):
-    serial = f2_image_scan(2)
-    monkeypatch.setenv("HIGGS_SP4_THREADS", "4")
-    assert f2_image_scan(2) == serial
+def test_scan_matches_object_level_reference():
+    # reference: the pair-sum map applied to every (x, y) as F2Vector objects
+    for g in (1, 2, 3):
+        vectors = list(F2Vector.all_vectors(2 * g))
+        reference = {f2_sw_map(x, y) for x in vectors for y in vectors}
+        assert f2_image_scan(g) == reference
 
 
-def test_scan_sampled_g4():
-    image = f2_image_scan(4, samples=20000, seed=5)
-    assert (F2Vector.zero(8), 1) not in image
-    assert len(image) <= 2 ** 9 - 1
+def test_scan_g4_and_g5_exhaustive_miss_only_zero_one():
+    for g, size in ((4, 511), (5, 2047)):
+        image = f2_image_scan(g)
+        two_g = 2 * g
+        universe = {(v, w) for v in F2Vector.all_vectors(two_g)
+                    for w in (0, 1)}
+        assert universe - image == {(F2Vector.zero(two_g), 1)}
+        assert len(image) == size
 
 
 def test_scan_budget():
     with pytest.raises(ScanBudgetExceeded):
-        f2_image_scan(5)
+        f2_image_scan(6)
+
+
+def test_scan_rejects_non_exhaustive():
+    with pytest.raises(ValueError):
+        f2_image_scan(2, exhaustive=False)
 
 
 # -- higher-rank witnesses --------------------------------------------------------------
