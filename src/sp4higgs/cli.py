@@ -20,10 +20,10 @@ from .higgs import (
     CurveCtx, DiagonalShape, NotMaximal, NotPolystable, OutOfClassifiedRange,
     RequiresExplicitH0, iso_normal_form, stability_report,
 )
-from .jsonio import datum_to_json, load_datum
+from .jsonio import ParseError, datum_to_json, load_datum
 from .moduli import (
-    Hitchin, ScanBudgetExceeded, SW, ZeroSW, classify, count_components,
-    count_components_sp2n, f2_image_scan, fiber_geometry, reduction_verdict,
+    ScanBudgetExceeded, classify, count_components, count_components_sp2n,
+    f2_image_scan, fiber_geometry, reduction_verdict,
 )
 
 __all__ = ["main"]
@@ -41,16 +41,6 @@ def _fail(error: str, clause: str) -> int:
     return 1
 
 
-def _label_json(label) -> dict:
-    if isinstance(label, Hitchin):
-        return {"component": "Hitchin", "spin": label.spin.to_string()}
-    if isinstance(label, ZeroSW):
-        return {"component": "ZeroSW", "c": label.c}
-    if isinstance(label, SW):
-        return {"component": "SW", "w1": label.w1.to_string(), "w2": label.w2}
-    raise TypeError(label)
-
-
 def _cmd_verify(args) -> int:
     reports = verify.run_suite(args.scope)
     payload = [r.to_json() for r in reports]
@@ -62,10 +52,8 @@ def _cmd_classify(args) -> int:
     ctx, datum = load_datum(args.infile)
     label = classify(ctx, datum)
     verdict = reduction_verdict(label)
-    out = _label_json(label)
-    out["admits"] = sorted(s.value for s in verdict.admits)
-    out["zariski_dense"] = verdict.zariski_dense_component
-    _emit(out)
+    _emit(dict(label.to_json(), admits=sorted(s.value for s in verdict.admits),
+               zariski_dense=verdict.zariski_dense_component))
     return 0
 
 
@@ -182,7 +170,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
         return _fail(type(exc).__name__, str(exc))
-    except (json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+    except ParseError as exc:
         _emit({"error": "ParseError", "clause": str(exc)})
         return 2
     except ValueError as exc:

@@ -10,6 +10,8 @@ pointwise.
 The explicit maximal shapes, the stability and polystability verdicts,
 Cayley partners, Stiefel-Whitney invariants, the subgroup-reduction
 checkers and the irreducible embedding of rank-1 data all live here.
+Each shape class carries its own rules; the module-level functions
+check their preconditions once and call the shape's rule.
 """
 
 from __future__ import annotations
@@ -173,11 +175,6 @@ class LineBundleClass:
                 "extra_degree": self.extra_degree,
                 "torsion": self.torsion.to_string()}
 
-    @classmethod
-    def from_json(cls, data) -> "LineBundleClass":
-        return cls(Fraction(data["k_power"]), int(data["extra_degree"]),
-                   F2Vector.from_string(data["torsion"]))
-
 
 def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:
     """Dimension of the space of sections, where the degree determines it.
@@ -263,18 +260,117 @@ class SectionSlot:
             out["h0_override"] = self.h0_override
         return out
 
-    @classmethod
-    def from_json(cls, data) -> "SectionSlot":
-        return cls(LineBundleClass.from_json(data["bundle"]),
-                   tuple(FieldElem.from_json(c) for c in data["coeffs"]),
-                   data.get("h0_override"))
+
+# -- verdict records ----------------------------------------------------------
 
 
-# -- the explicit maximal shapes ----------------------------------------------
+class Stability(enum.Enum):
+    STABLE = "Stable"
+    STRICTLY_POLYSTABLE = "StrictlyPolystable"
+    SEMISTABLE_NOT_POLY = "SemistableNotPoly"
+    UNSTABLE = "Unstable"
+
+    @property
+    def is_polystable(self) -> bool:
+        return self in (Stability.STABLE, Stability.STRICTLY_POLYSTABLE)
 
 
 @dataclass(frozen=True)
-class DiagonalShape:
+class StabilityReport:
+    verdict: Stability
+    clause: str
+    non_simple: bool = False
+
+
+@dataclass(frozen=True)
+class CayleyCase:
+    """One of the three orthogonal rank-2 possibilities:
+    kind "split" (W = L + L^-1, w1 = 0), kind "cover" (connected double
+    cover, w1 != 0), kind "torsion" (W = M1 + M2 with 2-torsion M_i).
+    """
+
+    kind: str
+    L: Optional[LineBundleClass] = None
+    w1: Optional[F2Vector] = None
+    w2: Optional[int] = None
+    m1: Optional[F2Vector] = None
+    m2: Optional[F2Vector] = None
+
+
+@dataclass(frozen=True)
+class CayleyPartner:
+    case: CayleyCase
+    theta_present: bool
+
+
+@dataclass(frozen=True)
+class SWInvariants:
+    """Topological invariants: Toledo d, first class w1, and either the
+    integer lift c (only defined when w1 = 0 on rank-2 maximal data) or
+    just the second class w2."""
+
+    toledo: int
+    w1: F2Vector
+    w2: int
+    c: Optional[int] = None
+
+    def __post_init__(self):
+        if self.c is not None:
+            if not self.w1.is_zero:
+                raise ValueError("integer lift c only exists when w1 = 0")
+            if self.w2 != self.c % 2:
+                raise ValueError("w2 must be the parity of c")
+
+
+def _root_of_k_label(bundle: LineBundleClass) -> F2Vector:
+    """Torsion label of the line bundle of a maximal rank-1 datum, which
+    must be encoded as a square root of K."""
+    if bundle.k_power != Fraction(1, 2) or bundle.extra_degree != 0:
+        raise OutOfClassifiedRange(
+            "maximal rank-1 data must be encoded with L a square root of K "
+            "(k_power 1/2)")
+    return bundle.torsion
+
+
+# -- the shapes and their rules -----------------------------------------------
+
+
+class _Shape:
+    """The rules every shape answers.
+
+    ``rank``, ``toledo`` and ``stability`` hold for any datum.
+    ``cayley``, ``sw``, the reduction rules ``gdelta``/``sl2xsl2``/``gp``,
+    ``energy_minimum`` and ``hitchin_spin`` assume a maximal polystable
+    datum in canonical form (see _require_maximal_polystable).  A shape
+    without a rule raises: TypeError for an unsupported datum,
+    NotPolystable for a missing spin label.
+    """
+
+    rank = 2
+
+    def _unsupported(self, message: str):
+        raise TypeError(message % (self,))
+
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+        self._unsupported("no Cayley partner for %r")
+
+    def gdelta(self, ctx: CurveCtx) -> bool:
+        self._unsupported("unsupported datum for the reduction check: %r")
+
+    sl2xsl2 = gdelta
+
+    def gp(self, ctx: CurveCtx) -> bool:
+        return self.sl2xsl2(ctx)
+
+    def energy_minimum(self, ctx: CurveCtx) -> bool:
+        self._unsupported("unsupported datum for the minimum test: %r")
+
+    def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
+        raise NotPolystable("no spin label for %r" % (self,))
+
+
+@dataclass(frozen=True)
+class DiagonalShape(_Shape):
     """V = N + N^-1 K with gamma the off-diagonal unit form and
     beta = [[beta1, beta3], [beta3, beta2]]; always has degree 2g-2.
 
@@ -303,9 +399,68 @@ class DiagonalShape:
                                  % (name, slot.bundle, bundle))
             slot.validate(ctx)
 
+    def toledo(self, ctx: CurveCtx) -> int:
+        return ctx.deg_k  # deg N + deg N^-1 K
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        g = ctx.genus
+        deg_n = self.N.degree(ctx)
+        if not (g - 1 <= deg_n <= 3 * g - 3):
+            raise OutOfClassifiedRange(
+                "deg N = %d outside [g-1, 3g-3] = [%d, %d]"
+                % (deg_n, g - 1, 3 * g - 3))
+        if deg_n > g - 1:
+            if not self.beta2.is_zero:
+                return StabilityReport(Stability.STABLE,
+                                       "diagonal, deg N > g-1, beta2 != 0")
+            return StabilityReport(Stability.UNSTABLE,
+                                   "diagonal, deg N > g-1, beta2 = 0: not semistable")
+        b1z, b2z = self.beta1.is_zero, self.beta2.is_zero
+        if not b1z and not b2z:
+            return StabilityReport(Stability.STABLE,
+                                   "diagonal, deg N = g-1, beta1 != 0 and beta2 != 0")
+        if b1z and b2z:
+            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
+                                   "diagonal, deg N = g-1, beta1 = beta2 = 0")
+        return StabilityReport(Stability.SEMISTABLE_NOT_POLY,
+                               "diagonal, deg N = g-1, exactly one of beta1, beta2 nonzero")
+
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+        l = self.N * LineBundleClass.half_canonical(ctx, spin).dual()
+        theta = not (self.beta1.is_zero and self.beta2.is_zero
+                     and self.beta3.is_zero)
+        return CayleyPartner(CayleyCase(kind="split", L=l), theta)
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        c = self.c_invariant(ctx)
+        if not 0 <= c <= ctx.deg_k:
+            raise OutOfClassifiedRange("c = %d outside [0, 2g-2]" % c)
+        return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
+
+    def gdelta(self, ctx: CurveCtx) -> bool:
+        return (self.N.degree(ctx) == ctx.genus - 1
+                and self.beta1.is_zero and self.beta2.is_zero)
+
+    def sl2xsl2(self, ctx: CurveCtx) -> bool:
+        return self.c_invariant(ctx) == 0
+
+    def energy_minimum(self, ctx: CurveCtx) -> bool:
+        if self.c_invariant(ctx) > 0:
+            return self.beta1.is_zero and self.beta3.is_zero
+        return self.beta1.is_zero and self.beta2.is_zero and self.beta3.is_zero
+
+    def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
+        # At c = 2g-2 the bundle N is forced to be the cube of a square
+        # root of K; N = (K^(1/2) * s)^3 has torsion label 3s = s.
+        if self.N.k_power != Fraction(3, 2) or self.N.extra_degree != 0:
+            raise NotPolystable(
+                "c = 2g-2 requires N to be encoded as the cube of a square "
+                "root of K (k_power 3/2); got %r" % (self.N,))
+        return self.N.torsion
+
 
 @dataclass(frozen=True)
-class CoverOrthShape:
+class CoverOrthShape(_Shape):
     """V = W (x) K^(1/2) with W an orthogonal bundle from a connected
     double cover: w1 is the nonzero class of the cover, w2 is stored
     (never computed here).  The quadratic part of the Higgs field is the
@@ -326,9 +481,35 @@ class CoverOrthShape:
             raise ValueError("w1 has length %d, expected %d"
                              % (len(self.w1), ctx.two_g))
 
+    def toledo(self, ctx: CurveCtx) -> int:
+        return ctx.deg_k  # twist by K^(1/2) of a degree-0 orthogonal bundle
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        return StabilityReport(Stability.STABLE,
+                               "connected-cover orthogonal bundle is stable")
+
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+        return CayleyPartner(CayleyCase(kind="cover", w1=self.w1, w2=self.w2),
+                             self.beta_present)
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        return SWInvariants(ctx.deg_k, self.w1, self.w2)
+
+    def gdelta(self, ctx: CurveCtx) -> bool:
+        return not self.beta_present
+
+    def sl2xsl2(self, ctx: CurveCtx) -> bool:
+        return False
+
+    def gp(self, ctx: CurveCtx) -> bool:
+        return True
+
+    def energy_minimum(self, ctx: CurveCtx) -> bool:
+        return not self.beta_present
+
 
 @dataclass(frozen=True)
-class TorsionSplitShape:
+class TorsionSplitShape(_Shape):
     """V = L1 K^(1/2) + L2 K^(1/2) with L_i 2-torsion (labels t1, t2),
     gamma diagonal from the torsion isomorphisms, beta diagonal with
     entries in H0(K^2)."""
@@ -348,15 +529,49 @@ class TorsionSplitShape:
                 raise ValueError("%s slot must live in H0(K^2)" % name)
             slot.validate(ctx)
 
+    def toledo(self, ctx: CurveCtx) -> int:
+        return ctx.deg_k  # twist by K^(1/2) of a degree-0 orthogonal bundle
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        if self.t1 == self.t2:
+            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
+                                   "torsion-split, L1 = L2", non_simple=True)
+        return StabilityReport(Stability.STABLE,
+                               "torsion-split, L1 != L2 (stable but not simple)",
+                               non_simple=True)
+
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+        theta = not (self.beta1.is_zero and self.beta2.is_zero)
+        return CayleyPartner(
+            CayleyCase(kind="torsion", m1=self.t1 + spin, m2=self.t2 + spin),
+            theta)
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        w1 = self.t1 + self.t2
+        w2 = self.t1.pairing(self.t2)
+        # equal labels give w1 = 0; the datum is then the c = 0 shape
+        return SWInvariants(ctx.deg_k, w1, w2, c=0 if w1.is_zero else None)
+
+    def gdelta(self, ctx: CurveCtx) -> bool:
+        return self.beta1.coeffs == self.beta2.coeffs
+
+    def sl2xsl2(self, ctx: CurveCtx) -> bool:
+        return True
+
+    def energy_minimum(self, ctx: CurveCtx) -> bool:
+        return self.beta1.is_zero and self.beta2.is_zero
+
 
 @dataclass(frozen=True)
-class SL2RDatum:
+class SL2RDatum(_Shape):
     """Rank-1 datum (L, beta, gamma) with beta in H0(L^2 K) and
     gamma in H0(L^-2 K)."""
 
     L: LineBundleClass
     beta: SectionSlot
     gamma: SectionSlot
+
+    rank = 1
 
     def validate(self, ctx: CurveCtx):
         k = LineBundleClass.canonical(ctx)
@@ -367,9 +582,20 @@ class SL2RDatum:
         self.beta.validate(ctx)
         self.gamma.validate(ctx)
 
+    def toledo(self, ctx: CurveCtx) -> int:
+        return self.L.degree(ctx)
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        return StabilityReport(stability_sl2(ctx, self),
+                               "rank-1 criterion, deg L = %d" % self.L.degree(ctx))
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        # graded by the torsion label of L relative to the base root
+        return SWInvariants(self.toledo(ctx), _root_of_k_label(self.L), 0)
+
 
 @dataclass(frozen=True)
-class IrreducibleImage:
+class IrreducibleImage(_Shape):
     """Image of a rank-1 datum under the irreducible embedding:
     V = L^3 + L^-1 with beta = [[0, 3b], [3b, g]] and
     gamma = [[0, g], [g, 4b]] in terms of the rank-1 fields (b, g).
@@ -387,9 +613,47 @@ class IrreducibleImage:
     def validate(self, ctx: CurveCtx):
         SL2RDatum(self.L, self.beta, self.gamma).validate(ctx)
 
+    def toledo(self, ctx: CurveCtx) -> int:
+        return 2 * self.L.degree(ctx)
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        if not stability_sl2(ctx, SL2RDatum(self.L, self.beta, self.gamma)).is_polystable:
+            raise NotPolystable("rank-1 input of the irreducible image is "
+                                "not polystable")
+        if self.L.degree(ctx) != 0:
+            return StabilityReport(Stability.STABLE,
+                                   "irreducible image of a polystable rank-1 "
+                                   "datum with deg L != 0")
+        if self.beta.is_zero and self.gamma.is_zero:
+            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
+                                   "irreducible image, deg L = 0, zero fields")
+        return StabilityReport(Stability.STABLE,
+                               "irreducible image, deg L = 0, both fields nonzero")
+
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+        l = self.L.power(3) * LineBundleClass.half_canonical(ctx, spin).dual()
+        return CayleyPartner(CayleyCase(kind="split", L=l),
+                             theta_present=not self.beta.is_zero
+                             or not self.gamma.is_zero)
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        return SWInvariants(self.toledo(ctx), ctx.zero_torsion(), 0, c=ctx.deg_k)
+
+    def gdelta(self, ctx: CurveCtx) -> bool:
+        return False
+
+    def sl2xsl2(self, ctx: CurveCtx) -> bool:
+        return False
+
+    def energy_minimum(self, ctx: CurveCtx) -> bool:
+        return self.beta.is_zero
+
+    def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
+        return _root_of_k_label(self.L)
+
 
 @dataclass(frozen=True)
-class DirectSum:
+class DirectSum(_Shape):
     """Direct sum of symplectic data; flattens nested sums."""
 
     summands: Tuple["HiggsDatum", ...]
@@ -407,6 +671,34 @@ class DirectSum:
         for s in self.summands:
             s.validate(ctx)
 
+    @property
+    def rank(self) -> int:
+        return sum(s.rank for s in self.summands)
+
+    def toledo(self, ctx: CurveCtx) -> int:
+        return sum(s.toledo(ctx) for s in self.summands)
+
+    def stability(self, ctx: CurveCtx) -> StabilityReport:
+        if not self.summands:
+            return StabilityReport(Stability.STRICTLY_POLYSTABLE, "empty sum")
+        verdicts = [s.stability(ctx).verdict for s in self.summands]
+        if all(v.is_polystable for v in verdicts):
+            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
+                                   "direct sum of polystable summands")
+        if all(v != Stability.UNSTABLE for v in verdicts):
+            return StabilityReport(Stability.SEMISTABLE_NOT_POLY,
+                                   "direct sum with a non-polystable summand")
+        return StabilityReport(Stability.UNSTABLE,
+                               "direct sum with an unstable summand")
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        w1, w2 = ctx.zero_torsion(), 0
+        for s in self.summands:
+            part = s.sw(ctx)
+            w2 = (w2 + part.w2 + w1.pairing(part.w1)) % 2  # Whitney sum rule
+            w1 = w1 + part.w1
+        return SWInvariants(self.toledo(ctx), w1, w2)
+
 
 HiggsDatum = Union[DiagonalShape, CoverOrthShape, TorsionSplitShape,
                    SL2RDatum, IrreducibleImage, DirectSum]
@@ -416,52 +708,20 @@ HiggsDatum = Union[DiagonalShape, CoverOrthShape, TorsionSplitShape,
 
 
 def rank(datum: HiggsDatum) -> int:
-    if isinstance(datum, SL2RDatum):
-        return 1
-    if isinstance(datum, DirectSum):
-        return sum(rank(s) for s in datum.summands)
-    return 2
+    return datum.rank
 
 
 def toledo(ctx: CurveCtx, datum: HiggsDatum) -> int:
     """Degree of the underlying bundle V."""
-    if isinstance(datum, DiagonalShape):
-        return ctx.deg_k  # deg N + deg N^-1 K
-    if isinstance(datum, (CoverOrthShape, TorsionSplitShape)):
-        return ctx.deg_k  # twist by K^(1/2) of a degree-0 orthogonal bundle
-    if isinstance(datum, SL2RDatum):
-        return datum.L.degree(ctx)
-    if isinstance(datum, IrreducibleImage):
-        return 2 * datum.L.degree(ctx)
-    if isinstance(datum, DirectSum):
-        return sum(toledo(ctx, s) for s in datum.summands)
-    raise TypeError("not a Higgs datum: %r" % (datum,))
+    return datum.toledo(ctx)
 
 
 def is_maximal(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Toledo invariant attains rank(V) * (g-1)."""
-    return toledo(ctx, datum) == rank(datum) * (ctx.genus - 1)
+    return datum.toledo(ctx) == datum.rank * (ctx.genus - 1)
 
 
 # -- stability ----------------------------------------------------------------
-
-
-class Stability(enum.Enum):
-    STABLE = "Stable"
-    STRICTLY_POLYSTABLE = "StrictlyPolystable"
-    SEMISTABLE_NOT_POLY = "SemistableNotPoly"
-    UNSTABLE = "Unstable"
-
-    @property
-    def is_polystable(self) -> bool:
-        return self in (Stability.STABLE, Stability.STRICTLY_POLYSTABLE)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    verdict: Stability
-    clause: str
-    non_simple: bool = False
 
 
 def stability_sl2(ctx: CurveCtx, datum: SL2RDatum) -> Stability:
@@ -485,114 +745,29 @@ def stability_sl2(ctx: CurveCtx, datum: SL2RDatum) -> Stability:
 def stability_report(ctx: CurveCtx, datum: HiggsDatum) -> StabilityReport:
     """Stability verdict plus the clause that produced it."""
     datum.validate(ctx)
-
-    if isinstance(datum, DiagonalShape):
-        g = ctx.genus
-        deg_n = datum.N.degree(ctx)
-        if not (g - 1 <= deg_n <= 3 * g - 3):
-            raise OutOfClassifiedRange(
-                "deg N = %d outside [g-1, 3g-3] = [%d, %d]"
-                % (deg_n, g - 1, 3 * g - 3))
-        if deg_n > g - 1:
-            if not datum.beta2.is_zero:
-                return StabilityReport(Stability.STABLE,
-                                       "diagonal, deg N > g-1, beta2 != 0")
-            return StabilityReport(Stability.UNSTABLE,
-                                   "diagonal, deg N > g-1, beta2 = 0: not semistable")
-        b1z, b2z = datum.beta1.is_zero, datum.beta2.is_zero
-        if not b1z and not b2z:
-            return StabilityReport(Stability.STABLE,
-                                   "diagonal, deg N = g-1, beta1 != 0 and beta2 != 0")
-        if b1z and b2z:
-            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
-                                   "diagonal, deg N = g-1, beta1 = beta2 = 0")
-        return StabilityReport(Stability.SEMISTABLE_NOT_POLY,
-                               "diagonal, deg N = g-1, exactly one of beta1, beta2 nonzero")
-
-    if isinstance(datum, CoverOrthShape):
-        return StabilityReport(Stability.STABLE,
-                               "connected-cover orthogonal bundle is stable")
-
-    if isinstance(datum, TorsionSplitShape):
-        if datum.t1 == datum.t2:
-            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
-                                   "torsion-split, L1 = L2", non_simple=True)
-        return StabilityReport(Stability.STABLE,
-                               "torsion-split, L1 != L2 (stable but not simple)",
-                               non_simple=True)
-
-    if isinstance(datum, SL2RDatum):
-        verdict = stability_sl2(ctx, datum)
-        return StabilityReport(verdict, "rank-1 criterion, deg L = %d"
-                               % datum.L.degree(ctx))
-
-    if isinstance(datum, IrreducibleImage):
-        base = SL2RDatum(datum.L, datum.beta, datum.gamma)
-        sl2_verdict = stability_sl2(ctx, base)
-        if not sl2_verdict.is_polystable:
-            raise NotPolystable("rank-1 input of the irreducible image is "
-                                "not polystable")
-        d = datum.L.degree(ctx)
-        if d != 0:
-            return StabilityReport(Stability.STABLE,
-                                   "irreducible image of a polystable rank-1 "
-                                   "datum with deg L != 0")
-        if datum.beta.is_zero and datum.gamma.is_zero:
-            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
-                                   "irreducible image, deg L = 0, zero fields")
-        return StabilityReport(Stability.STABLE,
-                               "irreducible image, deg L = 0, both fields nonzero")
-
-    if isinstance(datum, DirectSum):
-        if not datum.summands:
-            return StabilityReport(Stability.STRICTLY_POLYSTABLE, "empty sum")
-        verdicts = [stability_report(ctx, s).verdict for s in datum.summands]
-        if all(v.is_polystable for v in verdicts):
-            return StabilityReport(Stability.STRICTLY_POLYSTABLE,
-                                   "direct sum of polystable summands")
-        if all(v != Stability.UNSTABLE for v in verdicts):
-            return StabilityReport(Stability.SEMISTABLE_NOT_POLY,
-                                   "direct sum with a non-polystable summand")
-        return StabilityReport(Stability.UNSTABLE,
-                               "direct sum with an unstable summand")
-
-    raise TypeError("not a Higgs datum: %r" % (datum,))
+    return datum.stability(ctx)
 
 
 def stability_sp4(ctx: CurveCtx, datum: HiggsDatum) -> Stability:
     return stability_report(ctx, datum).verdict
 
 
-def _require_maximal_polystable(ctx: CurveCtx, datum: HiggsDatum):
+def _require_maximal_polystable(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
+    """The datum in canonical form, after checking that it is maximal
+    and polystable: a sum of two maximal rank-1 data becomes the
+    torsion-split shape.  Every rule that needs a maximal polystable
+    datum is reached through here."""
     if not is_maximal(ctx, datum):
         raise NotMaximal("Toledo invariant %d is not maximal"
                          % toledo(ctx, datum))
     if not stability_sp4(ctx, datum).is_polystable:
         raise NotPolystable("datum is not polystable")
+    if isinstance(datum, DirectSum) and len(datum.summands) == 2:
+        return direct_sum(ctx, *datum.summands)
+    return datum
 
 
 # -- Cayley partner and topological invariants --------------------------------
-
-
-@dataclass(frozen=True)
-class CayleyCase:
-    """One of the three orthogonal rank-2 possibilities:
-    kind "split" (W = L + L^-1, w1 = 0), kind "cover" (connected double
-    cover, w1 != 0), kind "torsion" (W = M1 + M2 with 2-torsion M_i).
-    """
-
-    kind: str
-    L: Optional[LineBundleClass] = None
-    w1: Optional[F2Vector] = None
-    w2: Optional[int] = None
-    m1: Optional[F2Vector] = None
-    m2: Optional[F2Vector] = None
-
-
-@dataclass(frozen=True)
-class CayleyPartner:
-    case: CayleyCase
-    theta_present: bool
 
 
 def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
@@ -600,116 +775,18 @@ def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
     """Orthogonal partner W = V* (x) L0 of a maximal polystable datum,
     for the square root L0 of K labeled by ``spin_choice`` (default: the
     base root, label zero)."""
-    _require_maximal_polystable(ctx, datum)
+    datum = _require_maximal_polystable(ctx, datum)
     spin = spin_choice if spin_choice is not None else ctx.zero_torsion()
     if len(spin) != ctx.two_g:
         raise ValueError("spin label must have length 2g")
-
-    if isinstance(datum, DiagonalShape):
-        l0 = LineBundleClass.half_canonical(ctx, spin)
-        l = datum.N * l0.dual()
-        theta = not (datum.beta1.is_zero and datum.beta2.is_zero
-                     and datum.beta3.is_zero)
-        return CayleyPartner(CayleyCase(kind="split", L=l), theta)
-
-    if isinstance(datum, CoverOrthShape):
-        return CayleyPartner(CayleyCase(kind="cover", w1=datum.w1, w2=datum.w2),
-                             datum.beta_present)
-
-    if isinstance(datum, TorsionSplitShape):
-        m1 = datum.t1 + spin
-        m2 = datum.t2 + spin
-        theta = not (datum.beta1.is_zero and datum.beta2.is_zero)
-        return CayleyPartner(CayleyCase(kind="torsion", m1=m1, m2=m2), theta)
-
-    if isinstance(datum, IrreducibleImage):
-        l0 = LineBundleClass.half_canonical(ctx, spin)
-        l = datum.L.power(3) * l0.dual()
-        return CayleyPartner(CayleyCase(kind="split", L=l),
-                             theta_present=not datum.beta.is_zero
-                             or not datum.gamma.is_zero)
-
-    if isinstance(datum, DirectSum):
-        converted = _as_rank2(ctx, datum)
-        if converted is not None:
-            return cayley_partner(ctx, converted, spin_choice)
-
-    raise TypeError("no Cayley partner for %r" % (datum,))
-
-
-@dataclass(frozen=True)
-class SWInvariants:
-    """Topological invariants: Toledo d, first class w1, and either the
-    integer lift c (only defined when w1 = 0 on rank-2 maximal data) or
-    just the second class w2."""
-
-    toledo: int
-    w1: F2Vector
-    w2: int
-    c: Optional[int] = None
-
-    def __post_init__(self):
-        if self.c is not None:
-            if not self.w1.is_zero:
-                raise ValueError("integer lift c only exists when w1 = 0")
-            if self.w2 != self.c % 2:
-                raise ValueError("w2 must be the parity of c")
+    return datum.cayley(ctx, spin)
 
 
 def sw_invariants(ctx: CurveCtx, datum: HiggsDatum) -> SWInvariants:
     """Stiefel-Whitney data of the Cayley partner of a maximal
     polystable datum.  Rank-1 summands are graded by the torsion label
     of L relative to the base square root of K."""
-    _require_maximal_polystable(ctx, datum)
-    return _sw_unchecked(ctx, datum)
-
-
-def _sw_unchecked(ctx: CurveCtx, datum: HiggsDatum) -> SWInvariants:
-    d = toledo(ctx, datum)
-    if isinstance(datum, DiagonalShape):
-        c = datum.c_invariant(ctx)
-        if not 0 <= c <= ctx.deg_k:
-            raise OutOfClassifiedRange("c = %d outside [0, 2g-2]" % c)
-        return SWInvariants(d, ctx.zero_torsion(), c % 2, c=c)
-    if isinstance(datum, CoverOrthShape):
-        return SWInvariants(d, datum.w1, datum.w2)
-    if isinstance(datum, TorsionSplitShape):
-        w1 = datum.t1 + datum.t2
-        w2 = datum.t1.pairing(datum.t2)
-        # equal labels give w1 = 0; the datum is then the c = 0 shape
-        return SWInvariants(d, w1, w2, c=0 if w1.is_zero else None)
-    if isinstance(datum, SL2RDatum):
-        if datum.L.k_power != Fraction(1, 2) or datum.L.extra_degree != 0:
-            raise OutOfClassifiedRange(
-                "maximal rank-1 invariants need L encoded as a square "
-                "root of K (k_power 1/2)")
-        return SWInvariants(d, datum.L.torsion, 0)
-    if isinstance(datum, IrreducibleImage):
-        return SWInvariants(d, ctx.zero_torsion(), 0, c=ctx.deg_k)
-    if isinstance(datum, DirectSum):
-        w1 = ctx.zero_torsion()
-        w2 = 0
-        for s in datum.summands:
-            part = _sw_unchecked(ctx, s)
-            w2 = (w2 + part.w2 + w1.pairing(part.w1)) % 2  # Whitney sum rule
-            w1 = w1 + part.w1
-        c = None
-        if rank(datum) == 2 and w1.is_zero:
-            converted = _as_rank2(ctx, datum)
-            if converted is not None:
-                return _sw_unchecked(ctx, converted)
-        return SWInvariants(d, w1, w2, c=c)
-    raise TypeError("not a Higgs datum: %r" % (datum,))
-
-
-def _as_rank2(ctx: CurveCtx, datum: DirectSum) -> Optional[HiggsDatum]:
-    """A sum of two maximal rank-1 data is the torsion-split shape."""
-    if len(datum.summands) == 2 and all(
-            isinstance(s, SL2RDatum) for s in datum.summands):
-        s1, s2 = datum.summands
-        if is_maximal(ctx, s1) and is_maximal(ctx, s2):
-            return direct_sum(ctx, s1, s2)
-    return None
+    return _require_maximal_polystable(ctx, datum).sw(ctx)
 
 
 # -- reductions of structure group ---------------------------------------------
@@ -724,40 +801,13 @@ def gdelta_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     connected-cover shape, beta absent (a present beta is not modeled
     finely enough to attest the scalar form).
     """
-    _require_maximal_polystable(ctx, datum)
-    if isinstance(datum, DiagonalShape):
-        return (datum.N.degree(ctx) == ctx.genus - 1
-                and datum.beta1.is_zero and datum.beta2.is_zero)
-    if isinstance(datum, CoverOrthShape):
-        return not datum.beta_present
-    if isinstance(datum, TorsionSplitShape):
-        return datum.beta1.coeffs == datum.beta2.coeffs
-    if isinstance(datum, IrreducibleImage):
-        return False
-    if isinstance(datum, DirectSum):
-        converted = _as_rank2(ctx, datum)
-        if converted is not None:
-            return gdelta_reduction_check(ctx, converted)
-    raise TypeError("unsupported datum for the reduction check: %r" % (datum,))
+    return _require_maximal_polystable(ctx, datum).gdelta(ctx)
 
 
 def sl2xsl2_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Whether the datum is (isomorphic to) a sum of two maximal rank-1
     data.  For the diagonal shape this forces N^2 = K, i.e. c = 0."""
-    _require_maximal_polystable(ctx, datum)
-    if isinstance(datum, DiagonalShape):
-        return datum.c_invariant(ctx) == 0
-    if isinstance(datum, CoverOrthShape):
-        return False
-    if isinstance(datum, TorsionSplitShape):
-        return True
-    if isinstance(datum, IrreducibleImage):
-        return False
-    if isinstance(datum, DirectSum):
-        converted = _as_rank2(ctx, datum)
-        if converted is not None:
-            return True
-    raise TypeError("unsupported datum for the reduction check: %r" % (datum,))
+    return _require_maximal_polystable(ctx, datum).sl2xsl2(ctx)
 
 
 def gp_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
@@ -765,10 +815,7 @@ def gp_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     the connected-cover shape, which splits after pulling back to the
     double cover of genus 2g-1 (degrees double, so the pulled-back
     halves are square roots of the canonical bundle upstairs)."""
-    if isinstance(datum, CoverOrthShape):
-        _require_maximal_polystable(ctx, datum)
-        return True
-    return sl2xsl2_reduction_check(ctx, datum)
+    return _require_maximal_polystable(ctx, datum).gp(ctx)
 
 
 # -- the irreducible embedding on bundle data -----------------------------------
@@ -804,16 +851,11 @@ def direct_sum(ctx: CurveCtx, a: HiggsDatum, b: HiggsDatum) -> HiggsDatum:
     if (isinstance(a, SL2RDatum) and isinstance(b, SL2RDatum)
             and is_maximal(ctx, a) and is_maximal(ctx, b)
             and not a.gamma.is_zero and not b.gamma.is_zero):
-        for s in (a, b):
-            if s.L.k_power != Fraction(1, 2) or s.L.extra_degree != 0:
-                raise OutOfClassifiedRange(
-                    "maximal rank-1 summands must be encoded as square "
-                    "roots of K")
         k2 = LineBundleClass.canonical(ctx, 2)
         # beta_i in H0(L_i^2 K) = H0(K^2) once L_i^2 = K is used
-        b1 = SectionSlot(k2, a.beta.coeffs)
-        b2 = SectionSlot(k2, b.beta.coeffs)
-        return TorsionSplitShape(a.L.torsion, b.L.torsion, b1, b2)
+        return TorsionSplitShape(_root_of_k_label(a.L), _root_of_k_label(b.L),
+                                 SectionSlot(k2, a.beta.coeffs),
+                                 SectionSlot(k2, b.beta.coeffs))
     return DirectSum((a, b))
 
 
@@ -824,24 +866,7 @@ def is_hitchin_minimum(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Whether the datum is the minimum of the energy function in its
     component: beta1 = beta3 = 0 in the c > 0 diagonal shapes, beta = 0
     entirely in the c = 0 and torsion/cover shapes."""
-    _require_maximal_polystable(ctx, datum)
-    if isinstance(datum, DiagonalShape):
-        if datum.c_invariant(ctx) > 0:
-            return datum.beta1.is_zero and datum.beta3.is_zero
-        return (datum.beta1.is_zero and datum.beta2.is_zero
-                and datum.beta3.is_zero)
-    if isinstance(datum, CoverOrthShape):
-        return not datum.beta_present
-    if isinstance(datum, TorsionSplitShape):
-        return datum.beta1.is_zero and datum.beta2.is_zero
-    if isinstance(datum, (IrreducibleImage, DirectSum)):
-        converted = datum if not isinstance(datum, DirectSum) \
-            else _as_rank2(ctx, datum)
-        if isinstance(converted, IrreducibleImage):
-            return converted.beta.is_zero
-        if converted is not None:
-            return is_hitchin_minimum(ctx, converted)
-    raise TypeError("unsupported datum for the minimum test: %r" % (datum,))
+    return _require_maximal_polystable(ctx, datum).energy_minimum(ctx)
 
 
 def iso_normal_form(ctx: CurveCtx, datum: DiagonalShape) -> DiagonalShape:

@@ -17,9 +17,9 @@ from typing import FrozenSet, Sequence, Set, Tuple, Union
 
 from .f2 import F2Vector
 from .higgs import (
-    CurveCtx, DiagonalShape, DirectSum, HiggsDatum, IrreducibleImage,
-    LineBundleClass, OutOfClassifiedRange, SectionSlot, SL2RDatum,
-    NotPolystable, sw_invariants,
+    CurveCtx, DiagonalShape, DirectSum, HiggsDatum, LineBundleClass,
+    NotPolystable, OutOfClassifiedRange, SectionSlot, SL2RDatum,
+    _require_maximal_polystable,
 )
 from .numfield import fe
 
@@ -58,25 +58,43 @@ class Subgroup(enum.Enum):
 
 # -- component labels ----------------------------------------------------------
 
+_PRODUCT_AND_DIAGONAL = frozenset({Subgroup.G_DELTA, Subgroup.G_P})
+
 
 @dataclass(frozen=True)
 class Hitchin:
     """One of the 2^(2g) distinguished components, labeled by the spin
-    structure (square root of K) relative to the base root."""
+    structure (square root of K) relative to the base root.  Admits
+    only the irreducible subgroup."""
 
     spin: F2Vector
+
+    def to_json(self) -> dict:
+        return {"component": "Hitchin", "spin": self.spin.to_string()}
+
+    def admits(self) -> FrozenSet[Subgroup]:
+        return frozenset({Subgroup.G_I})
 
 
 @dataclass(frozen=True)
 class ZeroSW:
-    """Component with w1 = 0 and integer lift c, 0 <= c < 2g-2."""
+    """Component with w1 = 0 and integer lift c, 0 <= c < 2g-2.  The
+    c = 0 component admits the product and diagonal subgroups; the
+    intermediate ones admit nothing."""
 
     c: int
+
+    def to_json(self) -> dict:
+        return {"component": "ZeroSW", "c": self.c}
+
+    def admits(self) -> FrozenSet[Subgroup]:
+        return _PRODUCT_AND_DIAGONAL if self.c == 0 else frozenset()
 
 
 @dataclass(frozen=True)
 class SW:
-    """Component labeled by (w1, w2) with w1 != 0."""
+    """Component labeled by (w1, w2) with w1 != 0.  Admits the product
+    and diagonal subgroups."""
 
     w1: F2Vector
     w2: int
@@ -85,38 +103,27 @@ class SW:
         if self.w1.is_zero:
             raise ValueError("SW labels need nonzero w1")
 
+    def to_json(self) -> dict:
+        return {"component": "SW", "w1": self.w1.to_string(), "w2": self.w2}
+
+    def admits(self) -> FrozenSet[Subgroup]:
+        return _PRODUCT_AND_DIAGONAL
+
 
 ComponentLabel = Union[Hitchin, ZeroSW, SW]
 
 
 def classify(ctx: CurveCtx, datum: HiggsDatum) -> ComponentLabel:
     """Connected component of a maximal polystable datum."""
-    inv = sw_invariants(ctx, datum)  # raises NotMaximal / NotPolystable
+    datum = _require_maximal_polystable(ctx, datum)
+    inv = datum.sw(ctx)
     if not inv.w1.is_zero:
         return SW(inv.w1, inv.w2)
     if inv.c is None:
         raise NotPolystable("cannot classify: no integer lift for w1 = 0")
     if inv.c == ctx.deg_k:
-        return Hitchin(_hitchin_spin(ctx, datum))
+        return Hitchin(datum.hitchin_spin(ctx))
     return ZeroSW(inv.c)
-
-
-def _hitchin_spin(ctx: CurveCtx, datum: HiggsDatum) -> F2Vector:
-    # At c = 2g-2 the bundle N is forced to be the cube of a square root
-    # of K; the component label is that root's torsion label.
-    if isinstance(datum, DiagonalShape):
-        if datum.N.k_power != Fraction(3, 2) or datum.N.extra_degree != 0:
-            raise NotPolystable(
-                "c = 2g-2 requires N to be encoded as the cube of a square "
-                "root of K (k_power 3/2); got %r" % (datum.N,))
-        # N = (K^(1/2) * s)^3 has torsion label 3s = s
-        return datum.N.torsion
-    if isinstance(datum, IrreducibleImage):
-        if datum.L.k_power != Fraction(1, 2) or datum.L.extra_degree != 0:
-            raise NotPolystable("maximal rank-1 input must be encoded as a "
-                                "square root of K")
-        return datum.L.torsion
-    raise NotPolystable("no spin label for %r" % (datum,))
 
 
 @dataclass(frozen=True)
@@ -138,16 +145,8 @@ def reduction_verdict(label: ComponentLabel) -> ReductionVerdict:
     components and the c = 0 component admit both the product and
     diagonal subgroups; the intermediate 0 < c < 2g-2 components admit
     nothing."""
-    if isinstance(label, Hitchin):
-        return ReductionVerdict(frozenset({Subgroup.G_I}), False)
-    if isinstance(label, SW):
-        return ReductionVerdict(frozenset({Subgroup.G_DELTA, Subgroup.G_P}), False)
-    if isinstance(label, ZeroSW):
-        if label.c == 0:
-            return ReductionVerdict(frozenset({Subgroup.G_DELTA, Subgroup.G_P}),
-                                    False)
-        return ReductionVerdict(frozenset(), True)
-    raise TypeError("not a component label: %r" % (label,))
+    admits = label.admits()
+    return ReductionVerdict(admits, not admits)
 
 
 # -- counting --------------------------------------------------------------------

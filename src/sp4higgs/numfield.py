@@ -232,7 +232,7 @@ class FieldElem:
 
     @classmethod
     def from_json(cls, data) -> "FieldElem":
-        if len(data) != 8:
+        if len(data) != 8 or any(type(s) is not str for s in data):
             raise ValueError("field element needs 8 coordinate strings")
         return cls(tuple(Fraction(s) for s in data))
 

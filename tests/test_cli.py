@@ -1,5 +1,6 @@
 """Command-line behavior: JSON I/O, determinism, exit codes."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -202,6 +203,56 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     code, out = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` replaced."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_DIAGONAL = datum_to_json(CTX3, diagonal_shape(CTX3, 1))
+_COVER = datum_to_json(CTX3, sh.CoverOrthShape(sh.F2Vector.unit(6, 0), 1))
+_DEEP = 3000
+MALFORMED = {
+    "not utf-8": b"\xff\xfe{}",
+    "nested too deeply": ('{"genus": 3, "shape": "direct_sum", "summands": ['
+                          + '{"shape": "direct_sum", "summands": [' * _DEEP
+                          + "]}" * _DEEP + "]}").encode(),
+    "zero denominator": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "1/0"),
+    "coeffs not an array": _with(_DIAGONAL, ("beta2", "coeffs"), 5),
+    "top-level array": [_DIAGONAL],
+    "summands not an array": {"genus": 3, "shape": "direct_sum", "summands": 7},
+    "not a rational": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "abc"),
+    "genus float": _with(_DIAGONAL, ("genus",), 3.9),
+    "genus string": _with(_DIAGONAL, ("genus",), "3"),
+    "w2 string": _with(_COVER, ("w2",), "1"),
+    "beta_present string": _with(_COVER, ("beta_present",), "no"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_datum_is_a_parse_error(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    content = MALFORMED[name]
+    path.write_bytes(content if isinstance(content, bytes)
+                     else json.dumps(content).encode())
+    code = main(["classify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["error"] == "ParseError" and payload["clause"]
+
+
+def test_datum_path_that_is_a_directory_exit_2(tmp_path, capsys):
+    code, out = run_cli(capsys, "classify", "--in", str(tmp_path))
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
 

@@ -423,6 +423,27 @@ def test_direct_sum_of_max_sl2_is_torsion_split():
     assert s.t1 == e(CTX3, 0) and s.t2 == e(CTX3, 1)
 
 
+def test_root_of_k_encoding_has_one_message():
+    # maximal rank-1 data whose L is encoded as O(g-1), not as K^(1/2)
+    a = sl2_of_degree(CTX3, CTX3.genus - 1, gamma=1)
+    b = sl2_of_degree(CTX3, CTX3.genus - 1, gamma=1, torsion=e(CTX3, 0))
+    pair = sh.DirectSum((a, b))
+    calls = [
+        (sw_invariants, pair), (sh.classify, pair), (cayley_partner, pair),
+        (gdelta_reduction_check, pair), (gp_reduction_check, pair),
+        (sl2xsl2_reduction_check, pair), (is_hitchin_minimum, pair),
+        (sw_invariants, a), (sh.classify, irr_embed(CTX3, a)),
+    ]
+    messages = set()
+    for fn, datum in calls:
+        with pytest.raises(OutOfClassifiedRange) as info:
+            fn(CTX3, datum)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    with pytest.raises(OutOfClassifiedRange, match="square root of K"):
+        direct_sum(CTX3, a, b)
+
+
 def test_direct_sum_with_empty_is_identity():
     a = max_sl2(CTX3)
     assert direct_sum(CTX3, a, sh.DirectSum(())) is a
