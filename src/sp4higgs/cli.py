@@ -31,6 +31,10 @@ __all__ = ["main"]
 _DOMAIN_ERRORS = (NotMaximal, NotPolystable, OutOfClassifiedRange,
                   RequiresExplicitH0, ScanBudgetExceeded)
 
+# the largest genus whose counts (about 2^(2g+1) * 3) stay within
+# CPython's default limit of 4300 digits for printing an int
+MAX_COUNT_GENUS = 7140
+
 
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -76,6 +80,10 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.genus > MAX_COUNT_GENUS:
+        raise OutOfClassifiedRange(
+            "count supports genus <= %d: larger counts exceed the default "
+            "int-to-str digit limit" % MAX_COUNT_GENUS)
     ctx = CurveCtx(args.genus)
     if args.sp2n is not None:
         _emit({"genus": ctx.genus, "n": args.sp2n,

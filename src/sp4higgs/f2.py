@@ -3,89 +3,110 @@
 A vector of length 2g is written ((a_1..a_g), (b_1..b_g)); the pairing
 of (a, b) with (a', b') is sum(a_i b'_i + a'_i b_i) mod 2, i.e. the mod-2
 intersection form of a closed orientable surface in standard coordinates.
+
+Packed layout: a vector is one int plus its length n, with coordinate k
+in bit n-1-k, so the a-half is the high g bits and the int read in
+binary, padded to n digits, is the bitstring.  Addition is xor, and
+swapping the halves turns the pairing into a dot product:
+<x, y> = popcount(x.swap_halves().value & y.value) mod 2.  This module
+is the only one that knows the layout.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Tuple
+from typing import Iterator
 
 __all__ = ["F2Vector"]
 
 
 class F2Vector:
-    __slots__ = ("bits",)
+    __slots__ = ("value", "length")
 
     def __init__(self, bits):
-        bits = tuple(int(b) & 1 for b in bits)
-        if len(bits) % 2 != 0:
+        bits = [int(b) & 1 for b in bits]
+        n = len(bits)
+        self._set(sum(b << (n - 1 - k) for k, b in enumerate(bits)), n)
+
+    def _set(self, value: int, length: int) -> None:
+        if length % 2 != 0:
             raise ValueError("length must be even (2g coordinates)")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
 
     def __setattr__(self, name, value):
         raise AttributeError("F2Vector is immutable")
 
     @classmethod
+    def from_int(cls, value: int, length: int) -> "F2Vector":
+        """The vector of ``length`` coordinates packed as ``value``."""
+        if not 0 <= value < 1 << length:
+            raise ValueError("%d does not fit in %d bits" % (value, length))
+        v = cls.__new__(cls)
+        v._set(value, length)
+        return v
+
+    @classmethod
     def zero(cls, two_g: int) -> "F2Vector":
-        return cls((0,) * two_g)
+        return cls.from_int(0, two_g)
 
     @classmethod
     def unit(cls, two_g: int, k: int) -> "F2Vector":
-        bits = [0] * two_g
-        bits[k] = 1
-        return cls(bits)
+        if not 0 <= k < two_g:
+            raise IndexError("coordinate %d out of range" % k)
+        return cls.from_int(1 << (two_g - 1 - k), two_g)
 
     @classmethod
     def from_string(cls, s: str) -> "F2Vector":
         if not set(s) <= {"0", "1"}:
             raise ValueError("bitstring must contain only 0 and 1")
-        return cls(int(ch) for ch in s)
+        return cls.from_int(int(s, 2) if s else 0, len(s))
 
     @classmethod
     def all_vectors(cls, two_g: int) -> Iterator["F2Vector"]:
-        for bits in product((0, 1), repeat=two_g):
-            yield cls(bits)
+        """Every vector of length ``two_g``, in itertools.product order."""
+        for value in range(1 << two_g):
+            yield cls.from_int(value, two_g)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     @property
     def genus(self) -> int:
-        return len(self.bits) // 2
+        return self.length // 2
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return self.value == 0
+
+    def _check_length(self, other: "F2Vector") -> None:
+        if self.length != other.length:
+            raise ValueError("length mismatch")
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
-        if len(self.bits) != len(other.bits):
-            raise ValueError("length mismatch")
-        return F2Vector(a ^ b for a, b in zip(self.bits, other.bits))
+        self._check_length(other)
+        return F2Vector.from_int(self.value ^ other.value, self.length)
 
-    def halves(self) -> Tuple[tuple, tuple]:
-        g = self.genus
-        return self.bits[:g], self.bits[g:]
+    def swap_halves(self) -> "F2Vector":
+        """(a, b) -> (b, a)."""
+        g = self.length // 2
+        low = self.value & ((1 << g) - 1)
+        return F2Vector.from_int(low << g | self.value >> g, self.length)
 
     def pairing(self, other: "F2Vector") -> int:
         """sum a_i b'_i + a'_i b_i over F2."""
-        if len(self.bits) != len(other.bits):
-            raise ValueError("length mismatch")
-        a, b = self.halves()
-        ap, bp = other.halves()
-        total = sum(x * y for x, y in zip(a, bp)) + \
-            sum(x * y for x, y in zip(ap, b))
-        return total % 2
+        self._check_length(other)
+        return (self.swap_halves().value & other.value).bit_count() & 1
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, "0%db" % self.length) if self.length else ""
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, F2Vector):
             return NotImplemented
-        return self.bits == other.bits
+        return (self.value, self.length) == (other.value, other.length)
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash((self.value, self.length))
 
     def __repr__(self) -> str:
         return "F2Vector(%s)" % self.to_string()

@@ -8,14 +8,16 @@ field of the shape's dataclass, so one codec per field type encodes and
 decodes every shape.  Encoding then decoding is the identity, and output
 is deterministic (sorted keys, no run metadata).
 
-Decoding is strict: a missing field, a value of the wrong JSON type or
-a coordinate that is not a rational number raises ParseError, and
-nothing is coerced.
+Decoding is strict: a missing field, a value of the wrong JSON type, a
+rational that does not match the schema's pattern or a value out of the
+schema's range (genus >= 2, w2 in {0, 1}, h0_override >= 0) raises
+ParseError, and nothing is coerced.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from functools import partial
 from fractions import Fraction
@@ -71,9 +73,32 @@ _f2 = partial(_parsed, F2Vector.from_string, str)
 _elem = partial(_parsed, FieldElem.from_json, list)
 
 
+def _at_least(low: int, value, name: str) -> int:
+    if _int(value, name) < low:
+        raise ParseError("%s must be at least %d, not %d" % (name, low, value))
+    return value
+
+
+def _bit(value, name: str) -> int:
+    if _int(value, name) not in (0, 1):
+        raise ParseError("%s must be 0 or 1, not %d" % (name, value))
+    return value
+
+
+# the datum schema's k_power pattern, ^-?[0-9]+/[12]$
+_K_POWER = re.compile(r"(-?[0-9]+)/([12])")
+
+
+def _k_power(s: str) -> Fraction:
+    m = _K_POWER.fullmatch(s)
+    if m is None:
+        raise ValueError("a k_power is num/1 or num/2")
+    return Fraction(int(m[1]), int(m[2]))
+
+
 def _bundle(value, name: str) -> LineBundleClass:
     _typed(dict, value, name)
-    return LineBundleClass(_parsed(Fraction, str, _field(value, "k_power"), "k_power"),
+    return LineBundleClass(_parsed(_k_power, str, _field(value, "k_power"), "k_power"),
                            _int(_field(value, "extra_degree"), "extra_degree"),
                            _f2(_field(value, "torsion"), "torsion"))
 
@@ -84,7 +109,7 @@ def _slot(value, name: str) -> SectionSlot:
     override = value.get("h0_override")
     return SectionSlot(_bundle(_field(value, "bundle"), "bundle"),
                        tuple(_elem(c, "coefficient") for c in coeffs),
-                       None if override is None else _int(override, "h0_override"))
+                       None if override is None else _at_least(0, override, "h0_override"))
 
 
 # field type -> (encode, decode); encoders of int and bool are identities
@@ -92,7 +117,7 @@ _CODECS = {
     LineBundleClass: (LineBundleClass.to_json, _bundle),
     SectionSlot: (SectionSlot.to_json, _slot),
     F2Vector: (F2Vector.to_string, _f2),
-    int: (int, _int),
+    int: (int, _bit),  # w2, the one int field of a shape, is a mod-2 class
     bool: (bool, partial(_typed, bool)),
     Tuple[HiggsDatum, ...]: (
         lambda summands: [_encode(s) for s in summands],
@@ -120,7 +145,7 @@ def _encode(datum: HiggsDatum) -> dict:
 
 
 def datum_from_json(data: dict) -> Tuple[CurveCtx, HiggsDatum]:
-    ctx = CurveCtx(_int(_field(_typed(dict, data, "datum"), "genus"), "genus"))
+    ctx = CurveCtx(_at_least(2, _field(_typed(dict, data, "datum"), "genus"), "genus"))
     return ctx, _decode(data)
 
 

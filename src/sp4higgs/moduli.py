@@ -312,18 +312,15 @@ def f2_image_scan(genus: int,
         raise ValueError("genus must be at least 1")
     if genus > 5:
         raise ScanBudgetExceeded("exhaustive scan supported for genus <= 5")
-    # Bit 2g-1-k of a packed vector is F2Vector coordinate k, so the
-    # a-half is the high g bits.  With x's halves swapped, x_s & y holds
-    # xa & yb and xb & ya, whose popcount parity is the pairing <x, y>.
-    # An image entry (w1, w2) is packed as w1 << 1 | w2.
-    two_g = 2 * genus
-    mask = (1 << genus) - 1
+    # F2Vector.__add__ and .pairing inlined on packed values (layout in
+    # f2); an image entry (w1, w2) is packed as w1 << 1 | w2.
+    vectors = list(F2Vector.all_vectors(2 * genus))
+    ys = [y.value for y in vectors]
     found: Set[int] = set()
-    for x in range(1 << two_g):
-        x_s = (x & mask) << genus | x >> genus
-        found.update((x ^ y) << 1 | (x_s & y).bit_count() & 1
-                     for y in range(1 << two_g))
-    return {(F2Vector.from_string(format(code >> 1, "0%db" % two_g)), code & 1)
+    for v in vectors:
+        x, x_s = v.value, v.swap_halves().value
+        found.update((x ^ y) << 1 | (x_s & y).bit_count() & 1 for y in ys)
+    return {(F2Vector.from_int(code >> 1, 2 * genus), code & 1)
             for code in found}
 
 
@@ -332,24 +329,19 @@ def f2_image_scan(genus: int,
 
 def _pair_realizing(ctx: CurveCtx, w1: F2Vector, w2: int) -> Tuple[F2Vector, F2Vector]:
     """Torsion labels (x, y) with x + y = w1 and <x, y> = w2; exists for
-    every (w1, w2) except (0, 1)."""
+    every (w1, w2) except (0, 1).
+
+    For w2 = 1, x = w1 + y with <w1 + y, y> = <w1, y> since the form is
+    alternating, so y is the first unit vector in the order b_1, a_1,
+    b_2, a_2, ... that pairs to 1 with w1."""
     if w2 == 0:
         return (w1, ctx.zero_torsion())
     if w1.is_zero:
         raise ValueError("(0, 1) is not realized by any pair")
     g = ctx.genus
-    a, b = w1.halves()
-    j = next(k for k in range(g) if a[k] or b[k])
-    # local solution on coordinate pair j with unit pairing
-    table = {(1, 0): ((1, 1), (0, 1)),
-             (0, 1): ((1, 1), (1, 0)),
-             (1, 1): ((1, 0), (0, 1))}
-    (xa, xb), (ya, yb) = table[(a[j], b[j])]
-    x_bits = list(a) + list(b)
-    x_bits[j], x_bits[g + j] = xa, xb
-    y_bits = [0] * (2 * g)
-    y_bits[j], y_bits[g + j] = ya, yb
-    return (F2Vector(x_bits), F2Vector(y_bits))
+    units = (F2Vector.unit(2 * g, k) for j in range(g) for k in (g + j, j))
+    y = next(y for y in units if w1.pairing(y))
+    return (w1 + y, y)
 
 
 def _max_sl2_datum(ctx: CurveCtx, torsion: F2Vector) -> SL2RDatum:

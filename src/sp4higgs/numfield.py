@@ -21,6 +21,7 @@ tests; this module has no dependencies outside the standard library.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -63,6 +64,9 @@ _REAL_MUL = (
 
 _BASIS_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
+
+# a JSON coordinate: the datum schema's rational pattern ^-?[0-9]+/[0-9]+$
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 class FieldElem:
@@ -232,9 +236,14 @@ class FieldElem:
 
     @classmethod
     def from_json(cls, data) -> "FieldElem":
+        """Read 8 "num/den" strings; anything else raises ValueError."""
         if len(data) != 8 or any(type(s) is not str for s in data):
             raise ValueError("field element needs 8 coordinate strings")
-        return cls(tuple(Fraction(s) for s in data))
+        matches = [_RATIONAL.fullmatch(s) for s in data]
+        if None in matches:
+            raise ValueError("coordinate %r is not a num/den string"
+                             % data[matches.index(None)])
+        return cls(tuple(Fraction(int(m[1]), int(m[2])) for m in matches))
 
 
 def fe(x: Scalar) -> FieldElem:

@@ -105,6 +105,22 @@ def test_count_sp2n(capsys):
     assert json.loads(out)["total"] == 48
 
 
+def test_count_largest_printable_genus(capsys):
+    code, out = run_cli(capsys, "count", "--genus", "7140")
+    assert code == 0
+    assert json.loads(out)["total"] == 3 * 4 ** 7140 + 2 * 7140 - 4
+
+
+@pytest.mark.parametrize("argv", [["--genus", "7141"],
+                                  ["--sp2n", "3", "--genus", "1000000000"]])
+def test_count_genus_past_the_bound_exit_1(capsys, argv):
+    code, out = run_cli(capsys, "count", *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "OutOfClassifiedRange"
+    assert "7140" in payload["clause"]
+
+
 def test_f2_scan_command(capsys):
     code, out = run_cli(capsys, "f2-scan", "--genus", "2")
     assert code == 0
@@ -234,6 +250,16 @@ MALFORMED = {
     "genus string": _with(_DIAGONAL, ("genus",), "3"),
     "w2 string": _with(_COVER, ("w2",), "1"),
     "beta_present string": _with(_COVER, ("beta_present",), "no"),
+    "exponent notation": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "1e3"),
+    "decimal": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "1.5"),
+    "leading space": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), " 1/2"),
+    "trailing newline": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "1/2\n"),
+    "integer without denominator": _with(_DIAGONAL, ("beta2", "coeffs", 0, 0), "1"),
+    "w2 out of range": _with(_COVER, ("w2",), 2),
+    "genus 1": _with(_DIAGONAL, ("genus",), 1),
+    "k_power not a half-integer": _with(_DIAGONAL, ("N", "k_power"), "1/3"),
+    "k_power not num/den": _with(_DIAGONAL, ("N", "k_power"), "0.5"),
+    "negative h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), -1),
 }
 
 

@@ -69,6 +69,8 @@ def test_zero_and_unit(n):
         unit = F2Vector.unit(n, k)
         assert unit.to_string() == "0" * k + "1" + "0" * (n - 1 - k)
         assert not unit.is_zero
+    with pytest.raises(IndexError):
+        F2Vector.unit(n, n)
 
 
 def test_string_round_trip():
