@@ -141,3 +141,156 @@ def test_hash_consistent_with_cross_type_equality():
     assert hash(fe(Fraction(2, 7))) == hash(Fraction(2, 7))
     assert len({fe(5), 5, Fraction(5)}) == 1
     assert hash(SQRT2) == hash(SQRT2 + ZERO)
+
+
+# -- FieldElem against a per-coordinate Fraction reference ---------------
+#
+# The reference shares no code with ``sp4higgs.numfield``: an element is
+# a tuple of 8 Fractions in the documented basis order, and products and
+# inverses are computed up the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3) <
+# Q(i, sqrt2, sqrt3), each step a quadratic extension, instead of from a
+# structure-constant table.
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-a for a in x)
+
+
+def ref_scale(q, x):
+    return tuple(q * a for a in x)
+
+
+def _mul2(x, y):
+    # Q(sqrt2): x = x0 + x1*sqrt2
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _mul23(x, y):
+    # Q(sqrt2, sqrt3): (x0 + x1*sqrt2) + (x2 + x3*sqrt2)*sqrt3
+    p, q, r, s = x[:2], y[:2], x[2:], y[2:]
+    return (ref_add(_mul2(p, q), ref_scale(3, _mul2(r, s)))
+            + ref_add(_mul2(p, s), _mul2(r, q)))
+
+
+def ref_mul(x, y):
+    # Q(i, sqrt2, sqrt3): re + i*im with re, im in Q(sqrt2, sqrt3)
+    a, b, c, d = x[:4], x[4:], y[:4], y[4:]
+    return (ref_add(_mul23(a, c), ref_neg(_mul23(b, d)))
+            + ref_add(_mul23(a, d), _mul23(b, c)))
+
+
+def _inv2(x):
+    n = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _inv23(x):
+    p, r = x[:2], x[2:]
+    n = _inv2(ref_add(_mul2(p, p), ref_scale(-3, _mul2(r, r))))
+    return _mul2(p, n) + _mul2(ref_neg(r), n)
+
+
+def ref_inv(x):
+    a, b = x[:4], x[4:]
+    n = _inv23(ref_add(_mul23(a, a), _mul23(b, b)))
+    return _mul23(a, n) + _mul23(ref_neg(b), n)
+
+
+def ref_conj(x):
+    return x[:4] + ref_neg(x[4:])
+
+
+REF_STYLES = {
+    "small": (12, 12, 0.0),
+    "sparse": (12, 12, 0.6),
+    "large": (10 ** 6, 10 ** 6, 0.2),
+}
+
+
+def ref_elem(rng, style):
+    num_bound, den_bound, p_zero = REF_STYLES[style]
+    return tuple(Fraction(0) if rng.random() < p_zero
+                 else Fraction(rng.randint(-num_bound, num_bound),
+                               rng.randint(1, den_bound))
+                 for _ in range(8))
+
+
+def ref_pairs(style, seed, n=60):
+    rng = random.Random(seed)
+    return [(ref_elem(rng, style), ref_elem(rng, style)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("style", list(REF_STYLES))
+def test_ring_operations_match_reference(style):
+    for x, y in ref_pairs(style, 20261018):
+        a, b = FieldElem(x), FieldElem(y)
+        assert a.coeffs == x
+        assert (a + b).coeffs == ref_add(x, y)
+        assert (a - b).coeffs == ref_add(x, ref_neg(y))
+        assert (-a).coeffs == ref_neg(x)
+        assert (a * b).coeffs == ref_mul(x, y)
+        assert a.conj().coeffs == ref_conj(x)
+
+
+@pytest.mark.parametrize("style", list(REF_STYLES))
+def test_rational_scalars_match_reference(style):
+    rng = random.Random(20261019)
+    for x, _ in ref_pairs(style, 20261020, n=30):
+        a = FieldElem(x)
+        q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        k = rng.randint(-50, 50)
+        q8 = (q,) + (Fraction(0),) * 7
+        assert (a + q).coeffs == (q + a).coeffs == ref_add(x, q8)
+        assert (a - k).coeffs == ref_add(x, (Fraction(-k),) + (Fraction(0),) * 7)
+        assert (k - a).coeffs == ref_add(ref_neg(x), (Fraction(k),) + (Fraction(0),) * 7)
+        assert (a * q).coeffs == (q * a).coeffs == ref_scale(q, x)
+        assert (a * k).coeffs == (k * a).coeffs == ref_scale(k, x)
+        if q:
+            assert (a / q).coeffs == ref_scale(1 / q, x)
+
+
+@pytest.mark.parametrize("style", list(REF_STYLES))
+def test_inverse_matches_reference(style):
+    for x, y in ref_pairs(style, 20261021, n=30):
+        if not any(x):
+            continue
+        a, b = FieldElem(x), FieldElem(y)
+        assert a.inv().coeffs == ref_inv(x)
+        assert (b / a).coeffs == ref_mul(y, ref_inv(x))
+
+
+def test_equality_and_hash_match_reference():
+    rng = random.Random(20261022)
+    elems = [ref_elem(rng, style) for style in REF_STYLES for _ in range(20)]
+    elems += [(Fraction(0),) * 8,
+              (Fraction(3),) + (Fraction(0),) * 7,
+              (Fraction(-5, 7),) + (Fraction(0),) * 7]
+    for x in elems:
+        a = FieldElem(x)
+        for y in elems[:12] + [x]:
+            assert (a == FieldElem(y)) == (x == y)
+        # the same value reached by other routes is equal and hashes alike
+        again = (a + FieldElem(elems[0])) - FieldElem(elems[0])
+        assert again == a and hash(again) == hash(a)
+        if not any(x[1:]):
+            assert a == x[0] and hash(a) == hash(x[0])
+            if x[0].denominator == 1:
+                assert a == int(x[0]) and hash(a) == hash(int(x[0]))
+
+
+@pytest.mark.parametrize("style", list(REF_STYLES))
+def test_json_matches_reference(style):
+    rng = random.Random(20261023)
+    for x, _ in ref_pairs(style, 20261024, n=40):
+        a = FieldElem(x)
+        strings = ["%d/%d" % (c.numerator, c.denominator) for c in x]
+        assert a.to_json() == strings
+        assert FieldElem.from_json(strings) == a
+        # unreduced input with a common factor, and a signed zero
+        scaled = ["%d/%d" % (c.numerator * m, c.denominator * m)
+                  for c, m in zip(x, (rng.randint(1, 1000) for _ in x))]
+        assert FieldElem.from_json(scaled).coeffs == x
+    assert FieldElem.from_json(["-0/5"] + ["0/3"] * 7).to_json() == ["0/1"] * 8
