@@ -1,14 +1,18 @@
 """Exact arithmetic in the degree-8 number field Q(i, sqrt2, sqrt3).
 
-Elements are stored as 8 rational coordinates over the fixed basis
+Elements have 8 rational coordinates over the fixed basis
 
     {1, sqrt2, sqrt3, sqrt6}  (real part)
     {i, i*sqrt2, i*sqrt3, i*sqrt6}  (imaginary part)
 
-in that order.  All arithmetic is exact; rationals are
-``fractions.Fraction`` (always reduced, positive denominator).
-Multiplication runs off a precomputed structure-constant table, so no
-generic polynomial quotient-ring machinery is involved.
+in that order, stored as 8 integer numerators over one positive integer
+denominator.  The form is canonical: the gcd of the 8 numerators and
+the denominator is 1 (so zero is 8 zeros over 1), and two elements are
+equal exactly when their numerators and denominators are.  All
+arithmetic is exact.  ``FieldElem.coeffs`` gives the coordinates as
+``fractions.Fraction``s.  Multiplication runs off a precomputed
+structure-constant table, so no generic polynomial quotient-ring
+machinery is involved.
 
 The module also provides the two nested radicals
 
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Union
 
 __all__ = [
@@ -40,9 +46,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 Scalar = Union[int, Fraction, "FieldElem"]
 
@@ -62,6 +65,16 @@ _REAL_MUL = (
     ((3, 1), (2, 2), (1, 3), (0, 6)),
 )
 
+# The same products over the full basis, flattened: entry 8*j + k is
+# (result index, signed coefficient) of basis element j times basis
+# element k, the sign carrying i * i = -1.
+_MUL = tuple(
+    (((j ^ k) & 4) | _REAL_MUL[j & 3][k & 3][0],
+     -_REAL_MUL[j & 3][k & 3][1] if j & k & 4 else _REAL_MUL[j & 3][k & 3][1])
+    for j in range(8) for k in range(8))
+
+_ZERO_N = (0,) * 8
+
 _BASIS_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
@@ -70,24 +83,46 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 class FieldElem:
-    """An element of Q(i, sqrt2, sqrt3); immutable and hashable."""
+    """An element of Q(i, sqrt2, sqrt3); immutable and hashable.
 
-    __slots__ = ("coeffs",)
+    Stored canonically as the numerators ``_n`` (8 ints) over the
+    positive denominator ``_d``, with gcd(*_n, _d) == 1.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != 8:
             raise ValueError("FieldElem needs exactly 8 coordinates")
-        object.__setattr__(self, "coeffs", coeffs)
+        if all(type(c) is int for c in coeffs):
+            n, d = coeffs, 1
+        else:
+            qs = [Fraction(c) for c in coeffs]
+            # reduced fractions over the lcm of their denominators are
+            # already canonical
+            d = lcm(*(q.denominator for q in qs))
+            n = tuple(q.numerator * (d // q.denominator) for q in qs)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The 8 coordinates as Fractions, in basis order."""
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._n)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "FieldElem":
-        return cls((Fraction(q), _F0, _F0, _F0, _F0, _F0, _F0, _F0))
+        if type(q) is not int:
+            q = Fraction(q)
+            return _raw((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
+        return _raw((q, 0, 0, 0, 0, 0, 0, 0), 1)
 
     @classmethod
     def from_parts(cls, one=0, sqrt2=0, sqrt3=0, sqrt6=0,
@@ -98,56 +133,54 @@ class FieldElem:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._n == _ZERO_N
 
     @property
     def is_real(self) -> bool:
-        return not any(self.coeffs[4:])
+        return not any(self._n[4:])
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._n[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is not rational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self._n[0], self._d)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "FieldElem":
-        other = fe(other)
-        return FieldElem(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not FieldElem:
+            other = fe(other)
+        return _add_or_sub(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElem":
-        other = fe(other)
-        return FieldElem(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not FieldElem:
+            other = fe(other)
+        return _add_or_sub(self, other, sub)
 
     def __rsub__(self, other) -> "FieldElem":
-        return fe(other) - self
+        return _add_or_sub(fe(other), self, sub)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(tuple(-a for a in self.coeffs))
+        return _raw(tuple(map(neg, self._n)), self._d)
 
     def __mul__(self, other) -> "FieldElem":
-        other = fe(other)
-        out = [_F0] * 8
-        for idx1, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            s1, p1 = idx1 >> 2, idx1 & 3
-            for idx2, y in enumerate(other.coeffs):
-                if not y:
-                    continue
-                s2, p2 = idx2 >> 2, idx2 & 3
-                k, c = _REAL_MUL[p1][p2]
-                v = x * y * c
-                if s1 & s2:  # i * i = -1
-                    v = -v
-                out[((s1 ^ s2) << 2) | k] += v
-        return FieldElem(tuple(out))
+        if other.__class__ is not FieldElem:
+            other = fe(other)
+        out = [0] * 8
+        ys = [(k, y) for k, y in enumerate(other._n) if y]
+        base = 0
+        for x in self._n:
+            if x:
+                for k, y in ys:
+                    t, c = _MUL[base + k]
+                    out[t] += c * x * y
+            base += 8
+        return _canonical(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -170,15 +203,15 @@ class FieldElem:
 
     def conj(self) -> "FieldElem":
         """Complex conjugation: negates the four i-coordinates."""
-        re, im = self.coeffs[:4], self.coeffs[4:]
-        return FieldElem(re + tuple(-a for a in im))
+        n = self._n
+        return _raw(n[:4] + tuple(map(neg, n[4:])), self._d)
 
     def _flip(self, k1: int, k2: int) -> "FieldElem":
         # Galois flip negating real/imag coordinates k1 and k2 in each half.
-        out = list(self.coeffs)
+        out = list(self._n)
         for k in (k1, k2, k1 + 4, k2 + 4):
             out[k] = -out[k]
-        return FieldElem(tuple(out))
+        return _raw(tuple(out), self._d)
 
     def inv(self) -> "FieldElem":
         """Exact multiplicative inverse; raises DivisionByZero on 0.
@@ -195,23 +228,28 @@ class FieldElem:
         norm = w * cofactor
         if not norm.is_rational:
             raise AssertionError("field norm failed to collapse to Q")
-        return zbar * cofactor * FieldElem.from_rational(1 / norm.coeffs[0])
+        # zbar * cofactor / (m / e)
+        p = zbar * cofactor
+        m, e = norm._n[0], norm._d
+        if m < 0:
+            m, e = -m, -e
+        return _canonical([x * e for x in p._n], p._d * m)
 
     # -- comparisons, hashing, display ---------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = FieldElem.from_rational(other)
-        if not isinstance(other, FieldElem):
+        elif not isinstance(other, FieldElem):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
         # rational elements compare equal to ints/Fractions, so they
         # must hash like them
         if self.is_rational:
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+            return hash(Fraction(self._n[0], self._d))
+        return hash((self._n, self._d))
 
     def __repr__(self) -> str:
         terms = []
@@ -232,7 +270,12 @@ class FieldElem:
 
     def to_json(self) -> list:
         """The element as 8 "num/den" strings, basis order as documented."""
-        return ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]
+        d = self._d
+        out = []
+        for x in self._n:
+            g = gcd(x, d)
+            out.append("%d/%d" % (x // g, d // g))
+        return out
 
     @classmethod
     def from_json(cls, data) -> "FieldElem":
@@ -243,7 +286,42 @@ class FieldElem:
         if None in matches:
             raise ValueError("coordinate %r is not a num/den string"
                              % data[matches.index(None)])
-        return cls(tuple(Fraction(int(m[1]), int(m[2])) for m in matches))
+        dens = [int(m[2]) for m in matches]
+        if 0 in dens:
+            raise ValueError("coordinate %r has a zero denominator"
+                             % data[dens.index(0)])
+        d = lcm(*dens)
+        return _canonical([int(m[1]) * (d // e)
+                           for m, e in zip(matches, dens)], d)
+
+
+_new_elem = object.__new__
+_set_n = FieldElem._n.__set__
+_set_d = FieldElem._d.__set__
+
+
+def _raw(n: tuple, d: int) -> FieldElem:
+    """The element n/d, with (n, d) already canonical."""
+    z = _new_elem(FieldElem)
+    _set_n(z, n)
+    _set_d(z, d)
+    return z
+
+
+def _canonical(n, d: int) -> FieldElem:
+    """The element n/d, for 8 ints n and a positive int d."""
+    g = gcd(*n, d)
+    if g == 1:
+        return _raw(tuple(n), d)
+    return _raw(tuple(map(g.__rfloordiv__, n)), d // g)
+
+
+def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:
+    d, e = a._d, b._d
+    if d == e:
+        n = tuple(map(op, a._n, b._n))
+        return _raw(n, 1) if d == 1 else _canonical(n, d)
+    return _canonical([op(x * e, y * d) for x, y in zip(a._n, b._n)], d * e)
 
 
 def fe(x: Scalar) -> FieldElem:

@@ -1,5 +1,7 @@
-"""Field axioms, conjugation, inversion and the numeric oracle."""
+"""Field axioms, conjugation, inversion and the numeric oracle; FieldElem
+against an independent Fraction reference, and its canonical form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -294,3 +296,28 @@ def test_json_matches_reference(style):
                   for c, m in zip(x, (rng.randint(1, 1000) for _ in x))]
         assert FieldElem.from_json(scaled).coeffs == x
     assert FieldElem.from_json(["-0/5"] + ["0/3"] * 7).to_json() == ["0/1"] * 8
+
+
+def assert_canonical(a):
+    n, d = a._n, a._d
+    assert len(n) == 8 and all(type(x) is int for x in n)
+    assert type(d) is int and d > 0
+    assert math.gcd(*n, d) == 1
+    if not any(n):
+        assert d == 1
+
+
+@pytest.mark.parametrize("style", list(REF_STYLES))
+def test_results_are_in_canonical_form(style):
+    for x, y in ref_pairs(style, 20261025, n=30):
+        a, b = FieldElem(x), FieldElem(y)
+        results = [a, b, a + b, a - b, -a, a * b, a.conj(), a * 6, a + 1,
+                   a - a, a * ZERO, FieldElem.from_json(a.to_json())]
+        if not a.is_zero:
+            results += [a.inv(), b / a]
+        for r in results:
+            assert_canonical(r)
+    for r in (ZERO, ONE, SQRT2, fe(Fraction(-4, 6)), FieldElem.from_json(["0/9"] * 8),
+              FieldElem([Fraction(2, 4)] * 8), FieldElem([0] * 8)):
+        assert_canonical(r)
+    assert ZERO._n == (0,) * 8 and ZERO._d == 1
