@@ -217,6 +217,9 @@ class SectionSlot:
     h0_override: Optional[int] = None
 
     def __post_init__(self):
+        if self.h0_override is not None and self.h0_override < 0:
+            raise ValueError("h0_override must be non-negative, not %d"
+                             % self.h0_override)
         object.__setattr__(self, "coeffs", tuple(fe(c) for c in self.coeffs))
 
     @property

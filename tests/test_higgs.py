@@ -89,6 +89,15 @@ def test_section_slot_validation():
     override.validate(CTX3)
 
 
+def test_section_slot_rejects_negative_h0_override():
+    k = LineBundleClass.canonical(CTX3)
+    with pytest.raises(ValueError, match="h0_override"):
+        SectionSlot(k, (), h0_override=-1)
+    with pytest.raises(ValueError, match="h0_override"):
+        SectionSlot.zero(CTX3, k, h0_override=-1)
+    assert SectionSlot.zero(CTX3, k, h0_override=0).coeffs == ()
+
+
 # -- Milnor-Wood ------------------------------------------------------------------
 
 
