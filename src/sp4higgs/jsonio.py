@@ -57,7 +57,7 @@ def _parsed(parse, kind: type, value, name: str):
     _typed(kind, value, name)
     try:
         return parse(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError("%s: cannot read %r (%s)" % (name, value, exc)) from None
 
 

@@ -85,25 +85,21 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 class FieldElem:
     """An element of Q(i, sqrt2, sqrt3); immutable and hashable.
 
-    Stored canonically as the numerators ``_n`` (8 ints) over the
-    positive denominator ``_d``, with gcd(*_n, _d) == 1.
+    ``_n`` holds the 8 numerators and ``_d`` the common denominator, in
+    the canonical form of the module docstring.
     """
 
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 8:
+        qs = [Fraction(c) for c in coeffs]
+        if len(qs) != 8:
             raise ValueError("FieldElem needs exactly 8 coordinates")
-        if all(type(c) is int for c in coeffs):
-            n, d = coeffs, 1
-        else:
-            qs = [Fraction(c) for c in coeffs]
-            # reduced fractions over the lcm of their denominators are
-            # already canonical
-            d = lcm(*(q.denominator for q in qs))
-            n = tuple(q.numerator * (d // q.denominator) for q in qs)
-        object.__setattr__(self, "_n", n)
+        # reduced fractions over the lcm of their denominators are
+        # already canonical
+        d = lcm(*(q.denominator for q in qs))
+        object.__setattr__(self, "_n", tuple(q.numerator * (d // q.denominator)
+                                             for q in qs))
         object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
