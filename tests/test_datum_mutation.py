@@ -58,55 +58,56 @@ def _get(doc, path):
 
 
 def _perturbed_bits(data, bits):
-    """A bitstring with one character changed, dropped or added."""
-    how = data.draw(st.sampled_from(["flip", "drop", "add", "junk"]))
+    """A bitstring with one character flipped, dropped, added or replaced
+    by a character that is not a bit."""
     k = data.draw(st.integers(0, len(bits)))
-    if how == "flip" and k < len(bits):
-        return bits[:k] + ("1" if bits[k] == "0" else "0") + bits[k + 1:]
-    if how == "drop":
-        return bits[:k] + bits[k + 1:]
+    head, tail = bits[:k], bits[k + 1:]
+    how = data.draw(st.sampled_from(["flip", "drop", "add", "junk"]))
     if how == "add":
-        return bits[:k] + data.draw(st.sampled_from("01")) + bits[k:]
-    return bits[:k] + data.draw(st.sampled_from("2x -")) + bits[k + 1:]
+        return head + data.draw(st.sampled_from("01")) + bits[k:]
+    if how == "drop":
+        return head + tail
+    if how == "flip":
+        return head + ("1" if bits[k:k + 1] == "0" else "0") + tail
+    return head + data.draw(st.sampled_from("2x -")) + tail
 
 
 def _mutate(data, doc):
     """``doc`` with one mutation applied; the root may be replaced."""
     path = data.draw(st.sampled_from(list(_paths(doc))))
     value = _get(doc, path)
+    parent = _get(doc, path[:-1]) if path else None
     kinds = ["retype"]
     if path:
-        kinds += ["drop", "duplicate"]
+        kinds.append("drop")
+    if isinstance(parent, list):
+        kinds.append("duplicate")
     if isinstance(value, dict):
         kinds.append("add field")
     if isinstance(value, str) or type(value) is int:
         # perturbed values often still parse, so they reach the rules
         kinds += ["perturb"] * 3
     kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[path[-1]]
+        return doc
+    if kind == "duplicate":
+        parent.insert(path[-1], copy.deepcopy(value))
+        return doc
     if kind == "retype":
         new = data.draw(JUNK)
     elif kind == "add field":
         new = dict(value)
         new[data.draw(st.text(max_size=8))] = data.draw(JUNK)
-    elif kind == "perturb":
-        if type(value) is int:
-            new = value + data.draw(st.integers(-3, 3))
-        elif set(value) <= {"0", "1"}:
-            new = _perturbed_bits(data, value)
-        else:
-            new = data.draw(COORDINATE)
+    elif type(value) is int:
+        new = value + data.draw(st.integers(-3, 3))
+    elif set(value) <= {"0", "1"}:
+        new = _perturbed_bits(data, value)
+    else:
+        new = data.draw(COORDINATE)
     if not path:
         return new
-    parent, key = _get(doc, path[:-1]), path[-1]
-    if kind == "drop":
-        del parent[key]
-    elif kind == "duplicate":
-        if isinstance(parent, list):
-            parent.insert(key, copy.deepcopy(value))
-        else:
-            parent[key] = [value, value]
-    else:
-        parent[key] = new
+    parent[path[-1]] = new
     return doc
 
 
