@@ -5,7 +5,7 @@ and the connected-component census with its deformation verdicts.
 """
 
 from .numfield import (
-    DivisionByZero, FieldElem, Rational,
+    DivisionByZero, FieldElem,
     ZERO, ONE, I_UNIT, SQRT2, SQRT3, SQRT6,
     fe, embed_u_v,
 )

@@ -102,13 +102,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_f2scan(args) -> int:
     image = f2_image_scan(args.genus)
-    universe = {(v, w) for v in F2Vector.all_vectors(2 * args.genus)
-                for w in (0, 1)}
-    missing = sorted((v.to_string(), w) for v, w in universe - image)
+    # all_vectors runs in bitstring order, so `missing` comes out sorted
+    missing = [[v.to_string(), w] for v in F2Vector.all_vectors(2 * args.genus)
+               for w in (0, 1) if (v, w) not in image]
     _emit({"genus": args.genus,
            "mode": "exhaustive",
            "image_size": len(image),
-           "missing": [[v, w] for v, w in missing]})
+           "missing": missing})
     return 0
 
 

@@ -7,9 +7,9 @@ intersection form of a closed orientable surface in standard coordinates.
 Packed layout: a vector is one int plus its length n, with coordinate k
 in bit n-1-k, so the a-half is the high g bits and the int read in
 binary, padded to n digits, is the bitstring.  Addition is xor, and
-swapping the halves turns the pairing into a dot product:
-<x, y> = popcount(x.swap_halves().value & y.value) mod 2.  This module
-is the only one that knows the layout.
+swapping the halves of x turns the pairing into a dot product:
+<x, y> = popcount(swap(x) & y) mod 2.  This module is the only one that
+knows the layout.
 """
 
 from __future__ import annotations
@@ -86,16 +86,12 @@ class F2Vector:
         self._check_length(other)
         return F2Vector.from_int(self.value ^ other.value, self.length)
 
-    def swap_halves(self) -> "F2Vector":
-        """(a, b) -> (b, a)."""
-        g = self.length // 2
-        low = self.value & ((1 << g) - 1)
-        return F2Vector.from_int(low << g | self.value >> g, self.length)
-
     def pairing(self, other: "F2Vector") -> int:
         """sum a_i b'_i + a'_i b_i over F2."""
         self._check_length(other)
-        return (self.swap_halves().value & other.value).bit_count() & 1
+        g = self.length // 2
+        swapped = (self.value & ((1 << g) - 1)) << g | self.value >> g
+        return (swapped & other.value).bit_count() & 1
 
     def to_string(self) -> str:
         return format(self.value, "0%db" % self.length) if self.length else ""

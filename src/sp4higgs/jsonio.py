@@ -106,10 +106,10 @@ def _bundle(value, name: str) -> LineBundleClass:
 def _slot(value, name: str) -> SectionSlot:
     _typed(dict, value, name)
     coeffs = _list(_field(value, "coeffs"), "coeffs")
-    override = value.get("h0_override")
+    override = (_at_least(0, value["h0_override"], "h0_override")
+                if "h0_override" in value else None)
     return SectionSlot(_bundle(_field(value, "bundle"), "bundle"),
-                       tuple(_elem(c, "coefficient") for c in coeffs),
-                       None if override is None else _at_least(0, override, "h0_override"))
+                       tuple(_elem(c, "coefficient") for c in coeffs), override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities

@@ -34,7 +34,6 @@ from typing import Union
 __all__ = [
     "DivisionByZero",
     "FieldElem",
-    "Rational",
     "ZERO",
     "ONE",
     "I_UNIT",
@@ -44,8 +43,6 @@ __all__ = [
     "fe",
     "embed_u_v",
 ]
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "FieldElem"]
 
@@ -138,11 +135,6 @@ class FieldElem:
     @property
     def is_rational(self) -> bool:
         return not any(self._n[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("element is not rational: %r" % (self,))
-        return Fraction(self._n[0], self._d)
 
     # -- ring operations ----------------------------------------------
 

@@ -121,26 +121,18 @@ def test_count_genus_past_the_bound_exit_1(capsys, argv):
     assert "7140" in payload["clause"]
 
 
-def test_f2_scan_command(capsys):
-    code, out = run_cli(capsys, "f2-scan", "--genus", "2")
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
+def test_f2_scan_command(capsys, g):
+    code, out = run_cli(capsys, "f2-scan", "--genus", str(g))
     assert code == 0
-    payload = json.loads(out)
-    assert payload["image_size"] == 31
-    assert payload["missing"] == [["0000", 1]]
-    assert payload["mode"] == "exhaustive"
-
-
-def test_f2_scan_genus4_is_exhaustive(capsys):
-    code, out = run_cli(capsys, "f2-scan", "--genus", "4")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["image_size"] == 511
-    assert payload["missing"] == [["00000000", 1]]
-    assert payload["mode"] == "exhaustive"
+    assert out == json.dumps({"genus": g, "image_size": 2 ** (2 * g + 1) - 1,
+                              "missing": [["0" * (2 * g), 1]],
+                              "mode": "exhaustive"},
+                             sort_keys=True, indent=2) + "\n"
 
 
 def test_f2_scan_over_budget_is_domain_error(capsys):
-    code, out = run_cli(capsys, "f2-scan", "--genus", "6")
+    code, out = run_cli(capsys, "f2-scan", "--genus", "8")
     assert code == 1
     assert json.loads(out)["error"] == "ScanBudgetExceeded"
 
@@ -260,6 +252,7 @@ MALFORMED = {
     "k_power not a half-integer": _with(_DIAGONAL, ("N", "k_power"), "1/3"),
     "k_power not num/den": _with(_DIAGONAL, ("N", "k_power"), "0.5"),
     "negative h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), -1),
+    "null h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), None),
 }
 
 

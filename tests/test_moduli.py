@@ -215,9 +215,32 @@ def test_scan_g4_and_g5_exhaustive_miss_only_zero_one():
         assert len(image) == size
 
 
+def _packed_image(g):
+    """Reference: every pair (x, y) enumerated on ints whose binary form,
+    padded to 2g digits, is the bitstring; w1 = x ^ y, and w2 is the
+    parity of (x with its halves swapped) AND y."""
+    two_g, low = 2 * g, (1 << g) - 1
+    found = set()
+    for x in range(1 << two_g):
+        x_swapped = (x & low) << g | x >> g
+        found.update((x ^ y, bin(x_swapped & y).count("1") & 1)
+                     for y in range(1 << two_g))
+    return {(F2Vector.from_string(format(w1, "0%db" % two_g)), w2)
+            for w1, w2 in found}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_scan_matches_packed_enumeration(g):
+    assert f2_image_scan(g) == _packed_image(g)
+
+
 def test_scan_budget():
+    image = f2_image_scan(7)
+    universe = {(v, w) for v in F2Vector.all_vectors(14) for w in (0, 1)}
+    assert universe - image == {(F2Vector.zero(14), 1)}
+    assert len(image) == 2 ** 15 - 1
     with pytest.raises(ScanBudgetExceeded):
-        f2_image_scan(6)
+        f2_image_scan(8)
 
 
 def test_scan_rejects_non_exhaustive():
