@@ -272,8 +272,9 @@ def s_conjugate(beta, gamma) -> SqMatrix:
                  [1, 0,  0,         0      ]].
     """
     beta, gamma = fe(beta), fe(gamma)
-    s = s_matrix(beta, gamma)
-    return s * m_field_matrix(beta, gamma) * s.inv()
+    # S is unipotent in r = 2 beta / gamma, and r -> -r inverts it
+    return (s_matrix(beta, gamma) * m_field_matrix(beta, gamma)
+            * s_matrix(-beta, gamma))
 
 
 # -- Cartan decomposition in the post-T4 frame --------------------------------

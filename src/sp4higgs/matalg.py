@@ -1,5 +1,12 @@
 """Dense 2x2 / 4x4 matrix algebra over Q(i, sqrt2, sqrt3).
 
+A matrix is stored as the 8 integer numerators of each entry (in the
+basis order of ``numfield``) over one positive common denominator, in
+canonical form: the gcd of all the ints and the denominator is 1.  The
+arithmetic runs on the ints and reduces each result by one gcd, so no
+partial sum is normalized; entries are built as FieldElems only when
+read.
+
 Everything is exact: determinants by cofactor expansion, inverses by
 adjugate (dimensions are fixed and tiny, so no pivoting is needed), and
 matrix exponentials only for nilpotent arguments, via the finite series.
@@ -22,9 +29,14 @@ used throughout the symplectic rank-2 analysis:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Optional
 
-from .numfield import FieldElem, I_UNIT, ONE, SQRT3, ZERO, fe, embed_u_v
+from .numfield import (
+    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _canonical, _mul_into, _nonzero,
+    embed_u_v, fe,
+)
 
 __all__ = [
     "SingularMatrix",
@@ -45,16 +57,34 @@ class SingularMatrix(ValueError):
 
 
 class SqMatrix:
-    """Immutable square matrix (dimension 2 or 4) over FieldElem."""
+    """Immutable square matrix (dimension 2 or 4) over FieldElem.
 
-    __slots__ = ("rows",)
+    ``_n`` holds the 8 integer numerators of every entry, row by row, in
+    one flat tuple, and ``_d`` their common positive denominator.  The
+    gcd of all the ints and ``_d`` is 1, so equal matrices have equal
+    ``(_n, _d)``.  ``rows`` and ``m[i][j]`` build FieldElem views on
+    demand.
+    """
+
+    __slots__ = ("_dim", "_n", "_d")
 
     def __init__(self, rows):
-        rows = tuple(tuple(fe(x) for x in row) for row in rows)
+        rows = [[fe(x) for x in row] for row in rows]
         n = len(rows)
         if n not in (2, 4) or any(len(row) != n for row in rows):
             raise ValueError("SqMatrix must be square of dimension 2 or 4")
-        object.__setattr__(self, "rows", rows)
+        entries = [a for row in rows for a in row]
+        # canonical entries over the lcm of their denominators are
+        # canonical together
+        d = lcm(*[a._d for a in entries])
+        ints = []
+        for a in entries:
+            if a._d == d:
+                ints += a._n
+            else:
+                m = d // a._d
+                ints += [x * m for x in a._n]
+        _set(self, n, tuple(ints), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("SqMatrix is immutable")
@@ -80,92 +110,142 @@ class SqMatrix:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._dim
 
-    def __getitem__(self, i):
-        return self.rows[i]
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of rows of FieldElems."""
+        return tuple(self[i] for i in range(self._dim))
+
+    def __getitem__(self, i: int) -> tuple:
+        """Row i as a tuple of FieldElems."""
+        n = self._dim
+        o = 8 * n * range(n)[i]
+        d, ints = self._d, self._n
+        return tuple(_canonical(ints[k:k + 8], d)
+                     for k in range(o, o + 8 * n, 8))
 
     def block(self, i: int, j: int) -> "SqMatrix":
         """2x2 block (i, j) of a 4x4 matrix, blocks indexed 0/1."""
-        if self.dim != 4:
+        if self._dim != 4:
             raise ValueError("block extraction needs a 4x4 matrix")
-        return SqMatrix(tuple(self.rows[2 * i + r][2 * j:2 * j + 2]
-                              for r in range(2)))
+        o = 64 * i + 16 * j
+        ints = self._n
+        return _reduced(2, ints[o:o + 16] + ints[o + 32:o + 48], self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
-        self._samedim(other)
-        return SqMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.rows, other.rows)))
+        return self._add_or_sub(other, add)
 
     def __sub__(self, other: "SqMatrix") -> "SqMatrix":
+        return self._add_or_sub(other, sub)
+
+    def _add_or_sub(self, other, op):
+        if not isinstance(other, SqMatrix):
+            return NotImplemented
         self._samedim(other)
-        return SqMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.rows, other.rows)))
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._dim, list(map(op, self._n, other._n)), d)
+        return _reduced(self._dim, [op(x * e, y * d)
+                                    for x, y in zip(self._n, other._n)], d * e)
 
     def __neg__(self) -> "SqMatrix":
-        return SqMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return _new(self._dim, tuple(map(neg, self._n)), self._d)
 
     def __mul__(self, other):
-        if isinstance(other, SqMatrix):
-            self._samedim(other)
-            n = self.dim
-            cols = tuple(zip(*other.rows))
-            return SqMatrix(tuple(
-                tuple(_dot(self.rows[i], cols[j]) for j in range(n))
-                for i in range(n)))
-        return self.scale(other)
+        if not isinstance(other, SqMatrix):
+            return self.scale(other)
+        self._samedim(other)
+        n = self._dim
+        xs = _entries(self._n)
+        ys = [_nonzero(y) for y in _entries(other._n)]
+        out = [0] * (8 * n * n)
+        for i in range(n):
+            for k in range(n):
+                x = xs[n * i + k]
+                if not any(x):
+                    continue
+                for j in range(n):
+                    y = ys[n * k + j]
+                    if y:
+                        _mul_into(out, 8 * (n * i + j), x, y)
+        return _reduced(n, out, self._d * other._d)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "SqMatrix":
         c = fe(c)
-        return SqMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
+        y = _nonzero(c._n)
+        out = [0] * len(self._n)
+        for o, x in enumerate(_entries(self._n)):
+            _mul_into(out, 8 * o, x, y)
+        return _reduced(self._dim, out, self._d * c._d)
 
     def transpose(self) -> "SqMatrix":
-        return SqMatrix(tuple(zip(*self.rows)))
+        n, ints = self._dim, self._n
+        out = []
+        for j in range(n):
+            for i in range(n):
+                o = 8 * (n * i + j)
+                out.extend(ints[o:o + 8])
+        return _new(n, tuple(out), self._d)
 
     @property
     def T(self) -> "SqMatrix":
         return self.transpose()
 
     def trace(self) -> FieldElem:
-        t = ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        n, ints = self._dim, self._n
+        step = 8 * (n + 1)
+        return _canonical([sum(ints[k::step]) for k in range(8)], self._d)
 
     def det(self) -> FieldElem:
-        return _det(self.rows)
+        n = self._dim
+        xs = _entries(self._n)
+        full = tuple(range(n))
+        num = _minor(xs, [_nonzero(x) for x in xs], n, full, full, {})
+        return _canonical(num, self._d ** n)
 
     def inv(self) -> "SqMatrix":
-        d = self.det()
-        if d.is_zero:
+        """For self = N / d: d * adj(N) / det(N), from the minors of the
+        numerators and one field inverse of their determinant."""
+        n = self._dim
+        xs = _entries(self._n)
+        ys = [_nonzero(x) for x in xs]
+        full = tuple(range(n))
+        memo = {}
+        minors = [_minor(xs, ys, n, full[:i] + full[i + 1:],
+                         full[:j] + full[j + 1:], memo)
+                  for i in range(n) for j in range(n)]
+        # expands along row 0 through the minors already in memo
+        det = _minor(xs, ys, n, full, full, memo)
+        if not any(det):
             raise SingularMatrix("matrix is singular")
-        dinv = d.inv()
-        n = self.dim
-        cof = [[None] * n for _ in range(n)]
+        dinv = _canonical(det, 1).inv()
+        y = _nonzero([x * self._d for x in dinv._n])
+        y_neg = [(k, -x) for k, x in y]
+        out = [0] * (8 * n * n)
         for i in range(n):
             for j in range(n):
-                minor = tuple(tuple(self.rows[r][c] for c in range(n) if c != j)
-                              for r in range(n) if r != i)
-                sign = 1 if (i + j) % 2 == 0 else -1
-                cof[i][j] = sign * _det(minor) * dinv
-        return SqMatrix(tuple(zip(*cof)))  # adjugate is the cofactor transpose
+                # adjugate entry (i, j) is (-1)^(i+j) times minor (j, i)
+                _mul_into(out, 8 * (n * i + j), minors[n * j + i],
+                          y_neg if (i + j) & 1 else y)
+        return _reduced(n, out, dinv._d)
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.rows for a in row)
+        return not any(self._n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SqMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._n, self._d))
 
     def __repr__(self) -> str:
         body = ",\n  ".join("[%s]" % ", ".join(repr(a) for a in row)
@@ -173,8 +253,8 @@ class SqMatrix:
         return "SqMatrix(\n  %s)" % body
 
     def _samedim(self, other: "SqMatrix"):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
+        if self._dim != other._dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (self._dim, other._dim))
 
     # -- serialization ----------------------------------------------------
 
@@ -191,40 +271,74 @@ class SqMatrix:
         return m
 
 
-def _dot(row, col) -> FieldElem:
-    acc = ZERO
-    for a, b in zip(row, col):
-        if not (a.is_zero or b.is_zero):
-            acc = acc + a * b
-    return acc
+_new_matrix = object.__new__
+_set_dim = SqMatrix._dim.__set__
+_set_n = SqMatrix._n.__set__
+_set_d = SqMatrix._d.__set__
 
 
-def _det(rows) -> FieldElem:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ZERO
-    for j, a in enumerate(rows[0]):
-        if a.is_zero:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-        term = a * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+def _set(m: SqMatrix, dim: int, ints: tuple, d: int):
+    _set_dim(m, dim)
+    _set_n(m, ints)
+    _set_d(m, d)
+
+
+def _new(dim: int, ints: tuple, d: int) -> SqMatrix:
+    """The matrix ints / d, with (ints, d) already canonical."""
+    m = _new_matrix(SqMatrix)
+    _set(m, dim, ints, d)
+    return m
+
+
+def _reduced(dim: int, ints, d: int) -> SqMatrix:
+    """The matrix ints / d, for 8 * dim**2 ints and a positive int d."""
+    g = gcd(*ints, d)
+    if g == 1:
+        return _new(dim, tuple(ints), d)
+    return _new(dim, tuple(map(g.__rfloordiv__, ints)), d // g)
+
+
+def _entries(ints: tuple) -> list:
+    """The flat numerators split into one 8-tuple per entry."""
+    return [ints[o:o + 8] for o in range(0, len(ints), 8)]
+
+
+def _minor(xs: list, ys: list, n: int, rows: tuple, cols: tuple, memo: dict):
+    """Numerators of the determinant of the rows x cols submatrix of the
+    n x n entries ``xs`` (8 ints each, row by row; ``ys`` the same as
+    ``_nonzero`` pairs), by cofactor expansion along its first row; no
+    gcd.  ``memo`` shares smaller minors between calls."""
+    if len(rows) == 1:
+        return xs[n * rows[0] + cols[0]]
+    key = (rows, cols)
+    out = memo.get(key)
+    if out is None:
+        pos, negs = [0] * 8, [0] * 8
+        r, rest = rows[0], rows[1:]
+        for j, c in enumerate(cols):
+            y = ys[n * r + c]
+            if y:
+                _mul_into(negs if j & 1 else pos, 0,
+                          _minor(xs, ys, n, rest, cols[:j] + cols[j + 1:], memo), y)
+        out = memo[key] = list(map(sub, pos, negs))
+    return out
 
 
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     """Kronecker product of two 2x2 matrices: block entries a[i][j] * b."""
     if a.dim != 2 or b.dim != 2:
         raise ValueError("kron is defined here for 2x2 factors only")
-    rows = []
+    xs = _entries(a._n)
+    ys = [_nonzero(y) for y in _entries(b._n)]
+    out = [0] * 128
     for i in range(2):
-        for r in range(2):
-            rows.append(tuple(a[i][j] * b[r][c]
-                              for j in range(2) for c in range(2)))
-    return SqMatrix(tuple(rows))
+        for j in range(2):
+            x = xs[2 * i + j]
+            for r in range(2):
+                for c in range(2):
+                    _mul_into(out, 8 * (8 * i + 4 * r + 2 * j + c), x,
+                              ys[2 * r + c])
+    return _reduced(4, out, a._d * b._d)
 
 
 def conjugate(m: SqMatrix, p: SqMatrix) -> SqMatrix:

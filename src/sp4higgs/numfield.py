@@ -160,14 +160,7 @@ class FieldElem:
         if other.__class__ is not FieldElem:
             other = fe(other)
         out = [0] * 8
-        ys = [(k, y) for k, y in enumerate(other._n) if y]
-        base = 0
-        for x in self._n:
-            if x:
-                for k, y in ys:
-                    t, c = _MUL[base + k]
-                    out[t] += c * x * y
-            base += 8
+        _mul_into(out, 0, self._n, _nonzero(other._n))
         return _canonical(out, self._d * other._d)
 
     __rmul__ = __mul__
@@ -302,6 +295,23 @@ def _canonical(n, d: int) -> FieldElem:
     if g == 1:
         return _raw(tuple(n), d)
     return _raw(tuple(map(g.__rfloordiv__, n)), d // g)
+
+
+def _nonzero(n) -> list:
+    """The nonzero coordinates of the 8 ints n, as (index, int) pairs."""
+    return [(k, y) for k, y in enumerate(n) if y]
+
+
+def _mul_into(out: list, off: int, xs, ys: list):
+    """Add the numerators of x * y to out[off:off + 8], for x given as
+    its 8 ints ``xs`` and y as ``_nonzero`` pairs ``ys``; no gcd."""
+    base = 0
+    for x in xs:
+        if x:
+            for k, y in ys:
+                t, c = _MUL[base + k]
+                out[off + t] += c * x * y
+        base += 8
 
 
 def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:

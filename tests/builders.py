@@ -72,3 +72,10 @@ def sl2_of_degree(ctx, d, beta=0, gamma=0, torsion=None):
         L=l,
         beta=slot(ctx, l.power(2) * k, beta),
         gamma=slot(ctx, l.power(-2) * k, gamma))
+
+
+def dense_elem(rng, bound=9):
+    """A field element whose 8 coordinates are all nonzero, over mixed
+    denominators up to ``bound``."""
+    return sh.FieldElem([Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
+                                  rng.randint(1, bound)) for _ in range(8)])

@@ -10,13 +10,15 @@ from sp4higgs.liegroup import (
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
-    rho_delta, rho_p, s_conjugate, sl2, in_sp4c,
+    rho_delta, rho_p, s_conjugate, s_matrix, sl2, in_sp4c,
 )
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
     SqMatrix, is_symplectic, kron,
 )
 from sp4higgs.numfield import I_UNIT, ONE, ZERO, fe
+
+from builders import dense_elem
 
 E = SqMatrix([[0, 1], [0, 0]])
 F = SqMatrix([[0, 0], [1, 0]])
@@ -237,6 +239,16 @@ def test_s_conjugate_gamma_scaling():
 def test_s_conjugate_gamma_zero_raises():
     with pytest.raises(SingularNormalization):
         s_conjugate(1, 0)
+
+
+def test_s_matrix_inverse_is_negated_ratio():
+    # s_conjugate relies on r -> -r inverting the unipotent S
+    rng = random.Random(20261018)
+    for _ in range(10):
+        beta, gamma = dense_elem(rng), dense_elem(rng)
+        s = s_matrix(beta, gamma)
+        assert s * s_matrix(-beta, gamma) == I4
+        assert s_matrix(-beta, gamma) == s.inv()
 
 
 # -- Cartan split ---------------------------------------------------------------

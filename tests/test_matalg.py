@@ -1,7 +1,10 @@
 """Matrix algebra: kron, symplectic checks, fixed constants."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,10 @@ from sp4higgs.matalg import (
     SingularMatrix, SqMatrix, conjugate, exp_nilpotent, is_symplectic,
     kron, kron_identities_check, preserves_symplectic_up_to_scalar,
 )
-from sp4higgs.numfield import I_UNIT, ONE, fe
+from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
+from sp4higgs.numfield import I_UNIT, ONE, ZERO, fe
+
+from builders import dense_elem
 
 
 def rand2(rng, bound=9):
@@ -132,3 +138,165 @@ def test_block_access():
     m = kron(J2, I2)
     assert m.block(0, 1) == I2
     assert m.block(1, 0) == -I2
+
+
+# -- against a per-entry FieldElem reference -----------------------------------
+
+# The reference works on grids of FieldElems (``m.rows``) with field
+# arithmetic only, and shares no code with SqMatrix's integer kernel: a
+# product entry is a dot product, the determinant a cofactor expansion,
+# the inverse the adjugate over the determinant.
+
+def ref_dot(row, col):
+    acc = ZERO
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
+def ref_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = ZERO
+    for j, a in enumerate(rows[0]):
+        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
+        term = a * ref_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def ref_inv(rows):
+    d = ref_det(rows)
+    if d.is_zero:
+        raise SingularMatrix("matrix is singular")
+    dinv, n = d.inv(), len(rows)
+    return tuple(tuple(
+        (-1) ** (i + j) * dinv * ref_det(tuple(
+            rows[r][:i] + rows[r][i + 1:] for r in range(n) if r != j))
+        for j in range(n)) for i in range(n))
+
+
+def ref_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(ref_dot(row, col) for col in cols) for row in a)
+
+
+def ref_entrywise(f, *grids):
+    return tuple(tuple(f(*xs) for xs in zip(*rows)) for rows in zip(*grids))
+
+
+def dense_matrix(rng, n):
+    return SqMatrix([[dense_elem(rng) for _ in range(n)] for _ in range(n)])
+
+
+def singular_matrix(rng, n):
+    """Dense rows whose last row is a combination of the others."""
+    rows = [[dense_elem(rng) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [dense_elem(rng) for _ in rows]
+    rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO)
+                 for j in range(n)])
+    return SqMatrix(rows)
+
+
+def assert_canonical(m):
+    n, d = m._n, m._d
+    assert len(n) == 8 * m.dim ** 2 and all(type(x) is int for x in n)
+    assert type(d) is int and d > 0
+    assert math.gcd(*n, d) == 1
+    if not any(n):
+        assert d == 1
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_operations_match_reference(n):
+    rng = random.Random(20261018 + n)
+    for _ in range(25):
+        a, b = dense_matrix(rng, n), dense_matrix(rng, n)
+        c = dense_elem(rng)
+        ra, rb = a.rows, b.rows
+        assert (a * b).rows == ref_mul(ra, rb)
+        assert (a + b).rows == ref_entrywise(lambda x, y: x + y, ra, rb)
+        assert (a - b).rows == ref_entrywise(lambda x, y: x - y, ra, rb)
+        assert (-a).rows == ref_entrywise(lambda x: -x, ra)
+        assert a.scale(c).rows == (a * c).rows == ref_entrywise(lambda x: c * x, ra)
+        assert (3 * a).rows == ref_entrywise(lambda x: 3 * x, ra)
+        assert a.T.rows == tuple(zip(*ra))
+        assert a.trace() == sum((ra[i][i] for i in range(n)), ZERO)
+        assert a.det() == ref_det(ra)
+        assert a.inv().rows == ref_inv(ra)
+        if n == 4:
+            for i in range(2):
+                for j in range(2):
+                    assert a.block(i, j).rows == tuple(
+                        row[2 * j:2 * j + 2] for row in ra[2 * i:2 * i + 2])
+        for m in (a, b, a * b, a + b, a - b, -a, a.scale(c), a.T, a.inv(),
+                  a - a, a.scale(0)):
+            assert_canonical(m)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_singular_matrices_match_reference(n):
+    rng = random.Random(20261020 + n)
+    for _ in range(5):
+        m = singular_matrix(rng, n)
+        assert m.det().is_zero and ref_det(m.rows).is_zero
+        with pytest.raises(SingularMatrix):
+            m.inv()
+        with pytest.raises(SingularMatrix):
+            ref_inv(m.rows)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_equal_matrices_hash_alike(n):
+    rng = random.Random(20261022 + n)
+    for _ in range(10):
+        a, b = dense_matrix(rng, n), dense_matrix(rng, n)
+        c = dense_elem(rng)
+        same = (a.scale(c).scale(c.inv()), (a + a).scale(Fraction(1, 2)),
+                a - b + b, SqMatrix(a.rows), SqMatrix.from_json(a.to_json()),
+                (a * b) * b.inv())
+        for m in same:
+            assert m == a and hash(m) == hash(a)
+        assert (a == b) == (a.rows == b.rows)
+        assert a != a.scale(2) and a != a.T
+    assert SqMatrix.identity(n).scale(Fraction(1, 3)).scale(3) == SqMatrix.identity(n)
+
+
+def test_adding_a_non_matrix_is_a_type_error():
+    m = SqMatrix([[1, 2], [3, 4]])
+    for other in (1, Fraction(1, 2), ONE):
+        with pytest.raises(TypeError):
+            m + other
+        with pytest.raises(TypeError):
+            m - other
+        with pytest.raises(TypeError):
+            other + m
+
+
+# -- frozen JSON of the embedding matrices -------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("matalg_golden.json")
+
+
+def golden_outputs() -> dict:
+    """to_json of HT, HT_INV and of phi, phi^-1, phi_star and s_conjugate
+    on five fixed dense inputs."""
+    rng = random.Random("matalg-golden")
+    samples = []
+    for _ in range(5):
+        a, b, c = (dense_elem(rng, 3) for _ in range(3))
+        p, q, r = (dense_elem(rng, 3) for _ in range(3))
+        beta, gamma = dense_elem(rng, 3), dense_elem(rng, 3)
+        g = phi(sl2(a, b, c, (1 + b * c) / a))
+        samples.append({
+            "phi": g.to_json(),
+            "phi_inv": g.inv().to_json(),
+            "phi_star": phi_star(SqMatrix([[p, q], [r, -p]])).to_json(),
+            "s_conjugate": s_conjugate(beta, gamma).to_json(),
+        })
+    return {"HT": HT.to_json(), "HT_INV": HT_INV.to_json(), "samples": samples}
+
+
+def test_matrix_json_is_frozen():
+    want = GOLDEN_PATH.read_text(encoding="utf-8")
+    assert json.dumps(golden_outputs(), sort_keys=True) + "\n" == want
