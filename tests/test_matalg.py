@@ -142,10 +142,11 @@ def test_block_access():
 
 # -- against a per-entry FieldElem reference -----------------------------------
 
-# The reference works on grids of FieldElems (``m.rows``) with field
-# arithmetic only, and shares no code with SqMatrix's integer kernel: a
-# product entry is a dot product, the determinant a cofactor expansion,
-# the inverse the adjugate over the determinant.
+# The reference works entry by entry on grids of FieldElems (``m.rows``)
+# with field arithmetic only, which test_numfield.py checks against its
+# own Fraction reference: a product entry is a dot product, the
+# determinant a cofactor expansion, the inverse the adjugate over the
+# determinant.  Nothing in it sums over a common matrix denominator.
 
 def ref_dot(row, col):
     acc = ZERO
