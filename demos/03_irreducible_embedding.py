@@ -3,8 +3,9 @@
 rho1 acts on cubic binary forms; rho13 is the same map moved to the
 J13 frame; phi conjugates once more through HTILDE * T4, after which the
 compact torus becomes literally diagonal with exponents (3, -1, -3, 1).
-The differential of the chain is computed symbolically (dual numbers)
-and reproduces three frozen matrices entry for entry.
+The differential of the chain is exact, read off in closed form from the
+linear part of rho13's cubic entries, and reproduces three frozen
+matrices entry for entry.
 """
 
 from fractions import Fraction

@@ -5,8 +5,9 @@ Implements the irreducible four-dimensional representation of the
 form ``J0``) and the ``J13`` basis (``rho13``), the product and diagonal
 embeddings (``rho_p``, ``rho_delta``), the fully diagonalized embedding
 ``phi`` obtained by conjugating through ``HTILDE * T4``, and the exact
-differential ``rho13_star`` / ``phi_star`` computed by symbolic
-first-order (dual-number) evaluation -- no numerical limits anywhere.
+differential ``rho13_star`` / ``phi_star``, read off in closed form from
+the linear part of rho13's cubic entry polynomials -- no numerical
+limits anywhere.
 
 Conventions are frozen once: the complexified symplectic algebra is
 tested against the form ``J13`` in every frame along the conjugation
@@ -88,21 +89,26 @@ def _check_det(a: SqMatrix, allow_minus: bool):
 def _rho1_grid(a, b, c, d, two, three):
     # Matrix of P(x, y) -> P(ax + cy, bx + dy) on cubics in the basis
     # {x^3, 3x^2y, y^3, 3xy^2}; entries are polynomials in a, b, c, d,
-    # so the grid evaluates over any commutative ring element type.
+    # so the grid evaluates over any commutative ring element type.  The
+    # quadratic monomials are formed once and shared by the cubic entries.
+    aa, bb, cc, dd, ab, cd = a * a, b * b, c * c, d * d, a * b, c * d
     return (
-        (a * a * a, three * a * a * b, b * b * b, three * a * b * b),
-        (a * a * c, a * a * d + two * a * b * c, b * b * d, b * b * c + two * a * b * d),
-        (c * c * c, three * c * c * d, d * d * d, three * c * d * d),
-        (a * c * c, b * c * c + two * a * c * d, b * d * d, a * d * d + two * b * c * d),
+        (a * aa, three * (aa * b), b * bb, three * (ab * b)),
+        (aa * c, aa * d + two * (ab * c), bb * d, bb * c + two * (ab * d)),
+        (c * cc, three * (cc * d), d * dd, three * (c * dd)),
+        (a * cc, b * cc + two * (a * cd), b * dd, a * dd + two * (b * cd)),
     )
 
 
 def _rho13_grid(a, b, c, d, two, three, s3):
+    # rho1's grid moved to the J13 frame, with the same shared quadratic
+    # monomials: 38 ring multiplies.
+    aa, bb, cc, dd, ab, cd = a * a, b * b, c * c, d * d, a * b, c * d
     return (
-        (a * a * a, s3 * a * b * b, b * b * b, s3 * a * a * b),
-        (s3 * a * c * c, a * d * d + two * b * c * d, s3 * b * d * d, b * c * c + two * a * c * d),
-        (c * c * c, s3 * c * d * d, d * d * d, s3 * c * c * d),
-        (s3 * a * a * c, b * b * c + two * a * b * d, s3 * b * b * d, a * a * d + two * a * b * c),
+        (a * aa, s3 * (ab * b), b * bb, s3 * (aa * b)),
+        (s3 * (a * cc), a * dd + two * (b * cd), s3 * (b * dd), b * cc + two * (a * cd)),
+        (c * cc, s3 * (c * dd), d * dd, s3 * (cc * d)),
+        (s3 * (aa * c), bb * c + two * (ab * d), s3 * (bb * d), aa * d + two * (ab * c)),
     )
 
 
@@ -176,45 +182,32 @@ def gl1_torus(lam) -> SqMatrix:
 # -- exact differentials ------------------------------------------------------
 
 
-class _Dual:
-    """a + b*eps with eps^2 = 0; exact first-order arithmetic."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: FieldElem, b: FieldElem):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        return _Dual(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return _Dual(self.a * other, self.b * other)
-
-    def __rmul__(self, other):
-        return _Dual(fe(other) * self.a, fe(other) * self.b)
-
-
 def rho13_star(x: SqMatrix) -> SqMatrix:
     """Exact differential of rho13 at the identity, on a traceless input.
 
-    Computed symbolically: every entry of rho13 is a polynomial in the
-    four matrix coordinates, so evaluating on dual numbers 1 + eps*x
-    and reading off the eps coefficient is the exact derivative.
+    Every entry of rho13 is a cubic polynomial in the four matrix
+    coordinates, so its derivative at I in the direction
+    x = [[p, q], [r, -p]] is the coefficient of t in the grid at I + t x:
+
+        [[3p,       0,        0,        sqrt3 q],
+         [0,        -p,       sqrt3 q,  2r     ],
+         [0,        sqrt3 r,  -3p,      0      ],
+         [sqrt3 r,  2q,       0,        p      ]].
+
+    The verification suite checks it against an exact central difference
+    of the grid.
     """
     if x.dim != 2:
         raise ValueError("expected a 2x2 matrix")
     if not x.trace().is_zero:
         raise ValueError("input must be traceless")
-    a = _Dual(ONE, x[0][0])
-    b = _Dual(ZERO, x[0][1])
-    c = _Dual(ZERO, x[1][0])
-    d = _Dual(ONE, x[1][1])
-    grid = _rho13_grid(a, b, c, d, _Dual(fe(2), ZERO), _Dual(fe(3), ZERO),
-                       _Dual(SQRT3, ZERO))
-    return SqMatrix(tuple(tuple(entry.b for entry in row) for row in grid))
+    (p, q), (r, _) = x.rows
+    s3q, s3r, z = SQRT3 * q, SQRT3 * r, ZERO
+    return SqMatrix((
+        (3 * p, z, z, s3q),
+        (z, -p, s3q, 2 * r),
+        (z, s3r, -3 * p, z),
+        (s3r, 2 * q, z, p)))
 
 
 def phi_star(x: SqMatrix) -> SqMatrix:

@@ -140,25 +140,34 @@ class FieldElem:
 
     def __add__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
-            other = fe(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _add_or_sub(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
-            other = fe(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _add_or_sub(self, other, sub)
 
     def __rsub__(self, other) -> "FieldElem":
-        return _add_or_sub(fe(other), self, sub)
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _add_or_sub(other, self, sub)
 
     def __neg__(self) -> "FieldElem":
         return _raw(tuple(map(neg, self._n)), self._d)
 
     def __mul__(self, other) -> "FieldElem":
         if other.__class__ is not FieldElem:
-            other = fe(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = [0] * 8
         _mul_into(out, 0, self._n, _nonzero(other._n))
         return _canonical(out, self._d * other._d)
@@ -166,10 +175,16 @@ class FieldElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElem":
-        return self * fe(other).inv()
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inv()
 
     def __rtruediv__(self, other) -> "FieldElem":
-        return fe(other) * self.inv()
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
@@ -320,6 +335,16 @@ def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:
         n = tuple(map(op, a._n, b._n))
         return _raw(n, 1) if d == 1 else _canonical(n, d)
     return _canonical([op(x * e, y * d) for x, y in zip(a._n, b._n)], d * e)
+
+
+def _operand(x):
+    """x as a FieldElem if it is an int, Fraction or FieldElem, else
+    NotImplemented, so that the other operand's method can run."""
+    if isinstance(x, FieldElem):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FieldElem.from_rational(x)
+    return NotImplemented
 
 
 def fe(x: Scalar) -> FieldElem:

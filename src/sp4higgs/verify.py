@@ -14,7 +14,7 @@ from typing import List
 
 from . import liegroup, matalg
 from .matalg import SqMatrix, kron, is_symplectic
-from .numfield import ONE, fe
+from .numfield import ONE, SQRT3, fe
 
 __all__ = ["Check", "Report", "run_suite", "SUITES"]
 
@@ -78,6 +78,16 @@ def _rand_matrix2(rng: random.Random, bound: int = 9) -> SqMatrix:
                      for _ in range(2)])
 
 
+def _rho13_derivative(x: SqMatrix) -> SqMatrix:
+    # rho13's entries are cubic in t along t -> I + t x, so this central
+    # difference of the entry polynomials is their exact derivative at 0
+    def p(t):
+        (a, b), (c, d) = (matalg.I2 + x.scale(t)).rows
+        return SqMatrix(liegroup._rho13_grid(a, b, c, d, fe(2), fe(3), SQRT3))
+
+    return ((p(1) - p(-1)).scale(8) - (p(2) - p(-2))).scale(Fraction(1, 12))
+
+
 def run_lie_suite(n_samples: int = 25, seed: int = 20240801) -> Report:
     rng = random.Random(seed)
     checks: List[Check] = []
@@ -111,6 +121,20 @@ def run_lie_suite(n_samples: int = 25, seed: int = 20240801) -> Report:
     checks.append(Check(
         "golden-h0", "phi_star(h0) matches the frozen matrix",
         liegroup.phi_star(h0) == liegroup.GOLDEN_H0))
+
+    # a stream of its own, so the later checks see the same samples
+    x_rng = random.Random("%d-rho13-star" % seed)
+    directions = [e, f, h0]
+    for _ in range(4):
+        p = _rand_fraction(x_rng, 9)
+        directions.append(SqMatrix([[p, _rand_fraction(x_rng, 9)],
+                                    [_rand_fraction(x_rng, 9), -p]]))
+    checks.append(Check(
+        "rho13-star-derivative",
+        "rho13_star(x) = (8(p(1) - p(-1)) - (p(2) - p(-2))) / 12, "
+        "p(t) = rho13 grid at I + t x",
+        all(liegroup.rho13_star(x) == _rho13_derivative(x) for x in directions),
+        "e, f, h0 and %d seeded traceless directions" % (len(directions) - 3)))
 
     torus_ok = True
     for _ in range(10):

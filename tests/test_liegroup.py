@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sp4higgs.liegroup import (
-    GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
+    _rho1_grid, _rho13_grid, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
@@ -16,7 +16,7 @@ from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
     SqMatrix, is_symplectic, kron,
 )
-from sp4higgs.numfield import I_UNIT, ONE, ZERO, fe
+from sp4higgs.numfield import I_UNIT, ONE, SQRT3, ZERO, fe
 
 from builders import dense_elem
 
@@ -210,6 +210,78 @@ def test_differential_matches_exact_finite_difference():
         stencil = ((vals[1] - vals[-1]).scale(8)
                    - (vals[2] - vals[-2])).scale(Fraction(1, 12))
         assert rho13_star(x) == stencil
+
+
+# -- references for the grids and the differential ------------------------------
+
+
+def _rho1_grid_ref(a, b, c, d, two, three):
+    # the entry polynomials written out monomial by monomial
+    return (
+        (a * a * a, three * a * a * b, b * b * b, three * a * b * b),
+        (a * a * c, a * a * d + two * a * b * c, b * b * d, b * b * c + two * a * b * d),
+        (c * c * c, three * c * c * d, d * d * d, three * c * d * d),
+        (a * c * c, b * c * c + two * a * c * d, b * d * d, a * d * d + two * b * c * d),
+    )
+
+
+def _rho13_grid_ref(a, b, c, d, two, three, s3):
+    return (
+        (a * a * a, s3 * a * b * b, b * b * b, s3 * a * a * b),
+        (s3 * a * c * c, a * d * d + two * b * c * d, s3 * b * d * d, b * c * c + two * a * c * d),
+        (c * c * c, s3 * c * d * d, d * d * d, s3 * c * c * d),
+        (s3 * a * a * c, b * b * c + two * a * b * d, s3 * b * b * d, a * a * d + two * a * b * c),
+    )
+
+
+class _Dual:
+    """a + b*eps with eps^2 = 0; exact first-order arithmetic."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+
+def _rho13_star_dual(x):
+    # the eps coefficient of the grid at I + eps*x is the derivative at I
+    (p, q), (r, s) = x.rows
+    grid = _rho13_grid_ref(_Dual(ONE, p), _Dual(ZERO, q), _Dual(ZERO, r),
+                           _Dual(ONE, s), _Dual(fe(2), ZERO),
+                           _Dual(fe(3), ZERO), _Dual(SQRT3, ZERO))
+    return SqMatrix(tuple(tuple(entry.b for entry in row) for row in grid))
+
+
+def _dense_quads(rng):
+    quads = [tuple(dense_elem(rng) for _ in range(4)) for _ in range(29)]
+    a, c = dense_elem(rng), dense_elem(rng)
+    quads.append((a, -c, c, a))  # gl1_torus-shaped
+    return quads
+
+
+def test_shared_monomial_grids_match_reference():
+    rng = random.Random(20261025)
+    two, three = fe(2), fe(3)
+    for a, b, c, d in _dense_quads(rng):
+        assert _rho1_grid(a, b, c, d, two, three) == _rho1_grid_ref(
+            a, b, c, d, two, three)
+        assert _rho13_grid(a, b, c, d, two, three, SQRT3) == _rho13_grid_ref(
+            a, b, c, d, two, three, SQRT3)
+
+
+def test_rho13_star_matches_dual_number_evaluation():
+    rng = random.Random(20261026)
+    for _ in range(30):
+        p, q, r = dense_elem(rng), dense_elem(rng), dense_elem(rng)
+        x = SqMatrix([[p, q], [r, -p]])
+        assert rho13_star(x) == _rho13_star_dual(x)
 
 
 # -- S-conjugation -------------------------------------------------------------

@@ -14,7 +14,7 @@ from sp4higgs.matalg import (
     kron, kron_identities_check, preserves_symplectic_up_to_scalar,
 )
 from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
-from sp4higgs.numfield import I_UNIT, ONE, ZERO, fe
+from sp4higgs.numfield import I_UNIT, ONE, SQRT3, ZERO, fe
 
 from builders import dense_elem
 
@@ -272,6 +272,16 @@ def test_adding_a_non_matrix_is_a_type_error():
             m - other
         with pytest.raises(TypeError):
             other + m
+
+
+def test_field_element_times_matrix_scales():
+    # FieldElem.__mul__ defers to SqMatrix.__rmul__
+    assert SQRT3 * SqMatrix([[1, 2], [3, 4]]) == SqMatrix(
+        [[SQRT3, 2 * SQRT3], [3 * SQRT3, 4 * SQRT3]])
+    rng = random.Random(20261024)
+    for n in (2, 4):
+        m, c = dense_matrix(rng, n), dense_elem(rng)
+        assert c * m == m * c == m.scale(c)
 
 
 # -- frozen JSON of the embedding matrices -------------------------------------

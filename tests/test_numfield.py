@@ -138,6 +138,23 @@ def test_coercion_and_equality():
         fe(1.5)
 
 
+def test_foreign_operands_defer_then_raise():
+    # an operand the field does not take gets NotImplemented, so Python
+    # tries the other operand's method and raises TypeError only then
+    for other in ("x", 1.5, None):
+        for method in ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            assert getattr(SQRT3, method)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            SQRT3 + other
+        with pytest.raises(TypeError):
+            other - SQRT3
+        with pytest.raises(TypeError):
+            SQRT3 * other
+        with pytest.raises(TypeError):
+            other / SQRT3
+
+
 def test_hash_consistent_with_cross_type_equality():
     assert hash(fe(3)) == hash(3)
     assert hash(fe(Fraction(2, 7))) == hash(Fraction(2, 7))
