@@ -168,10 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: argparse reads stdout, stderr and the terminal
+# width only when it prints, and parse_args makes a fresh namespace on
+# each call, so one parser serves every call of main
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -18,14 +18,23 @@ from typing import Iterator
 
 __all__ = ["F2Vector"]
 
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}
+
 
 class F2Vector:
     __slots__ = ("value", "length")
 
     def __init__(self, bits):
-        bits = [int(b) & 1 for b in bits]
-        n = len(bits)
-        self._set(sum(b << (n - 1 - k) for k, b in enumerate(bits)), n)
+        """The vector of coordinates ``bits``, each 0 or 1 as an int or a
+        one-character string; any other coordinate raises ValueError."""
+        value = n = 0
+        for b in bits:
+            try:
+                value = value << 1 | _BITS[b]
+            except (KeyError, TypeError):
+                raise ValueError("coordinate %r is not 0 or 1" % (b,)) from None
+            n += 1
+        self._set(value, n)
 
     def _set(self, value: int, length: int) -> None:
         if length % 2 != 0:

@@ -77,6 +77,9 @@ _BASIS_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
 
 # a JSON coordinate: the datum schema's rational pattern ^-?[0-9]+/[0-9]+$
 _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+# 8 coordinates joined by commas; _RATIONAL matches no comma, so the
+# joined string matches exactly when each coordinate matches on its own
+_EIGHT = re.compile(",".join([_RATIONAL.pattern] * 8))
 
 
 class FieldElem:
@@ -275,20 +278,26 @@ class FieldElem:
 
     @classmethod
     def from_json(cls, data) -> "FieldElem":
-        """Read 8 "num/den" strings; anything else raises ValueError."""
+        """Read 8 "num/den" strings; anything else raises ValueError.
+
+        The 8 strings are joined by commas and read in one match of
+        ``_EIGHT``, which gives the 8 numerators and 8 denominators as
+        its groups.  Only when that match fails is each string matched
+        on its own, to name the first one that is not num/den.
+        """
         if len(data) != 8 or any(type(s) is not str for s in data):
             raise ValueError("field element needs 8 coordinate strings")
-        matches = [_RATIONAL.fullmatch(s) for s in data]
-        if None in matches:
-            raise ValueError("coordinate %r is not a num/den string"
-                             % data[matches.index(None)])
-        dens = [int(m[2]) for m in matches]
+        m = _EIGHT.fullmatch(",".join(data))
+        if m is None:
+            bad = next(s for s in data if _RATIONAL.fullmatch(s) is None)
+            raise ValueError("coordinate %r is not a num/den string" % bad)
+        ints = list(map(int, m.groups()))
+        dens = ints[1::2]
         if 0 in dens:
             raise ValueError("coordinate %r has a zero denominator"
                              % data[dens.index(0)])
         d = lcm(*dens)
-        return _canonical([int(m[1]) * (d // e)
-                           for m, e in zip(matches, dens)], d)
+        return _canonical([x * (d // e) for x, e in zip(ints[::2], dens)], d)
 
 
 _new_elem = object.__new__

@@ -1,5 +1,6 @@
 """Command-line behavior: JSON I/O, determinism, exit codes."""
 
+import argparse
 import copy
 import json
 import subprocess
@@ -302,6 +303,42 @@ def test_subprocess_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["total"] == 194
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # argparse reads the width for --help when it prints; pin it so the
+    # in-process and the subprocess help text wrap alike
+    monkeypatch.setenv("COLUMNS", "80")
+    valid = write_datum(tmp_path, CTX3, diagonal_shape(CTX3, 1))
+    not_polystable = write_datum(tmp_path, CTX3, diagonal_shape(CTX3, 0),
+                                 "not_polystable.json")
+    calls = [["classify"], ["--help"], ["verify-lie"],
+             ["verify", "--scope", "matalg"],
+             ["classify", "--in", not_polystable],
+             ["classify", "--in", valid], ["classify", "--in", valid]]
+    fresh = []
+    for argv in calls:
+        result = subprocess.run([sys.executable, "-m", "sp4higgs.cli", *argv],
+                                capture_output=True, text=True)
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 1, 0, 0]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert built == []
+    for argv, got, want in zip(calls, in_process, fresh):
+        assert got == want, argv
 
 
 def test_import_pulls_no_runtime_dependencies():

@@ -95,6 +95,19 @@ def test_non_binary_string_is_rejected(s):
         F2Vector.from_string(s)
 
 
+@pytest.mark.parametrize("bits", ["21", [3, -1], [1, 2], (0, 1, 0, -1), "0a",
+                                  ["01", "1"], [0.5, 1], [None, 0], [[1], 0]])
+def test_non_binary_coordinates_are_rejected(bits):
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        F2Vector(bits)
+
+
+def test_binary_ints_and_strings_are_accepted():
+    assert F2Vector((0, 1, 0, 1)) == F2Vector("0101") == F2Vector.from_string("0101")
+    assert F2Vector(["1", 0, 1, "0"]).to_string() == "1010"
+    assert F2Vector(iter(())) == F2Vector.from_string("")
+
+
 def test_length_mismatch_raises():
     x, y = F2Vector.from_string("10"), F2Vector.from_string("1000")
     for op in (lambda: x + y, lambda: y + x, lambda: x.pairing(y),

@@ -98,6 +98,41 @@ def test_count_breakdowns_agree_up_to_g10():
         assert c.total == 3 * 2 ** (2 * g) + 2 * g - 4
 
 
+def component_representatives(ctx):
+    """One maximal polystable datum per component, built from its
+    construction and not from its label."""
+    vectors = list(F2Vector.all_vectors(ctx.two_g))
+    data = [irr_embed(ctx, max_sl2(ctx, spin)) for spin in vectors]
+    data += [cover_shape(ctx, w1, w2)
+             for w1 in vectors if not w1.is_zero for w2 in (0, 1)]
+    # at c = 0 a single nonzero beta is semistable but not polystable
+    data += [diagonal_shape(ctx, c, b2=int(c > 0)) for c in range(ctx.deg_k)]
+    return data
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_constructive_census(g):
+    ctx = CurveCtx(g)
+    data = component_representatives(ctx)
+    labels = [classify(ctx, d) for d in data]
+    vectors = list(F2Vector.all_vectors(2 * g))
+    expected = ({Hitchin(s) for s in vectors}
+                | {SW(w1, w2) for w1 in vectors if not w1.is_zero for w2 in (0, 1)}
+                | {ZeroSW(c) for c in range(2 * g - 2)})
+    # a bijection of the data onto the label set
+    assert len(set(labels)) == len(labels) == len(expected)
+    assert set(labels) == expected
+    c = count_components(ctx)
+    assert len(labels) == c.total == 3 * 2 ** (2 * g) + 2 * g - 4
+    verdicts = [reduction_verdict(label) for label in labels]
+    grouped = (sum(v.admits == {Subgroup.G_I} for v in verdicts),
+               sum(v.admits == {Subgroup.G_DELTA, Subgroup.G_P} for v in verdicts),
+               sum(v.zariski_dense_component for v in verdicts))
+    assert sum(grouped) == len(labels)
+    assert grouped == (c.grouped_hitchin, c.grouped_gdelta_gp,
+                       c.grouped_zariski_dense)
+
+
 def test_sp2n_counts():
     assert count_components_sp2n(CTX2, 3) == 48
     assert count_components_sp2n(CTX3, 5) == 192

@@ -3,6 +3,7 @@ against an independent Fraction reference, and its canonical form."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -313,6 +314,83 @@ def test_json_matches_reference(style):
                   for c, m in zip(x, (rng.randint(1, 1000) for _ in x))]
         assert FieldElem.from_json(scaled).coeffs == x
     assert FieldElem.from_json(["-0/5"] + ["0/3"] * 7).to_json() == ["0/1"] * 8
+
+
+_ONE_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def reference_from_json(data):
+    """Decode coordinate by coordinate into Fractions, raising the same
+    ValueError clauses as ``FieldElem.from_json``."""
+    if len(data) != 8 or any(type(s) is not str for s in data):
+        raise ValueError("field element needs 8 coordinate strings")
+    for s in data:
+        if _ONE_RATIONAL.fullmatch(s) is None:
+            raise ValueError("coordinate %r is not a num/den string" % s)
+    for s in data:
+        if int(s.split("/")[1]) == 0:
+            raise ValueError("coordinate %r has a zero denominator" % s)
+    return tuple(Fraction(*map(int, s.split("/"))) for s in data)
+
+
+def decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+_VALID = ["1/2"] * 8
+DECODE_ERRORS = {
+    "comma inside a coordinate": (["1/2,3/4"] + _VALID[1:],
+                                  "coordinate '1/2,3/4' is not a num/den string"),
+    "comma making 8 from 7": (["1/2,3/4"] + _VALID[2:],
+                              "field element needs 8 coordinate strings"),
+    "two bad, the first named": (_VALID[:2] + ["x/1"] + _VALID[3:6] + ["1.5"] + _VALID[7:],
+                                 "coordinate 'x/1' is not a num/den string"),
+    "non-ASCII digits": (_VALID[:4] + ["١/٢"] + _VALID[5:],
+                         "coordinate '١/٢' is not a num/den string"),
+    "bad after a zero denominator": (["1/0"] + _VALID[1:7] + ["a"],
+                                     "coordinate 'a' is not a num/den string"),
+    "zero denominator after valid ones": (_VALID[:5] + ["3/00"] + _VALID[6:],
+                                          "coordinate '3/00' has a zero denominator"),
+    "two zero denominators": (_VALID[:3] + ["0/0", "7/0"] + _VALID[5:],
+                              "coordinate '0/0' has a zero denominator"),
+    "empty coordinate": (_VALID[:7] + [""],
+                         "coordinate '' is not a num/den string"),
+    "trailing comma": (_VALID[:7] + ["1/2,"],
+                       "coordinate '1/2,' is not a num/den string"),
+    "seven strings": (_VALID[:7], "field element needs 8 coordinate strings"),
+    "nine strings": (_VALID + ["1/2"], "field element needs 8 coordinate strings"),
+    "a non-string": (_VALID[:7] + [1], "field element needs 8 coordinate strings"),
+    "a nested list": ([_VALID[:1]] + _VALID[1:],
+                      "field element needs 8 coordinate strings"),
+}
+
+
+@pytest.mark.parametrize("name", list(DECODE_ERRORS))
+def test_json_decode_errors_name_the_clause(name):
+    data, message = DECODE_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        FieldElem.from_json(data)
+    assert str(exc.value) == message
+    assert decode_outcome(reference_from_json, data) == message
+
+
+def test_json_decode_matches_per_coordinate_reference():
+    rng = random.Random(20261018)
+
+    def coordinate():
+        num = "%s%s%d" % (rng.choice(("", "-")), "0" * rng.randint(0, 3),
+                          rng.randint(0, 10 ** rng.randint(1, 30)))
+        den = "%s%d" % ("0" * rng.randint(0, 3),
+                        rng.randint(1, 10 ** rng.randint(1, 30)))
+        return "%s/%s" % (num, den)
+
+    for _ in range(200):
+        data = [rng.choice((coordinate, lambda: "-0/5", lambda: "0/1"))()
+                for _ in range(8)]
+        assert FieldElem.from_json(data).coeffs == reference_from_json(data)
 
 
 def assert_canonical(a):
