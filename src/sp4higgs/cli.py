@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the exact identity suites")
-    p.add_argument("--scope", choices=["lie", "matalg", "all"], default="all")
+    p.add_argument("--scope", choices=[*verify.SUITES, "all"], default="all")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("verify-lie", help="shortcut for verify --scope lie")

@@ -185,6 +185,14 @@ def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:
     anything else is genuinely bundle-dependent and raises
     RequiresExplicitH0 rather than guessing.
     """
+    dim = _determined_h0(ctx, bundle)
+    if dim is None:
+        raise RequiresExplicitH0(bundle, bundle.degree(ctx))
+    return dim
+
+
+def _determined_h0(ctx: CurveCtx, bundle: LineBundleClass) -> Optional[int]:
+    """h0 where the degree determines it, else None."""
     d = bundle.degree(ctx)
     if d < 0:
         return 0
@@ -194,7 +202,7 @@ def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:
         return 1 if bundle.torsion.is_zero else 0
     if bundle.k_power == 1 and bundle.extra_degree == 0 and bundle.torsion.is_zero:
         return ctx.genus
-    raise RequiresExplicitH0(bundle, d)
+    return None
 
 
 def milnor_wood(ctx: CurveCtx, d: int) -> bool:
@@ -207,9 +215,9 @@ class SectionSlot:
     """A section of ``bundle`` as a coefficient vector of length h0.
 
     ``h0_override`` supplies the dimension when h0 cannot be derived
-    from the degree (see RequiresExplicitH0).  The zero section is the
-    all-zero vector; an empty vector is the only section of a bundle
-    with no sections.
+    from the degree (see RequiresExplicitH0); where it can, an override
+    must equal it.  The zero section is the all-zero vector; an empty
+    vector is the only section of a bundle with no sections.
     """
 
     bundle: LineBundleClass
@@ -227,9 +235,15 @@ class SectionSlot:
         return all(c.is_zero for c in self.coeffs)
 
     def dimension(self, ctx: CurveCtx) -> int:
-        if self.h0_override is not None:
-            return self.h0_override
-        return h0(ctx, self.bundle)
+        """h0 where the degree determines it, else the override; an
+        override that contradicts a determined h0 is an error."""
+        if self.h0_override is None:
+            return h0(ctx, self.bundle)
+        dim = _determined_h0(ctx, self.bundle)
+        if dim is not None and dim != self.h0_override:
+            raise ValueError("h0_override %d of %r contradicts its h0 = %d"
+                             % (self.h0_override, self.bundle, dim))
+        return self.h0_override
 
     def validate(self, ctx: CurveCtx):
         dim = self.dimension(ctx)

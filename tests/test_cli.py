@@ -13,7 +13,7 @@ import sp4higgs as sh
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
 
-from builders import diagonal_shape, max_sl2, torsion_split
+from builders import diagonal_shape, max_sl2, sl2_of_degree, torsion_split
 
 CTX3 = sh.CurveCtx(3)
 
@@ -196,6 +196,52 @@ def test_verify_negative_control(monkeypatch, capsys):
     payload = json.loads(out)
     assert not payload["ok"]
     assert any(not c["pass"] for c in payload["checks"])
+
+
+def _failed_checks(capsys, scope):
+    code, out = run_cli(capsys, "verify", "--scope", scope)
+    return code, [c["id"] for c in json.loads(out)["checks"] if not c["pass"]]
+
+
+def test_matalg_suite_negative_control(monkeypatch, capsys):
+    # H_PERM = I swaps no tensor factors and maps J12 to itself
+    from sp4higgs import matalg
+    monkeypatch.setattr(matalg, "H_PERM", matalg.I4)
+    assert _failed_checks(capsys, "matalg") == (
+        1, ["kron-swap-conjugation", "h-intertwines-forms"])
+
+
+def test_rho13_star_negative_control(monkeypatch, capsys):
+    # the bump vanishes at p = 0 and p = 1, so it agrees with the closed
+    # form on e, f and h0: only the seeded traceless directions catch it
+    from sp4higgs import liegroup, matalg
+    closed = liegroup.rho13_star
+
+    def bumped(x):
+        p = x.rows[0][0]
+        return closed(x) + matalg.SqMatrix.diag(3 * p * p - 3 * p, 0, 0, 0)
+
+    monkeypatch.setattr(liegroup, "rho13_star", bumped)
+    assert _failed_checks(capsys, "lie") == (1, ["rho13-star-derivative"])
+
+
+def test_override_contradicting_h0_exit_1(tmp_path, capsys):
+    # gamma lives in a bundle of degree -2, so h0 = 0 and gamma = 0;
+    # claiming one section would make the deg L = g datum stable
+    doc = datum_to_json(CTX3, sl2_of_degree(CTX3, 3))
+    assert doc["gamma"]["coeffs"] == []
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "stability", "--in", str(path))
+    assert (code, json.loads(out)["verdict"]) == (0, "Unstable")
+    doc["gamma"]["coeffs"] = [["1/1"] + ["0/1"] * 7]
+    doc["gamma"]["h0_override"] = 1
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "stability", "--in", str(path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "ValueError"
+    assert "h0_override 1" in payload["clause"] and "h0 = 0" in payload["clause"]
 
 
 def test_output_is_deterministic(tmp_path, capsys):

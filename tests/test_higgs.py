@@ -98,6 +98,37 @@ def test_section_slot_rejects_negative_h0_override():
     assert SectionSlot.zero(CTX3, k, h0_override=0).coeffs == ()
 
 
+def test_h0_override_must_agree_with_a_determined_h0():
+    k = LineBundleClass.canonical(CTX3)
+    negative = LineBundleClass(Fraction(1), -6, CTX3.zero_torsion())  # deg -2
+    large = k.power(2)  # deg 8 > 2g - 2: h0 = 6
+    for bundle, override, dim in ((negative, 1, 0), (k, 2, 3), (large, 5, 6)):
+        slot = SectionSlot(bundle, (1,) * override, h0_override=override)
+        with pytest.raises(ValueError,
+                           match=r"h0_override %d .* h0 = %d" % (override, dim)):
+            slot.validate(CTX3)
+        agreeing = SectionSlot(bundle, (0,) * dim, h0_override=dim)
+        assert agreeing.dimension(CTX3) == dim
+        agreeing.validate(CTX3)
+    # where the degree leaves h0 open the override stays required and trusted
+    half = LineBundleClass.half_canonical(CTX3)
+    assert SectionSlot(half, (), h0_override=0).dimension(CTX3) == 0
+    assert SectionSlot(half, (1, 0), h0_override=2).dimension(CTX3) == 2
+    with pytest.raises(RequiresExplicitH0):
+        SectionSlot(half, (1,)).dimension(CTX3)
+
+
+def test_contradicting_override_cannot_flip_stability():
+    # deg L = g, so the rank-1 datum is stable only if gamma != 0, but
+    # gamma lives in a bundle of degree -2 and has no sections
+    datum = sl2_of_degree(CTX3, 3)
+    assert stability_report(CTX3, datum).verdict is Stability.UNSTABLE
+    gamma = SectionSlot(datum.gamma.bundle, (1,), h0_override=1)
+    forged = sh.SL2RDatum(datum.L, datum.beta, gamma)
+    with pytest.raises(ValueError, match="h0_override 1 .* h0 = 0"):
+        stability_report(CTX3, forged)
+
+
 # -- Milnor-Wood ------------------------------------------------------------------
 
 
