@@ -158,6 +158,77 @@ def test_phi_is_symplectic():
         assert is_symplectic(phi(rand_sl2(rng)), J13)
 
 
+# the definitions phi and phi_star are checked against, written out as
+# the HT conjugations of rho13 and rho13_star
+
+
+def _phi_ref(a):
+    return HT * rho13(a) * HT_INV
+
+
+def _phi_star_ref(x):
+    return HT * rho13_star(x) * HT_INV
+
+
+def _sparse_sl2(rng):
+    # rational det-1 matrices with one of b, c often zero
+    a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * rng.randint(0, 1)
+            for _ in range(2))
+    return sl2(a, b, c, (1 + b * c) / a)
+
+
+def _dense_sl2(rng):
+    a, b, c = dense_elem(rng), dense_elem(rng), dense_elem(rng)
+    return sl2(a, b, c, (1 + b * c) / a)
+
+
+def test_phi_matches_ht_conjugation_sparse():
+    rng = random.Random(20261101)
+    for _ in range(30):
+        a = _sparse_sl2(rng)
+        assert phi(a) == _phi_ref(a)
+
+
+def test_phi_matches_ht_conjugation_dense():
+    rng = random.Random(20261102)
+    for _ in range(30):
+        a = _dense_sl2(rng)
+        assert phi(a) == _phi_ref(a)
+
+
+def test_phi_matches_ht_conjugation_dense_torus():
+    rng = random.Random(20261103)
+    for _ in range(30):
+        a = gl1_torus(dense_elem(rng))
+        assert phi(a) == _phi_ref(a)
+
+
+def test_phi_star_matches_ht_conjugation_dense():
+    rng = random.Random(20261104)
+    for _ in range(30):
+        p, q, r = dense_elem(rng), dense_elem(rng), dense_elem(rng)
+        x = SqMatrix([[p, q], [r, -p]])
+        assert phi_star(x) == _phi_star_ref(x)
+
+
+def _error_clause(f, m):
+    with pytest.raises(ValueError) as info:
+        f(m)
+    return str(info.value)
+
+
+def test_phi_error_clauses():
+    assert _error_clause(phi, SqMatrix.diag(2, 1)) == "determinant is FieldElem(2)"
+    assert _error_clause(phi, SWAP) == "determinant is FieldElem(-1)"
+    assert _error_clause(phi, I4) == "expected a 2x2 matrix"
+
+
+def test_phi_star_error_clauses():
+    assert _error_clause(phi_star, I2) == "input must be traceless"
+    assert _error_clause(phi_star, I4) == "expected a 2x2 matrix"
+
+
 # -- differentials ------------------------------------------------------------
 
 
