@@ -4,10 +4,22 @@ Implements the irreducible four-dimensional representation of the
 2x2 special linear group in both the symmetric-power basis (``rho1``,
 form ``J0``) and the ``J13`` basis (``rho13``), the product and diagonal
 embeddings (``rho_p``, ``rho_delta``), the fully diagonalized embedding
-``phi`` obtained by conjugating through ``HTILDE * T4``, and the exact
-differential ``rho13_star`` / ``phi_star``, read off in closed form from
-the linear part of rho13's cubic entry polynomials -- no numerical
+``phi`` obtained by conjugating through ``HT = HTILDE * T4``, and the
+exact differential ``rho13_star`` / ``phi_star``, read off in closed form
+from the linear part of rho13's cubic entry polynomials -- no numerical
 limits anywhere.
+
+``phi`` and ``phi_star`` never multiply by ``HT``: it factors through the
+Cayley matrix T2 = [[1, i], [1, -i]] as
+
+    HT H_SYM3^-1 = sqrt6 (1 + i) F rho1(T2 / (1 - i)),
+
+with F the rational monomial matrix F[0][0] = 1, F[1][3] = 1/2,
+F[2][2] = 1/6, F[3][1] = 1.  Since rho13 = H_SYM3^-1 rho1 H_SYM3, this
+gives phi(A) = F rho1(T2 A T2^-1) F^-1 and
+phi_star(x) = F rho1_star(T2 x T2^-1) F^-1: a 2x2 conjugation by sums
+and multiples of i, the rho1 grid, and a reweighted permutation of its
+entries.  The verification suite checks the factorization.
 
 Conventions are frozen once: the complexified symplectic algebra is
 tested against the form ``J13`` in every frame along the conjugation
@@ -24,7 +36,8 @@ from typing import Optional, Tuple
 
 from .numfield import FieldElem, I_UNIT, ONE, SQRT3, ZERO, fe
 from .matalg import (
-    HTILDE, I2, J0, J13, T4, SqMatrix, is_symplectic, kron,
+    HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
+    _monomial_conjugate, is_symplectic, kron,
 )
 
 __all__ = [
@@ -48,7 +61,7 @@ __all__ = [
     "m_delta_membership",
     "m_delta_element",
     "normalizer_witness_check",
-    "HT", "HT_INV", "SWAP",
+    "HT", "HT_INV", "T2_DET1", "SWAP",
     "GOLDEN_E_MINUS_F", "GOLDEN_E_PLUS_F", "GOLDEN_H0",
 ]
 
@@ -63,6 +76,13 @@ class SingularNormalization(ValueError):
 
 HT = HTILDE * T4
 HT_INV = HT.inv()
+
+# The Cayley frame of HT (module docstring): T2 scaled to determinant 1,
+# and F as the permutation and weights of its entries,
+# F[i][_FRAME_PERM[i]] = _FRAME_WEIGHTS[i] / _FRAME_WEIGHTS[0].
+T2_DET1 = T2.scale((ONE - I_UNIT).inv())
+_FRAME_PERM = (0, 3, 2, 1)
+_FRAME_WEIGHTS = (6, 3, 1, 6)
 
 SWAP = SqMatrix([[0, 1], [1, 0]])  # determinant -1
 
@@ -155,10 +175,14 @@ def rho_delta(a: SqMatrix) -> SqMatrix:
 def phi(a: SqMatrix) -> SqMatrix:
     """The fully diagonalized irreducible embedding.
 
-    phi(A) = (HTILDE T4) rho13(A) (HTILDE T4)^-1.  On the torus of
-    gl1_torus elements it is exactly diag(l^3, l^-1, l^-3, l).
+    phi(A) = HT rho13(A) HT^-1 with HT = HTILDE T4, computed in the
+    Cayley frame as F rho1(T2 A T2^-1) F^-1 (module docstring).  On the
+    torus of gl1_torus elements it is exactly diag(l^3, l^-1, l^-3, l).
     """
-    return HT * rho13(a) * HT_INV
+    _check_det(a, allow_minus=False)
+    (p, q), (r, s) = _cayley_conjugate(a).rows
+    return _monomial_conjugate(SqMatrix(_rho1_grid(p, q, r, s, fe(2), fe(3))),
+                               _FRAME_PERM, _FRAME_WEIGHTS)
 
 
 def gl1_torus(lam) -> SqMatrix:
@@ -211,8 +235,27 @@ def rho13_star(x: SqMatrix) -> SqMatrix:
 
 
 def phi_star(x: SqMatrix) -> SqMatrix:
-    """Differential of phi: the (HTILDE T4)-conjugate of rho13_star."""
-    return HT * rho13_star(x) * HT_INV
+    """Differential of phi: phi_star(x) = HT rho13_star(x) HT^-1.
+
+    Computed in the Cayley frame as F rho1_star(T2 x T2^-1) F^-1, where
+    rho1_star, the differential of rho1, is
+
+        rho1_star([[p, q], [r, -p]]) = [[3p, 3q, 0,   0 ],
+                                        [r,  p,  0,   2q],
+                                        [0,  0,  -3p, 3r],
+                                        [0,  2r, q,   -p]].
+    """
+    if x.dim != 2:
+        raise ValueError("expected a 2x2 matrix")
+    if not x.trace().is_zero:
+        raise ValueError("input must be traceless")
+    (p, q), (r, _) = _cayley_conjugate(x).rows
+    z = ZERO
+    return _monomial_conjugate(SqMatrix((
+        (3 * p, 3 * q, z, z),
+        (r, p, z, 2 * q),
+        (z, z, -3 * p, 3 * r),
+        (z, 2 * r, q, -p))), _FRAME_PERM, _FRAME_WEIGHTS)
 
 
 # Frozen outputs of phi_star on the standard traceless generators

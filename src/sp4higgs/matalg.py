@@ -20,8 +20,9 @@ used throughout the symplectic rank-2 analysis:
 * ``H_SYM3``, the symmetrizer with 1/sqrt3 entries relating J0 to J13
   (a different matrix from H_PERM, despite both being called "h" in
   informal usage -- they are kept under distinct names on purpose);
-* ``T4``, the complex change of frame to coordinates where the maximal
-  compact acts block-diagonally;
+* ``T2``, the Cayley matrix [[1, i], [1, -i]], and ``T4`` = T2 (x) I,
+  the complex change of frame to coordinates where the maximal compact
+  acts block-diagonally;
 * ``HTILDE``, the radical-entry matrix that diagonalizes the compact
   torus of the irreducible embedding.
 """
@@ -48,7 +49,7 @@ __all__ = [
     "exp_nilpotent",
     "kron_identities_check",
     "J2", "I2", "I4", "J13", "J12", "J0",
-    "H_PERM", "H_SYM3", "H_SYM3_INV", "T4", "HTILDE",
+    "H_PERM", "H_SYM3", "H_SYM3_INV", "T2", "T4", "HTILDE",
 ]
 
 
@@ -324,6 +325,41 @@ def _minor(xs: list, ys: list, n: int, rows: tuple, cols: tuple, memo: dict):
     return out
 
 
+def _cayley_conjugate(m: SqMatrix) -> SqMatrix:
+    """T2 m T2^-1 for a 2x2 m = [[a, b], [c, d]]: with s = a + d,
+    t = a - d, u = c - b and v = b + c it is
+
+        [[s + iu, t + iv], [t - iv, s - iu]] / 2,
+
+    so only sums and multiples of i of the ints, and one gcd."""
+    n = m._n
+    a, b, c, d = n[:8], n[8:16], n[16:24], n[24:]
+    s, t = list(map(add, a, d)), list(map(sub, a, d))
+    u, v = list(map(sub, c, b)), list(map(add, b, c))
+    # i times the 8 coordinates (re, im) is (-im, re)
+    iu = [-x for x in u[4:]] + u[:4]
+    iv = [-x for x in v[4:]] + v[:4]
+    return _reduced(2, [*map(add, s, iu), *map(add, t, iv),
+                        *map(sub, t, iv), *map(sub, s, iu)], 2 * m._d)
+
+
+def _monomial_conjugate(m: SqMatrix, perm: tuple, weights: tuple) -> SqMatrix:
+    """F m F^-1 for the monomial matrix F with F[i][perm[i]] = c weights[i]
+    (positive ints, any nonzero c): entry (i, j) is
+    (weights[i] / weights[j]) m[perm[i]][perm[j]].  One pass over the
+    ints, over the lcm of the weights, and one gcd."""
+    n, ints = m._dim, m._n
+    big = lcm(*weights)
+    out = []
+    for i in range(n):
+        row = 8 * n * perm[i]
+        for j in range(n):
+            k = weights[i] * (big // weights[j])
+            o = row + 8 * perm[j]
+            out += [x * k for x in ints[o:o + 8]]
+    return _reduced(n, out, m._d * big)
+
+
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     """Kronecker product of two 2x2 matrices: block entries a[i][j] * b."""
     if a.dim != 2 or b.dim != 2:
@@ -348,7 +384,7 @@ def conjugate(m: SqMatrix, p: SqMatrix) -> SqMatrix:
 
 def is_symplectic(g: SqMatrix, j: SqMatrix) -> bool:
     """Exact test of g^t j g == j for an invertible antisymmetric form j."""
-    if (j + j.T) != SqMatrix.zeros(j.dim):
+    if not (j + j.T).is_zero:
         raise ValueError("form must be antisymmetric")
     return g.T * j * g == j
 
@@ -440,7 +476,10 @@ H_SYM3_INV = SqMatrix([
     [ZERO, ZERO, ONE, ZERO],
     [ZERO, SQRT3, ZERO, ZERO]])
 
-# Complex change of frame [[I, iI], [I, -iI]].
+# The Cayley matrix [[1, i], [1, -i]], determinant -2i.
+T2 = SqMatrix([[ONE, I_UNIT], [ONE, -I_UNIT]])
+
+# Complex change of frame [[I, iI], [I, -iI]] = T2 (x) I.
 T4 = SqMatrix([
     [ONE, ZERO, I_UNIT, ZERO],
     [ZERO, ONE, ZERO, I_UNIT],

@@ -225,6 +225,16 @@ def test_rho13_star_negative_control(monkeypatch, capsys):
     assert _failed_checks(capsys, "lie") == (1, ["rho13-star-derivative"])
 
 
+def test_cayley_frame_negative_control(monkeypatch, capsys):
+    # swapping the weights of F[1][3] and F[2][2] leaves phi diagonal on
+    # the torus and on e - f: only the frame identity and the two
+    # non-diagonal golden matrices catch it
+    from sp4higgs import liegroup
+    monkeypatch.setattr(liegroup, "_FRAME_WEIGHTS", (6, 1, 3, 6))
+    assert _failed_checks(capsys, "lie") == (
+        1, ["ht-frame", "golden-e-plus-f", "golden-h0"])
+
+
 def test_override_contradicting_h0_exit_1(tmp_path, capsys):
     # gamma lives in a bundle of degree -2, so h0 = 0 and gamma = 0;
     # claiming one section would make the deg L = g datum stable

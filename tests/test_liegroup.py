@@ -10,13 +10,13 @@ from sp4higgs.liegroup import (
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
-    rho_delta, rho_p, s_conjugate, s_matrix, sl2, in_sp4c,
+    rho_delta, rho_p, s_conjugate, s_matrix, sl2, in_sp4c, T2_DET1,
 )
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
     SqMatrix, is_symplectic, kron,
 )
-from sp4higgs.numfield import I_UNIT, ONE, SQRT3, ZERO, fe
+from sp4higgs.numfield import I_UNIT, ONE, SQRT3, SQRT6, ZERO, fe
 
 from builders import dense_elem
 
@@ -467,6 +467,14 @@ def test_normalizer_witness():
 
 def test_ht_inverse_is_exact():
     assert HT * HT_INV == I4
+
+
+def test_ht_factors_through_the_cayley_frame():
+    frame = SqMatrix([[1, 0, 0, 0], [0, 0, 0, Fraction(1, 2)],
+                      [0, 0, Fraction(1, 6), 0], [0, 1, 0, 0]])
+    assert T2_DET1.det() == ONE
+    assert HT * H_SYM3_INV == (frame * rho1(T2_DET1)).scale(
+        SQRT6 * (ONE + I_UNIT))
 
 
 def test_conjugation_chain_stays_in_algebra():

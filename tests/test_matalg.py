@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from sp4higgs.matalg import (
-    H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T4,
-    SingularMatrix, SqMatrix, conjugate, exp_nilpotent, is_symplectic,
-    kron, kron_identities_check, preserves_symplectic_up_to_scalar,
+    H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T2, T4,
+    SingularMatrix, SqMatrix, _cayley_conjugate, _monomial_conjugate,
+    conjugate, exp_nilpotent, is_symplectic, kron, kron_identities_check,
+    preserves_symplectic_up_to_scalar,
 )
 from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
 from sp4higgs.numfield import I_UNIT, ONE, SQRT3, ZERO, fe
@@ -44,7 +45,7 @@ def test_kron_gives_both_forms():
 def test_is_symplectic_examples():
     assert is_symplectic(I4, J13)
     assert is_symplectic(SqMatrix.diag(2, 1, Fraction(1, 2), 1), J13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^form must be antisymmetric$"):
         is_symplectic(I4, I4)  # not antisymmetric
 
 
@@ -233,6 +234,35 @@ def test_operations_match_reference(n):
         for m in (a, b, a * b, a + b, a - b, -a, a.scale(c), a.T, a.inv(),
                   a - a, a.scale(0)):
             assert_canonical(m)
+
+
+def test_t4_is_t2_kron_identity():
+    assert kron(T2, I2) == T4
+    assert T2.det() == -2 * I_UNIT
+
+
+def test_cayley_conjugate_matches_products():
+    rng = random.Random(20261105)
+    t2_inv = T2.inv()
+    for a in [I2, J2, SqMatrix.zeros(2)] + [dense_matrix(rng, 2) for _ in range(25)]:
+        got = _cayley_conjugate(a)
+        assert got == T2 * a * t2_inv
+        assert_canonical(got)
+
+
+def test_monomial_conjugate_matches_products():
+    rng = random.Random(20261106)
+    for _ in range(25):
+        perm = tuple(rng.sample(range(4), 4))
+        weights = tuple(rng.randint(1, 12) for _ in range(4))
+        f = SqMatrix([[weights[i] if j == perm[i] else 0 for j in range(4)]
+                      for i in range(4)])
+        m = dense_matrix(rng, 4)
+        got = _monomial_conjugate(m, perm, weights)
+        assert got == f * m * f.inv()
+        assert_canonical(got)
+    assert _monomial_conjugate(I4, (3, 2, 1, 0), (1, 2, 3, 4)) == I4
+    assert_canonical(_monomial_conjugate(SqMatrix.zeros(4), (0, 1, 2, 3), (2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 4])
