@@ -106,6 +106,13 @@ def _check_det(a: SqMatrix, allow_minus: bool):
     raise ValueError("determinant is %r" % (d,))
 
 
+def _check_traceless(x: SqMatrix):
+    if x.dim != 2:
+        raise ValueError("expected a 2x2 matrix")
+    if not x.trace().is_zero:
+        raise ValueError("input must be traceless")
+
+
 def _rho1_grid(a, b, c, d, two, three):
     # Matrix of P(x, y) -> P(ax + cy, bx + dy) on cubics in the basis
     # {x^3, 3x^2y, y^3, 3xy^2}; entries are polynomials in a, b, c, d,
@@ -221,10 +228,7 @@ def rho13_star(x: SqMatrix) -> SqMatrix:
     The verification suite checks it against an exact central difference
     of the grid.
     """
-    if x.dim != 2:
-        raise ValueError("expected a 2x2 matrix")
-    if not x.trace().is_zero:
-        raise ValueError("input must be traceless")
+    _check_traceless(x)
     (p, q), (r, _) = x.rows
     s3q, s3r, z = SQRT3 * q, SQRT3 * r, ZERO
     return SqMatrix((
@@ -245,10 +249,7 @@ def phi_star(x: SqMatrix) -> SqMatrix:
                                         [0,  0,  -3p, 3r],
                                         [0,  2r, q,   -p]].
     """
-    if x.dim != 2:
-        raise ValueError("expected a 2x2 matrix")
-    if not x.trace().is_zero:
-        raise ValueError("input must be traceless")
+    _check_traceless(x)
     (p, q), (r, _) = _cayley_conjugate(x).rows
     z = ZERO
     return _monomial_conjugate(SqMatrix((
