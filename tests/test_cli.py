@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,14 @@ def test_verify_all(capsys):
     assert all(c["ref"] for rep in payload for c in rep["checks"])
 
 
+def test_verify_all_matches_golden(capsys):
+    # the frozen stdout of `verify --scope all`: every check id, ref,
+    # detail and count, byte for byte
+    golden = (Path(__file__).with_name("verify_golden.json")
+              .read_text(encoding="utf-8"))
+    assert run_cli(capsys, "verify", "--scope", "all") == (0, golden)
+
+
 def test_verify_lie_alias(capsys):
     code, out = run_cli(capsys, "verify-lie")
     assert code == 0
@@ -339,7 +348,6 @@ def test_unknown_scope_exit_2(capsys):
 
 def test_datum_files_validate_against_shipped_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
     schema_path = Path(__file__).resolve().parents[1] / "docs" / "datum-schema.json"
     schema = json.loads(schema_path.read_text())
     samples = [
