@@ -5,21 +5,31 @@ Implements the irreducible four-dimensional representation of the
 form ``J0``) and the ``J13`` basis (``rho13``), the product and diagonal
 embeddings (``rho_p``, ``rho_delta``), the fully diagonalized embedding
 ``phi`` obtained by conjugating through ``HT = HTILDE * T4``, and the
-exact differential ``rho13_star`` / ``phi_star``, read off in closed form
-from the linear part of rho13's cubic entry polynomials -- no numerical
-limits anywhere.
+exact differentials ``rho13_star`` / ``phi_star`` -- no numerical limits
+anywhere.
 
-``phi`` and ``phi_star`` never multiply by ``HT``: it factors through the
-Cayley matrix T2 = [[1, i], [1, -i]] as
+``rho1``, ``rho13`` and ``phi`` are one representation, on binary
+cubics, in three bases, so there is one grid of cubic entry polynomials
+(rho1's) and one closed-form differential (rho1_star, the linear part of
+that grid).  The other bases are monomial frames of it:
+
+    rho13(A) = H_SYM3^-1 rho1(A) H_SYM3,
+
+and, since HT factors through the Cayley matrix T2 = [[1, i], [1, -i]] as
 
     HT H_SYM3^-1 = sqrt6 (1 + i) F rho1(T2 / (1 - i)),
 
 with F the rational monomial matrix F[0][0] = 1, F[1][3] = 1/2,
-F[2][2] = 1/6, F[3][1] = 1.  Since rho13 = H_SYM3^-1 rho1 H_SYM3, this
-gives phi(A) = F rho1(T2 A T2^-1) F^-1 and
-phi_star(x) = F rho1_star(T2 x T2^-1) F^-1: a 2x2 conjugation by sums
-and multiples of i, the rho1 grid, and a reweighted permutation of its
-entries.  The verification suite checks the factorization.
+F[2][2] = 1/6, F[3][1] = 1,
+
+    phi(A) = F rho1(T2 A T2^-1) F^-1,
+    phi_star(x) = F rho1_star(T2 x T2^-1) F^-1.
+
+Conjugating by H_SYM3^-1 or F reweights and permutes entries (one pass
+over the ints, ``matalg._monomial_conjugate``), and T2 A T2^-1 takes
+only sums and multiples of i, so no 4x4 product is made.  The
+verification suite checks the factorization, and checks rho13 and its
+differential against generic products with H_SYM3.
 
 Conventions are frozen once: the complexified symplectic algebra is
 tested against the form ``J13`` in every frame along the conjugation
@@ -34,10 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .numfield import FieldElem, I_UNIT, ONE, SQRT3, ZERO, fe
+from .numfield import FieldElem, I_UNIT, ONE, ZERO, fe
 from .matalg import (
-    HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
-    _monomial_conjugate, is_symplectic, kron,
+    H_SYM3_INV, HTILDE, I2, I4, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
+    _monomial_conjugate, _monomial_frame, is_symplectic, kron,
 )
 
 __all__ = [
@@ -78,11 +88,15 @@ HT = HTILDE * T4
 HT_INV = HT.inv()
 
 # The Cayley frame of HT (module docstring): T2 scaled to determinant 1,
-# and F as the permutation and weights of its entries,
-# F[i][_FRAME_PERM[i]] = _FRAME_WEIGHTS[i] / _FRAME_WEIGHTS[0].
+# and the monomial F.  rho13 is rho1 in the frame of H_SYM3^-1, phi in
+# that of F.
 T2_DET1 = T2.scale((ONE - I_UNIT).inv())
-_FRAME_PERM = (0, 3, 2, 1)
-_FRAME_WEIGHTS = (6, 3, 1, 6)
+_F_FRAME = _monomial_frame(SqMatrix([
+    [1, 0, 0, 0],
+    [0, 0, 0, Fraction(1, 2)],
+    [0, 0, Fraction(1, 6), 0],
+    [0, 1, 0, 0]]))
+_J13_FRAME = _monomial_frame(H_SYM3_INV)
 
 SWAP = SqMatrix([[0, 1], [1, 0]])  # determinant -1
 
@@ -127,16 +141,22 @@ def _rho1_grid(a, b, c, d, two, three):
     )
 
 
-def _rho13_grid(a, b, c, d, two, three, s3):
-    # rho1's grid moved to the J13 frame, with the same shared quadratic
-    # monomials: 38 ring multiplies.
-    aa, bb, cc, dd, ab, cd = a * a, b * b, c * c, d * d, a * b, c * d
-    return (
-        (a * aa, s3 * (ab * b), b * bb, s3 * (aa * b)),
-        (s3 * (a * cc), a * dd + two * (b * cd), s3 * (b * dd), b * cc + two * (a * cd)),
-        (c * cc, s3 * (c * dd), d * dd, s3 * (cc * d)),
-        (s3 * (aa * c), bb * c + two * (ab * d), s3 * (bb * d), aa * d + two * (ab * c)),
-    )
+def _rho1_raw(a: SqMatrix) -> SqMatrix:
+    # the rho1 grid at a, with no determinant check
+    (p, q), (r, s) = a.rows
+    return SqMatrix(_rho1_grid(p, q, r, s, fe(2), fe(3)))
+
+
+def _rho1_star(x: SqMatrix) -> SqMatrix:
+    # The differential of rho1 at I: the coefficient of t in the grid at
+    # I + t x, for a traceless x = [[p, q], [r, -p]].
+    (p, q), (r, _) = x.rows
+    z = ZERO
+    return SqMatrix((
+        (3 * p, 3 * q, z, z),
+        (r, p, z, 2 * q),
+        (z, z, -3 * p, 3 * r),
+        (z, 2 * r, q, -p)))
 
 
 def rho1(a: SqMatrix) -> SqMatrix:
@@ -146,16 +166,15 @@ def rho1(a: SqMatrix) -> SqMatrix:
     g^t J0 g = J0.
     """
     _check_det(a, allow_minus=True)
-    (p, q), (r, s) = a.rows
-    return SqMatrix(_rho1_grid(p, q, r, s, fe(2), fe(3)))
+    return _rho1_raw(a)
 
 
 def rho13(a: SqMatrix) -> SqMatrix:
-    """Irreducible embedding in the J13 basis; equals the H_SYM3
-    conjugate of rho1 and lands in the J13 symplectic group."""
+    """Irreducible embedding in the J13 basis: H_SYM3^-1 rho1(A) H_SYM3,
+    the rho1 grid in the monomial frame of H_SYM3^-1; lands in the J13
+    symplectic group."""
     _check_det(a, allow_minus=False)
-    (p, q), (r, s) = a.rows
-    return SqMatrix(_rho13_grid(p, q, r, s, fe(2), fe(3), SQRT3))
+    return _monomial_conjugate(_rho1_raw(a), _J13_FRAME)
 
 
 def rho_p(a: SqMatrix, b: SqMatrix) -> SqMatrix:
@@ -187,9 +206,7 @@ def phi(a: SqMatrix) -> SqMatrix:
     torus of gl1_torus elements it is exactly diag(l^3, l^-1, l^-3, l).
     """
     _check_det(a, allow_minus=False)
-    (p, q), (r, s) = _cayley_conjugate(a).rows
-    return _monomial_conjugate(SqMatrix(_rho1_grid(p, q, r, s, fe(2), fe(3))),
-                               _FRAME_PERM, _FRAME_WEIGHTS)
+    return _monomial_conjugate(_rho1_raw(_cayley_conjugate(a)), _F_FRAME)
 
 
 def gl1_torus(lam) -> SqMatrix:
@@ -223,19 +240,13 @@ def rho13_star(x: SqMatrix) -> SqMatrix:
         [[3p,       0,        0,        sqrt3 q],
          [0,        -p,       sqrt3 q,  2r     ],
          [0,        sqrt3 r,  -3p,      0      ],
-         [sqrt3 r,  2q,       0,        p      ]].
+         [sqrt3 r,  2q,       0,        p      ]],
 
-    The verification suite checks it against an exact central difference
-    of the grid.
+    computed as H_SYM3^-1 rho1_star(x) H_SYM3.  The verification suite
+    checks it against an exact central difference of the grid.
     """
     _check_traceless(x)
-    (p, q), (r, _) = x.rows
-    s3q, s3r, z = SQRT3 * q, SQRT3 * r, ZERO
-    return SqMatrix((
-        (3 * p, z, z, s3q),
-        (z, -p, s3q, 2 * r),
-        (z, s3r, -3 * p, z),
-        (s3r, 2 * q, z, p)))
+    return _monomial_conjugate(_rho1_star(x), _J13_FRAME)
 
 
 def phi_star(x: SqMatrix) -> SqMatrix:
@@ -250,13 +261,7 @@ def phi_star(x: SqMatrix) -> SqMatrix:
                                         [0,  2r, q,   -p]].
     """
     _check_traceless(x)
-    (p, q), (r, _) = _cayley_conjugate(x).rows
-    z = ZERO
-    return _monomial_conjugate(SqMatrix((
-        (3 * p, 3 * q, z, z),
-        (r, p, z, 2 * q),
-        (z, z, -3 * p, 3 * r),
-        (z, 2 * r, q, -p))), _FRAME_PERM, _FRAME_WEIGHTS)
+    return _monomial_conjugate(_rho1_star(_cayley_conjugate(x)), _F_FRAME)
 
 
 # Frozen outputs of phi_star on the standard traceless generators
@@ -308,10 +313,9 @@ def s_conjugate(beta, gamma) -> SqMatrix:
                  [0, 1,  0,         0      ],
                  [1, 0,  0,         0      ]].
     """
-    beta, gamma = fe(beta), fe(gamma)
-    # S is unipotent in r = 2 beta / gamma, and r -> -r inverts it
-    return (s_matrix(beta, gamma) * m_field_matrix(beta, gamma)
-            * s_matrix(-beta, gamma))
+    s = s_matrix(beta, gamma)
+    # S = I + N with N^2 = 0, so S^-1 = I - N = 2I - S: one field inverse
+    return s * m_field_matrix(beta, gamma) * (2 * I4 - s)
 
 
 # -- Cartan decomposition in the post-T4 frame --------------------------------
@@ -367,12 +371,8 @@ def cartan_split(x: SqMatrix) -> CartanSplit:
 
 
 def _from_blocks(b00, b01, b10, b11) -> SqMatrix:
-    rows = []
-    for r in range(2):
-        rows.append(tuple(b00[r]) + tuple(b01[r]))
-    for r in range(2):
-        rows.append(tuple(b10[r]) + tuple(b11[r]))
-    return SqMatrix(tuple(rows))
+    return SqMatrix([b00[r] + b01[r] for r in range(2)]
+                    + [b10[r] + b11[r] for r in range(2)])
 
 
 def m_delta_membership(x: SqMatrix) -> Optional[Tuple[FieldElem, FieldElem]]:

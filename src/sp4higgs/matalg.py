@@ -32,10 +32,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .numfield import (
-    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _canonical, _mul_into, _nonzero,
+    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _canonical, _mul_into, _nonzero,
     embed_u_v, fe,
 )
 
@@ -130,6 +130,8 @@ class SqMatrix:
         """2x2 block (i, j) of a 4x4 matrix, blocks indexed 0/1."""
         if self._dim != 4:
             raise ValueError("block extraction needs a 4x4 matrix")
+        if i not in (0, 1) or j not in (0, 1):
+            raise IndexError("block index (%r, %r) is outside {0, 1}" % (i, j))
         o = 64 * i + 16 * j
         ints = self._n
         return _reduced(2, ints[o:o + 16] + ints[o + 32:o + 48], self._d)
@@ -343,21 +345,48 @@ def _cayley_conjugate(m: SqMatrix) -> SqMatrix:
                         *map(sub, t, iv), *map(sub, s, iu)], 2 * m._d)
 
 
-def _monomial_conjugate(m: SqMatrix, perm: tuple, weights: tuple) -> SqMatrix:
-    """F m F^-1 for the monomial matrix F with F[i][perm[i]] = c weights[i]
-    (positive ints, any nonzero c): entry (i, j) is
-    (weights[i] / weights[j]) m[perm[i]][perm[j]].  One pass over the
-    ints, over the lcm of the weights, and one gcd."""
-    n, ints = m._dim, m._n
-    big = lcm(*weights)
-    out = []
-    for i in range(n):
-        row = 8 * n * perm[i]
-        for j in range(n):
-            k = weights[i] * (big // weights[j])
-            o = row + 8 * perm[j]
-            out += [x * k for x in ints[o:o + 8]]
-    return _reduced(n, out, m._d * big)
+class _MonomialFrame(NamedTuple):
+    """Conjugation by a monomial ``matrix`` g, read once by
+    ``_monomial_frame``: integer k of the result's numerators is
+    m._n[table[k][0]] * table[k][1], over m._d * d."""
+
+    matrix: SqMatrix
+    table: tuple
+    d: int
+
+
+def _monomial_frame(g: SqMatrix) -> _MonomialFrame:
+    """The frame of a monomial g, with g[i][s(i)] = w_i its one nonzero
+    entry in row i and in column s(i).  Entry (i, j) of g m g^-1 is
+    (w_i / w_j) m[s(i)][s(j)]; each ratio must be q b_k, a rational q
+    times one basis element b_k of numfield, so that coordinate u of the
+    entry is c q times coordinate t = u xor k of m[s(i)][s(j)], where
+    b_t b_k = c b_u.  Raises ValueError for any other g."""
+    n, rows = g.dim, g.rows
+    cols = [[j for j, x in enumerate(row) if not x.is_zero] for row in rows]
+    if sorted(cols) != [[j] for j in range(n)]:
+        raise ValueError("frame must have one nonzero entry in each row and column")
+    s = [c[0] for c in cols]
+    w = [row[c] for row, c in zip(rows, s)]
+    w_inv = [x.inv() for x in w]
+    ratios = [w[i] * w_inv[j] for i in range(n) for j in range(n)]
+    if any(len(_nonzero(r._n)) != 1 for r in ratios):
+        raise ValueError("frame ratios must be rational multiples of one basis element")
+    d = lcm(*[r._d for r in ratios])
+    table = []
+    for o, r in enumerate(ratios):
+        (k, q), = _nonzero(r._n)
+        q, src = q * (d // r._d), 8 * (n * s[o // n] + s[o % n])
+        table += [(src + (u ^ k), _MUL[8 * (u ^ k) + k][1] * q) for u in range(8)]
+    return _MonomialFrame(g, tuple(table), d)
+
+
+def _monomial_conjugate(m: SqMatrix, frame: _MonomialFrame) -> SqMatrix:
+    """g m g^-1 for the monomial g of ``frame``: one pass over the ints
+    of m and one gcd."""
+    ints = m._n
+    return _reduced(m._dim, [ints[k] * c for k, c in frame.table],
+                    m._d * frame.d)
 
 
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:

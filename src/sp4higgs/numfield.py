@@ -237,9 +237,8 @@ class FieldElem:
     # -- comparisons, hashing, display ---------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = FieldElem.from_rational(other)
-        elif not isinstance(other, FieldElem):
+        other = _operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._n == other._n and self._d == other._d
 
@@ -358,11 +357,10 @@ def _operand(x):
 
 def fe(x: Scalar) -> FieldElem:
     """Coerce an int, Fraction or FieldElem to a FieldElem."""
-    if isinstance(x, FieldElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElem.from_rational(x)
-    raise TypeError("cannot coerce %r to FieldElem" % (x,))
+    y = _operand(x)
+    if y is NotImplemented:
+        raise TypeError("cannot coerce %r to FieldElem" % (x,))
+    return y
 
 
 ZERO = FieldElem.from_rational(0)

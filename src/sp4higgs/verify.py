@@ -15,7 +15,7 @@ from typing import Callable, Dict, List
 
 from . import liegroup, matalg
 from .matalg import SqMatrix, kron, is_symplectic
-from .numfield import I_UNIT, ONE, SQRT3, SQRT6, fe
+from .numfield import I_UNIT, ONE, SQRT6, fe
 
 __all__ = ["Check", "Report", "run_suite", "SUITES"]
 
@@ -70,19 +70,13 @@ def _fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction
 
 def _rho13_derivative(x: SqMatrix) -> SqMatrix:
     # rho13's entries are cubic in t along t -> I + t x, so this central
-    # difference of the entry polynomials is their exact derivative at 0
+    # difference of the entry polynomials is their exact derivative at 0;
+    # the J13 frame is taken by generic products, not by liegroup's kernel
     def p(t):
-        (a, b), (c, d) = (matalg.I2 + x.scale(t)).rows
-        return SqMatrix(liegroup._rho13_grid(a, b, c, d, fe(2), fe(3), SQRT3))
+        grid = liegroup._rho1_raw(matalg.I2 + x.scale(t))
+        return matalg.H_SYM3_INV * grid * matalg.H_SYM3
 
     return ((p(1) - p(-1)).scale(8) - (p(2) - p(-2))).scale(Fraction(1, 12))
-
-
-def _cayley_frame() -> List[List[Fraction]]:
-    # the rows of F, read from liegroup's frame: F[i][perm[i]] = w[i] / w[0]
-    perm, w = liegroup._FRAME_PERM, liegroup._FRAME_WEIGHTS
-    return [[Fraction(w[i], w[0]) if j == perm[i] else Fraction(0)
-             for j in range(4)] for i in range(4)]
 
 
 def _s_closed_form(beta: Fraction, gamma: Fraction) -> SqMatrix:
@@ -112,7 +106,7 @@ def _lie_checks() -> List[Check]:
     f = SqMatrix([[0, 0], [1, 0]])
     h0 = SqMatrix([[1, 0], [0, -1]])
     nrep = liegroup.normalizer_witness_check()
-    frame = _cayley_frame()
+    frame = liegroup._F_FRAME.matrix
     return [
         Check("rho13-symplectic", "rho13(A)^t J13 rho13(A) = J13",
               all(is_symplectic(liegroup.rho13(a), matalg.J13) for a in samples),
@@ -128,12 +122,12 @@ def _lie_checks() -> List[Check]:
               "HT H_SYM3^-1 = sqrt6 (1 + i) F rho1(T2 / (1 - i)) "
               "and HT HT^-1 = I",
               liegroup.HT * matalg.H_SYM3_INV
-              == (SqMatrix(frame) * liegroup.rho1(liegroup.T2_DET1)).scale(
+              == (frame * liegroup.rho1(liegroup.T2_DET1)).scale(
                   SQRT6 * (1 + I_UNIT))
               and liegroup.HT * liegroup.HT_INV == matalg.I4,
-              ", ".join("F[%d][%d] = %s" % (i, j, x)
-                        for i, row in enumerate(frame)
-                        for j, x in enumerate(row) if x)),
+              ", ".join("F[%d][%d] = %s" % (i, j, x.coeffs[0])
+                        for i, row in enumerate(frame.rows)
+                        for j, x in enumerate(row) if not x.is_zero)),
         Check("golden-e-minus-f", "phi_star(e-f) = i diag(-3, 1, 3, -1)",
               liegroup.phi_star(e - f) == liegroup.GOLDEN_E_MINUS_F),
         Check("golden-e-plus-f", "phi_star(e+f) matches the frozen matrix",

@@ -239,9 +239,24 @@ def test_cayley_frame_negative_control(monkeypatch, capsys):
     # the torus and on e - f: only the frame identity and the two
     # non-diagonal golden matrices catch it
     from sp4higgs import liegroup
-    monkeypatch.setattr(liegroup, "_FRAME_WEIGHTS", (6, 1, 3, 6))
+    monkeypatch.setattr(liegroup, "_F_FRAME", liegroup._monomial_frame(
+        liegroup.SqMatrix([[1, 0, 0, 0], [0, 0, 0, Fraction(1, 6)],
+                           [0, 0, Fraction(1, 2), 0], [0, 1, 0, 0]])))
     assert _failed_checks(capsys, "lie") == (
         1, ["ht-frame", "golden-e-plus-f", "golden-h0"])
+
+
+def test_j13_frame_negative_control(monkeypatch, capsys):
+    # sqrt3 on rows 0 and 2 makes the frame sqrt3 times a permutation:
+    # rho13 stays a homomorphism but leaves the J13 group, and rho13_star
+    # leaves the derivative, which takes the frame by generic products
+    from sp4higgs import liegroup, matalg
+    s3 = matalg.SQRT3
+    monkeypatch.setattr(liegroup, "_J13_FRAME", matalg._monomial_frame(
+        matalg.SqMatrix([[s3, 0, 0, 0], [0, 0, 0, s3],
+                         [0, 0, s3, 0], [0, s3, 0, 0]])))
+    assert _failed_checks(capsys, "lie") == (
+        1, ["rho13-symplectic", "rho13-via-h", "rho13-star-derivative"])
 
 
 def test_override_contradicting_h0_exit_1(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sp4higgs.liegroup import (
-    _rho1_grid, _rho13_grid, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
+    _J13_FRAME, _rho1_grid, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
@@ -14,7 +14,7 @@ from sp4higgs.liegroup import (
 )
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
-    SqMatrix, is_symplectic, kron,
+    SqMatrix, _monomial_conjugate, is_symplectic, kron,
 )
 from sp4higgs.numfield import I_UNIT, ONE, SQRT3, SQRT6, ZERO, fe
 
@@ -264,10 +264,8 @@ def test_rho13_star_rejects_non_traceless():
 
 def _rho13_raw(m):
     # evaluate the rho13 entry polynomials without the determinant check
-    from sp4higgs.liegroup import _rho13_grid
-    from sp4higgs.numfield import SQRT3
     (a, b), (c, d) = m.rows
-    return SqMatrix(_rho13_grid(a, b, c, d, fe(2), fe(3), SQRT3))
+    return SqMatrix(_rho13_grid_ref(a, b, c, d, fe(2), fe(3), SQRT3))
 
 
 def test_differential_matches_exact_finite_difference():
@@ -343,8 +341,9 @@ def test_shared_monomial_grids_match_reference():
     for a, b, c, d in _dense_quads(rng):
         assert _rho1_grid(a, b, c, d, two, three) == _rho1_grid_ref(
             a, b, c, d, two, three)
-        assert _rho13_grid(a, b, c, d, two, three, SQRT3) == _rho13_grid_ref(
-            a, b, c, d, two, three, SQRT3)
+        assert _monomial_conjugate(
+            SqMatrix(_rho1_grid(a, b, c, d, two, three)), _J13_FRAME
+        ) == SqMatrix(_rho13_grid_ref(a, b, c, d, two, three, SQRT3))
 
 
 def test_rho13_star_matches_dual_number_evaluation():
@@ -385,13 +384,14 @@ def test_s_conjugate_gamma_zero_raises():
 
 
 def test_s_matrix_inverse_is_negated_ratio():
-    # s_conjugate relies on r -> -r inverting the unipotent S
+    # S = I + N with N^2 = 0: r -> -r inverts it, and so does 2I - S,
+    # which s_conjugate relies on
     rng = random.Random(20261018)
     for _ in range(10):
         beta, gamma = dense_elem(rng), dense_elem(rng)
         s = s_matrix(beta, gamma)
         assert s * s_matrix(-beta, gamma) == I4
-        assert s_matrix(-beta, gamma) == s.inv()
+        assert s_matrix(-beta, gamma) == s.inv() == 2 * I4 - s
 
 
 # -- Cartan split ---------------------------------------------------------------

@@ -11,11 +11,12 @@ import pytest
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T2, T4,
     SingularMatrix, SqMatrix, _cayley_conjugate, _monomial_conjugate,
+    _monomial_frame,
     conjugate, exp_nilpotent, is_symplectic, kron, kron_identities_check,
     preserves_symplectic_up_to_scalar,
 )
 from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
-from sp4higgs.numfield import I_UNIT, ONE, SQRT3, ZERO, fe
+from sp4higgs.numfield import FieldElem, I_UNIT, ONE, SQRT2, SQRT3, ZERO, fe
 
 from builders import dense_elem
 
@@ -141,6 +142,13 @@ def test_block_access():
     assert m.block(1, 0) == -I2
 
 
+@pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (1, 2), (-1, 1), (1, -1)])
+def test_block_rejects_indices_outside_0_1(i, j):
+    message = r"^block index \(%d, %d\) is outside \{0, 1\}$" % (i, j)
+    with pytest.raises(IndexError, match=message):
+        I4.block(i, j)
+
+
 # -- against a per-entry FieldElem reference -----------------------------------
 
 # The reference works entry by entry on grids of FieldElems (``m.rows``)
@@ -251,18 +259,47 @@ def test_cayley_conjugate_matches_products():
 
 
 def test_monomial_conjugate_matches_products():
+    # weights are rational multiples of basis elements (sqrt3, i, i*sqrt6,
+    # ...), whose ratios are again such multiples
     rng = random.Random(20261106)
-    for _ in range(25):
-        perm = tuple(rng.sample(range(4), 4))
-        weights = tuple(rng.randint(1, 12) for _ in range(4))
-        f = SqMatrix([[weights[i] if j == perm[i] else 0 for j in range(4)]
-                      for i in range(4)])
-        m = dense_matrix(rng, 4)
-        got = _monomial_conjugate(m, perm, weights)
+    basis = [FieldElem([int(k == j) for k in range(8)]) for j in range(8)]
+    for n in (2, 4) * 15:
+        perm = rng.sample(range(n), n)
+        weights = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                            rng.randint(1, 12)) * rng.choice(basis)
+                   for _ in range(n)]
+        f = SqMatrix([[weights[i] if j == perm[i] else 0 for j in range(n)]
+                      for i in range(n)])
+        m = dense_matrix(rng, n)
+        got = _monomial_conjugate(m, _monomial_frame(f))
         assert got == f * m * f.inv()
         assert_canonical(got)
-    assert _monomial_conjugate(I4, (3, 2, 1, 0), (1, 2, 3, 4)) == I4
-    assert_canonical(_monomial_conjugate(SqMatrix.zeros(4), (0, 1, 2, 3), (2, 2, 2, 2)))
+    for f in (H_SYM3_INV, SqMatrix.diag(SQRT3, I_UNIT, 1, -I_UNIT * SQRT3)):
+        frame = _monomial_frame(f)
+        m = dense_matrix(rng, 4)
+        assert _monomial_conjugate(m, frame) == f * m * f.inv()
+        assert _monomial_conjugate(I4, frame) == I4
+        assert_canonical(_monomial_conjugate(SqMatrix.zeros(4), frame))
+
+
+@pytest.mark.parametrize("g", [
+    I4 + SqMatrix([[0, 1, 0, 0]] + [[0] * 4] * 3),  # two nonzeros in row 0
+    SqMatrix([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    SqMatrix.diag(1, 1, 1, 0),  # a zero row
+    SqMatrix.zeros(2),
+])
+def test_monomial_frame_rejects_non_monomial(g):
+    with pytest.raises(ValueError, match="one nonzero entry in each row and column"):
+        _monomial_frame(g)
+
+
+@pytest.mark.parametrize("g", [
+    SqMatrix.diag(1 + SQRT2, 1, 1, 1),
+    SqMatrix([[0, SQRT3 + I_UNIT], [1, 0]]),
+])
+def test_monomial_frame_rejects_ratios_off_the_basis(g):
+    with pytest.raises(ValueError, match="rational multiples of one basis element"):
+        _monomial_frame(g)
 
 
 @pytest.mark.parametrize("n", [2, 4])
