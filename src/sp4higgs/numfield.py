@@ -357,6 +357,8 @@ def _operand(x):
 
 def fe(x: Scalar) -> FieldElem:
     """Coerce an int, Fraction or FieldElem to a FieldElem."""
+    if x.__class__ is FieldElem:  # the common case, as in the operators
+        return x
     y = _operand(x)
     if y is NotImplemented:
         raise TypeError("cannot coerce %r to FieldElem" % (x,))
