@@ -27,7 +27,9 @@ F[2][2] = 1/6, F[3][1] = 1,
 
 Conjugating by H_SYM3^-1 or F reweights and permutes entries (one pass
 over the ints, ``matalg._monomial_conjugate``), and T2 A T2^-1 takes
-only sums and multiples of i, so no 4x4 product is made.  The
+only sums and multiples of i, so no 4x4 product is made.  The grid
+itself runs on the int numerators of its input (``numfield._IntElem``,
+or plain ints for a rational matrix) and ends in one gcd.  The
 verification suite checks the factorization, and checks rho13 and its
 differential against generic products with H_SYM3.
 
@@ -44,10 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .numfield import FieldElem, I_UNIT, ONE, ZERO, fe
+from .numfield import FieldElem, I_UNIT, ONE, ZERO, _IntElem, fe
 from .matalg import (
     H_SYM3_INV, HTILDE, I2, I4, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
-    _monomial_conjugate, _monomial_frame, is_symplectic, kron,
+    _monomial_conjugate, _monomial_frame, _reduced, is_symplectic, kron,
 )
 
 __all__ = [
@@ -142,9 +144,20 @@ def _rho1_grid(a, b, c, d, two, three):
 
 
 def _rho1_raw(a: SqMatrix) -> SqMatrix:
-    # the rho1 grid at a, with no determinant check
-    (p, q), (r, s) = a.rows
-    return SqMatrix(_rho1_grid(p, q, r, s, fe(2), fe(3)))
+    # The rho1 grid at a, with no determinant check, evaluated on the
+    # numerators of a: every entry is a cubic, so the grid is over
+    # a._d ** 3.  A rational a (its 28 irrational coordinates zero) runs
+    # the grid on plain ints, any other on _IntElem.
+    n = a._n
+    if n.count(0) - n[::8].count(0) == 28:
+        grid = _rho1_grid(n[0], n[8], n[16], n[24], 2, 3)
+        out = [0] * 128
+        out[::8] = [e for row in grid for e in row]
+    else:
+        grid = _rho1_grid(_IntElem(n[:8]), _IntElem(n[8:16]),
+                          _IntElem(n[16:24]), _IntElem(n[24:]), 2, 3)
+        out = [x for row in grid for e in row for x in e]
+    return _reduced(4, out, a._d ** 3)
 
 
 def _rho1_star(x: SqMatrix) -> SqMatrix:

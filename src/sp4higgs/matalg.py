@@ -35,8 +35,8 @@ from operator import add, neg, sub
 from typing import NamedTuple, Optional
 
 from .numfield import (
-    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _canonical, _mul_into, _nonzero,
-    embed_u_v, fe,
+    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _canonical, _factor, _mul_into,
+    _nonzero, embed_u_v, fe,
 )
 
 __all__ = [
@@ -163,7 +163,7 @@ class SqMatrix:
         self._samedim(other)
         n = self._dim
         xs = _entries(self._n)
-        ys = [_nonzero(y) for y in _entries(other._n)]
+        ys = [_factor(y) for y in _entries(other._n)]
         out = [0] * (8 * n * n)
         for i in range(n):
             for k in range(n):
@@ -181,10 +181,11 @@ class SqMatrix:
 
     def scale(self, c) -> "SqMatrix":
         c = fe(c)
-        y = _nonzero(c._n)
+        y = _factor(c._n)
         out = [0] * len(self._n)
         for o, x in enumerate(_entries(self._n)):
-            _mul_into(out, 8 * o, x, y)
+            if any(x):
+                _mul_into(out, 8 * o, x, y)
         return _reduced(self._dim, out, self._d * c._d)
 
     def transpose(self) -> "SqMatrix":
@@ -209,7 +210,7 @@ class SqMatrix:
         n = self._dim
         xs = _entries(self._n)
         full = tuple(range(n))
-        num = _minor(xs, [_nonzero(x) for x in xs], n, full, full, {})
+        num = _minor(xs, [_factor(x) for x in xs], n, full, full, {})
         return _canonical(num, self._d ** n)
 
     def inv(self) -> "SqMatrix":
@@ -217,7 +218,7 @@ class SqMatrix:
         numerators and one field inverse of their determinant."""
         n = self._dim
         xs = _entries(self._n)
-        ys = [_nonzero(x) for x in xs]
+        ys = [_factor(x) for x in xs]
         full = tuple(range(n))
         memo = {}
         minors = [_minor(xs, ys, n, full[:i] + full[i + 1:],
@@ -228,14 +229,16 @@ class SqMatrix:
         if not any(det):
             raise SingularMatrix("matrix is singular")
         dinv = _canonical(det, 1).inv()
-        y = _nonzero([x * self._d for x in dinv._n])
-        y_neg = [(k, -x) for k, x in y]
+        scaled = tuple(x * self._d for x in dinv._n)
+        y, y_neg = _factor(scaled), _factor(tuple(map(neg, scaled)))
         out = [0] * (8 * n * n)
         for i in range(n):
             for j in range(n):
                 # adjugate entry (i, j) is (-1)^(i+j) times minor (j, i)
-                _mul_into(out, 8 * (n * i + j), minors[n * j + i],
-                          y_neg if (i + j) & 1 else y)
+                x = minors[n * j + i]
+                if any(x):
+                    _mul_into(out, 8 * (n * i + j), x,
+                              y_neg if (i + j) & 1 else y)
         return _reduced(n, out, dinv._d)
 
     @property
@@ -309,7 +312,7 @@ def _entries(ints: tuple) -> list:
 def _minor(xs: list, ys: list, n: int, rows: tuple, cols: tuple, memo: dict):
     """Numerators of the determinant of the rows x cols submatrix of the
     n x n entries ``xs`` (8 ints each, row by row; ``ys`` the same as
-    ``_nonzero`` pairs), by cofactor expansion along its first row; no
+    ``_factor``s), by cofactor expansion along its first row; no
     gcd.  ``memo`` shares smaller minors between calls."""
     if len(rows) == 1:
         return xs[n * rows[0] + cols[0]]
@@ -321,8 +324,9 @@ def _minor(xs: list, ys: list, n: int, rows: tuple, cols: tuple, memo: dict):
         for j, c in enumerate(cols):
             y = ys[n * r + c]
             if y:
-                _mul_into(negs if j & 1 else pos, 0,
-                          _minor(xs, ys, n, rest, cols[:j] + cols[j + 1:], memo), y)
+                m = _minor(xs, ys, n, rest, cols[:j] + cols[j + 1:], memo)
+                if any(m):
+                    _mul_into(negs if j & 1 else pos, 0, m, y)
         out = memo[key] = list(map(sub, pos, negs))
     return out
 
@@ -394,11 +398,13 @@ def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     if a.dim != 2 or b.dim != 2:
         raise ValueError("kron is defined here for 2x2 factors only")
     xs = _entries(a._n)
-    ys = [_nonzero(y) for y in _entries(b._n)]
+    ys = [_factor(y) for y in _entries(b._n)]
     out = [0] * 128
     for i in range(2):
         for j in range(2):
             x = xs[2 * i + j]
+            if not any(x):
+                continue
             for r in range(2):
                 for c in range(2):
                     _mul_into(out, 8 * (8 * i + 4 * r + 2 * j + c), x,

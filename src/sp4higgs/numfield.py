@@ -10,9 +10,19 @@ denominator.  The form is canonical: the gcd of the 8 numerators and
 the denominator is 1 (so zero is 8 zeros over 1), and two elements are
 equal exactly when their numerators and denominators are.  All
 arithmetic is exact.  ``FieldElem.coeffs`` gives the coordinates as
-``fractions.Fraction``s.  Multiplication runs off a precomputed
-structure-constant table, so no generic polynomial quotient-ring
-machinery is involved.
+``fractions.Fraction``s.
+
+The field is a tower of quadratic extensions
+
+    Q < Q(sqrt2) < Q(sqrt2, sqrt3) < Q(sqrt2, sqrt3)(i),
+
+and the product and inverse run through it on the ints.  A product
+whose right factor has more than 2 nonzero coordinates is one
+straight-line formula (Karatsuba over i: three products in
+Q(sqrt2, sqrt3), 48 int multiplies); a sparser one loops over a
+precomputed structure-constant table.  An inverse takes the norm down
+the tower, one quadratic step at a time.  No generic polynomial
+quotient-ring machinery is involved.
 
 The module also provides the two nested radicals
 
@@ -172,7 +182,7 @@ class FieldElem:
             if other is NotImplemented:
                 return NotImplemented
         out = [0] * 8
-        _mul_into(out, 0, self._n, _nonzero(other._n))
+        _mul_into(out, 0, self._n, _factor(other._n))
         return _canonical(out, self._d * other._d)
 
     __rmul__ = __mul__
@@ -192,47 +202,61 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inv() ** (-n)
-        result, base = ONE, self
+        # square-and-multiply from the low bit, squaring only while
+        # bits remain
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return ONE if result is None else result
 
     def conj(self) -> "FieldElem":
         """Complex conjugation: negates the four i-coordinates."""
         n = self._n
         return _raw(n[:4] + tuple(map(neg, n[4:])), self._d)
 
-    def _flip(self, k1: int, k2: int) -> "FieldElem":
-        # Galois flip negating real/imag coordinates k1 and k2 in each half.
-        out = list(self._n)
-        for k in (k1, k2, k1 + 4, k2 + 4):
-            out[k] = -out[k]
-        return _raw(tuple(out), self._d)
-
     def inv(self) -> "FieldElem":
         """Exact multiplicative inverse; raises DivisionByZero on 0.
 
-        Reduces to the real subfield via z * conj(z), then divides by the
-        rational norm obtained from the two Galois flips sqrt2 -> -sqrt2
-        and sqrt3 -> -sqrt3.
+        Takes the norm down the tower on the numerators n: with
+        n = A + iB over Q(sqrt2, sqrt3), w = n conj(n) = A^2 + B^2 lies
+        in Q(sqrt2, sqrt3), v = w w' in Q(sqrt2) (' negates sqrt3) and
+        u = v v'' in Q (" negates sqrt2), so
+
+            1 / n = conj(n) w' v'' / u,
+
+        two products in Q(sqrt2, sqrt3) and one gcd.
         """
         if self.is_zero:
             raise DivisionByZero("0 has no multiplicative inverse")
-        zbar = self.conj()
-        w = self * zbar  # real, nonzero
-        cofactor = w._flip(1, 3) * w._flip(2, 3) * w._flip(1, 2)
-        norm = w * cofactor
-        if not norm.is_rational:
+        a0, a1, a2, a3, b0, b1, b2, b3 = self._n
+        w0 = (a0 * a0 + b0 * b0 + 2 * (a1 * a1 + b1 * b1)
+              + 3 * (a2 * a2 + b2 * b2 + 2 * (a3 * a3 + b3 * b3)))
+        w1 = 2 * (a0 * a1 + b0 * b1 + 3 * (a2 * a3 + b2 * b3))
+        w2 = 2 * (a0 * a2 + b0 * b2 + 2 * (a1 * a3 + b1 * b3))
+        w3 = 2 * (a0 * a3 + b0 * b3 + a1 * a2 + b1 * b2)
+        # v = (w0 + w1 sqrt2)^2 - 3 (w2 + w3 sqrt2)^2
+        v0 = w0 * w0 + 2 * w1 * w1 - 3 * (w2 * w2 + 2 * w3 * w3)
+        v1 = 2 * (w0 * w1 - 3 * w2 * w3)
+        u = v0 * v0 - 2 * v1 * v1
+        if not u:
             raise AssertionError("field norm failed to collapse to Q")
-        # zbar * cofactor / (m / e)
-        p = zbar * cofactor
-        m, e = norm._n[0], norm._d
-        if m < 0:
-            m, e = -m, -e
-        return _canonical([x * e for x in p._n], p._d * m)
+        # c = d w' v'' (d the denominator, so 1 / self = conj(n) c / u)
+        d = self._d if u > 0 else -self._d
+        c0, c1 = d * (v0 * w0 - 2 * v1 * w1), d * (v0 * w1 - v1 * w0)
+        c2, c3 = d * (2 * v1 * w3 - v0 * w2), d * (v1 * w2 - v0 * w3)
+        out = [a0 * c0 + 2 * (a1 * c1) + 3 * (a2 * c2 + 2 * (a3 * c3)),
+               a0 * c1 + a1 * c0 + 3 * (a2 * c3 + a3 * c2),
+               a0 * c2 + a2 * c0 + 2 * (a1 * c3 + a3 * c1),
+               a0 * c3 + a3 * c0 + a1 * c2 + a2 * c1,
+               -(b0 * c0 + 2 * (b1 * c1) + 3 * (b2 * c2 + 2 * (b3 * c3))),
+               -(b0 * c1 + b1 * c0 + 3 * (b2 * c3 + b3 * c2)),
+               -(b0 * c2 + b2 * c0 + 2 * (b1 * c3 + b3 * c1)),
+               -(b0 * c3 + b3 * c0 + b1 * c2 + b2 * c1)]
+        return _canonical(out, abs(u))
 
     # -- comparisons, hashing, display ---------------------------------
 
@@ -325,9 +349,19 @@ def _nonzero(n) -> list:
     return [(k, y) for k, y in enumerate(n) if y]
 
 
-def _mul_into(out: list, off: int, xs, ys: list):
+def _factor(n):
+    """The 8 ints n as the right factor ``ys`` of ``_mul_into``: n itself
+    when more than 2 of them are nonzero, else their ``_nonzero`` pairs."""
+    return n if n.count(0) < 6 else _nonzero(n)
+
+
+def _mul_into(out: list, off: int, xs, ys):
     """Add the numerators of x * y to out[off:off + 8], for x given as
-    its 8 ints ``xs`` and y as ``_nonzero`` pairs ``ys``; no gcd."""
+    its 8 ints ``xs`` and y as the ``_factor`` ``ys``; no gcd.  A dense y
+    goes through the tower, a sparse one through the table."""
+    if len(ys) == 8:
+        _tower_mul_into(out, off, xs, ys)
+        return
     base = 0
     for x in xs:
         if x:
@@ -335,6 +369,64 @@ def _mul_into(out: list, off: int, xs, ys: list):
                 t, c = _MUL[base + k]
                 out[off + t] += c * x * y
         base += 8
+
+
+def _tower_mul_into(out: list, off: int, x, y):
+    """Add the numerators of x * y to out[off:off + 8], for x and y given
+    as 8 ints each, in one straight line.  With x = A + iB and
+    y = C + iD over Q(sqrt2, sqrt3), the product is
+    (AC - BD) + i((A + B)(C + D) - AC - BD): three products in
+    Q(sqrt2, sqrt3), each 16 int multiplies."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = x
+    c0, c1, c2, c3, d0, d1, d2, d3 = y
+    # (p0 + p1 sqrt2 + p2 sqrt3 + p3 sqrt6) = AC, q = BD
+    p0 = a0 * c0 + 2 * (a1 * c1) + 3 * (a2 * c2 + 2 * (a3 * c3))
+    p1 = a0 * c1 + a1 * c0 + 3 * (a2 * c3 + a3 * c2)
+    p2 = a0 * c2 + a2 * c0 + 2 * (a1 * c3 + a3 * c1)
+    p3 = a0 * c3 + a3 * c0 + a1 * c2 + a2 * c1
+    q0 = b0 * d0 + 2 * (b1 * d1) + 3 * (b2 * d2 + 2 * (b3 * d3))
+    q1 = b0 * d1 + b1 * d0 + 3 * (b2 * d3 + b3 * d2)
+    q2 = b0 * d2 + b2 * d0 + 2 * (b1 * d3 + b3 * d1)
+    q3 = b0 * d3 + b3 * d0 + b1 * d2 + b2 * d1
+    out[off] += p0 - q0
+    out[off + 1] += p1 - q1
+    out[off + 2] += p2 - q2
+    out[off + 3] += p3 - q3
+    # A + B and C + D, for the third product
+    a0 += b0
+    a1 += b1
+    a2 += b2
+    a3 += b3
+    c0 += d0
+    c1 += d1
+    c2 += d2
+    c3 += d3
+    out[off + 4] += (a0 * c0 + 2 * (a1 * c1) + 3 * (a2 * c2 + 2 * (a3 * c3))
+                     - p0 - q0)
+    out[off + 5] += a0 * c1 + a1 * c0 + 3 * (a2 * c3 + a3 * c2) - p1 - q1
+    out[off + 6] += a0 * c2 + a2 * c0 + 2 * (a1 * c3 + a3 * c1) - p2 - q2
+    out[off + 7] += a0 * c3 + a3 * c0 + a1 * c2 + a2 * c1 - p3 - q3
+
+
+class _IntElem(tuple):
+    """8 int numerators in basis order, over a denominator kept by the
+    caller: a ring element type for evaluating a polynomial on ints, with
+    no gcd.  ``+`` adds and ``*`` multiplies the numerators (so
+    denominators multiply too); an int operand scales."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _IntElem(map(add, self, other))
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            return _IntElem([other * x for x in self])
+        out = [0] * 8
+        _mul_into(out, 0, self, _factor(other))
+        return _IntElem(out)
+
+    __rmul__ = __mul__
 
 
 def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:

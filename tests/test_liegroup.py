@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sp4higgs.liegroup import (
-    _J13_FRAME, _rho1_grid, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
+    _J13_FRAME, _rho1_grid, _rho1_raw, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
@@ -16,7 +16,7 @@ from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
     SqMatrix, _monomial_conjugate, is_symplectic, kron,
 )
-from sp4higgs.numfield import I_UNIT, ONE, SQRT3, SQRT6, ZERO, fe
+from sp4higgs.numfield import FieldElem, I_UNIT, ONE, SQRT3, SQRT6, ZERO, fe
 
 from builders import dense_elem
 
@@ -344,6 +344,37 @@ def test_shared_monomial_grids_match_reference():
         assert _monomial_conjugate(
             SqMatrix(_rho1_grid(a, b, c, d, two, three)), _J13_FRAME
         ) == SqMatrix(_rho13_grid_ref(a, b, c, d, two, three, SQRT3))
+
+
+def _sparse_quads(rng):
+    # k nonzero coordinates per entry, k = 1 (rational when at index 0)
+    # to 8; integer and non-unit denominators
+    quads = []
+    for k in range(9):
+        for den in (1, 9):
+            quad = []
+            for _ in range(4):
+                x = [0] * 8
+                for pos in rng.sample(range(8), k):
+                    x[pos] = Fraction(rng.randint(-30, 30), rng.randint(1, den))
+                quad.append(FieldElem(x))
+            quads.append(tuple(quad))
+    for den in (1, 7):
+        quads.append(tuple(fe(Fraction(rng.randint(-30, 30), rng.randint(1, den)))
+                           for _ in range(4)))
+    return quads
+
+
+def test_rho1_raw_matches_reference_grid():
+    # _rho1_raw runs the grid on ints (plain ints for a rational matrix,
+    # _IntElem otherwise) over the cube of the denominator
+    rng = random.Random(20261032)
+    two, three = fe(2), fe(3)
+    quads = _sparse_quads(rng) + _dense_quads(rng)
+    quads += [tuple(x * Fraction(1, 6) for x in q) for q in _dense_quads(rng)[:5]]
+    for a, b, c, d in quads:
+        assert _rho1_raw(SqMatrix([[a, b], [c, d]])) == SqMatrix(
+            _rho1_grid_ref(a, b, c, d, two, three))
 
 
 def test_rho13_star_matches_dual_number_evaluation():

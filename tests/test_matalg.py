@@ -19,6 +19,7 @@ from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
 from sp4higgs.numfield import FieldElem, I_UNIT, ONE, SQRT2, SQRT3, ZERO, fe
 
 from builders import dense_elem
+from test_numfield import ref_mul as ref_field_mul
 
 
 def rand2(rng, bound=9):
@@ -242,6 +243,63 @@ def test_operations_match_reference(n):
         for m in (a, b, a * b, a + b, a - b, -a, a.scale(c), a.T, a.inv(),
                   a - a, a.scale(0)):
             assert_canonical(m)
+
+
+# numfield._mul_into multiplies through the tower when its right factor
+# has more than 2 nonzero coordinates and through the structure-constant
+# table otherwise; these draw every pair of nonzero counts (k, l) across
+# that boundary, in small and in large ints.
+
+def sparse_elem(rng, k, bound):
+    """k nonzero coordinates at random positions, with random signs;
+    numerators up to ``bound``, denominators up to 9 (so that a 4x4
+    matrix keeps a small common denominator)."""
+    x = [Fraction(0)] * 8
+    for pos in rng.sample(range(8), k):
+        x[pos] = Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
+                          rng.randint(1, 9))
+    return FieldElem(x)
+
+
+def sparse_matrix(rng, n, k, bound):
+    return SqMatrix([[sparse_elem(rng, k, bound) for _ in range(n)]
+                     for _ in range(n)])
+
+
+def assert_inverse_matches_reference(m):
+    if ref_det(m.rows).is_zero:
+        with pytest.raises(SingularMatrix):
+            m.inv()
+    else:
+        assert m.inv().rows == ref_inv(m.rows)
+
+
+@pytest.mark.parametrize("bound", [9, 10 ** 12])
+def test_products_across_the_dispatch_boundary(bound):
+    rng = random.Random(20261031 + len(str(bound)))
+    for k in range(9):
+        for l in range(9):
+            x, y = sparse_elem(rng, k, bound), sparse_elem(rng, l, bound)
+            assert (x * y).coeffs == ref_field_mul(x.coeffs, y.coeffs)
+            a, b = sparse_matrix(rng, 2, k, bound), sparse_matrix(rng, 2, l, bound)
+            ra, rb = a.rows, b.rows
+            assert (a * b).rows == ref_mul(ra, rb)
+            assert a.scale(y).rows == ref_entrywise(lambda e: e * y, ra)
+            assert kron(a, b).rows == tuple(
+                tuple(ra[i][j] * rb[r][c] for j in range(2) for c in range(2))
+                for i in range(2) for r in range(2))
+            assert a.det() == ref_det(ra)
+            assert_inverse_matches_reference(a)
+            a4, b4 = sparse_matrix(rng, 4, k, bound), sparse_matrix(rng, 4, l, bound)
+            assert (a4 * b4).rows == ref_mul(a4.rows, b4.rows)
+            assert a4.scale(y).rows == ref_entrywise(lambda e: e * y, a4.rows)
+            assert a4.det() == ref_det(a4.rows)
+            assert_inverse_matches_reference(a4)
+            # entries of every count in one matrix
+            mixed = SqMatrix([[sparse_elem(rng, rng.randint(0, 8), bound)
+                               for _ in range(4)] for _ in range(4)])
+            assert (mixed * a4).rows == ref_mul(mixed.rows, a4.rows)
+            assert_inverse_matches_reference(mixed)
 
 
 def test_t4_is_t2_kron_identity():

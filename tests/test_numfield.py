@@ -85,6 +85,43 @@ def test_powers():
     assert SQRT2 ** -2 == fe(Fraction(1, 2))
 
 
+def dense_coeffs(rng, bound=12):
+    """8 nonzero Fraction coordinates."""
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
+                     rng.randint(1, bound)) for _ in range(8)]
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(20261027)
+    for _ in range(3):
+        x = FieldElem(dense_coeffs(rng))
+        for n in range(-7, 10):
+            want = ONE
+            for _ in range(abs(n)):
+                want = want * (x if n > 0 else x.inv())
+            assert x ** n == want
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply needs bit_length - 1 squarings and popcount - 1
+    # further products; x ** 3 is two multiplies
+    calls = []
+    mul = FieldElem.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    x = FieldElem(dense_coeffs(random.Random(20261028)))
+    monkeypatch.setattr(FieldElem, "__mul__", counting)
+    for n in range(-9, 10):
+        calls.clear()
+        x ** n
+        m = abs(n)
+        assert len(calls) == (max(m.bit_length() - 1, 0)
+                              + max(bin(m).count("1") - 1, 0)), n
+
+
 def test_numeric_basics():
     with mpmath.workdps(40):
         assert abs(numeric(SQRT2) - mpmath.sqrt(2)) < 1e-30
@@ -280,6 +317,48 @@ def test_inverse_matches_reference(style):
         a, b = FieldElem(x), FieldElem(y)
         assert a.inv().coeffs == ref_inv(x)
         assert (b / a).coeffs == ref_mul(y, ref_inv(x))
+
+
+# basis indices spanning each proper subfield: Q, Q(sqrt2), Q(sqrt3),
+# Q(sqrt6), Q(i), Q(i sqrt2), Q(i sqrt3), Q(i sqrt6), Q(sqrt2, sqrt3)
+SUBFIELDS = ((0,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+             (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("support", SUBFIELDS)
+def test_inverse_on_proper_subfields(support):
+    rng = random.Random(20261029 + sum(support))
+    for bound in (12, 10 ** 9):
+        for _ in range(20):
+            x = tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                      if k in support else Fraction(0) for k in range(8))
+            if not any(x):
+                continue
+            a = FieldElem(x)
+            assert a.inv().coeffs == ref_inv(x)
+            assert not any(c for k, c in enumerate(a.inv().coeffs)
+                           if k not in support)
+            assert a * a.inv() == ONE
+
+
+def test_inverse_when_the_first_norm_is_rational():
+    # z = p b_j + i q b_k for real basis elements b_j, b_k has
+    # w = z conj(z) = p^2 b_j^2 + q^2 b_k^2 rational (w1 = w2 = w3 = 0),
+    # so the two lower steps of the tower see a rational norm
+    rng = random.Random(20261030)
+    for j in range(4):
+        for k in range(4):
+            for _ in range(5):
+                x = [Fraction(0)] * 8
+                x[j] = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+                x[4 + k] = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+                x = tuple(x)
+                assert not any(ref_mul(x, ref_conj(x))[1:])
+                assert FieldElem(x).inv().coeffs == ref_inv(x)
+    for x in ((1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0),
+              (0, 0, 0, 0, 1, 1, 0, 0), (2, 0, 0, 0, 0, 0, 0, 3)):
+        x = tuple(map(Fraction, x))
+        assert FieldElem(x).inv().coeffs == ref_inv(x)
 
 
 def test_equality_and_hash_match_reference():
