@@ -28,10 +28,14 @@ F[2][2] = 1/6, F[3][1] = 1,
 Conjugating by H_SYM3^-1 or F reweights and permutes entries (one pass
 over the ints, ``matalg._monomial_conjugate``), and T2 A T2^-1 takes
 only sums and multiples of i, so no 4x4 product is made.  The grid
-itself runs on the int numerators of its input (``numfield._IntElem``,
-or plain ints for a rational matrix) and ends in one gcd.  The
-verification suite checks the factorization, and checks rho13 and its
-differential against generic products with H_SYM3.
+itself runs on the int numerators of its input in the smallest ring that
+holds them (``matalg._ring``: plain ints for a rational matrix, the
+3-int ``numfield._QuadElem`` for one in a quadratic subfield such as
+the Q(i) of T2 A T2^-1 for a rational A, the 8-int ``numfield._IntElem``
+otherwise) and ends in one gcd; rho1_star, linear, is written straight
+into the numerators.  The verification suite checks the factorization,
+and checks rho13 and its differential against generic products with
+H_SYM3.
 
 Conventions are frozen once: the complexified symplectic algebra is
 tested against the form ``J13`` in every frame along the conjugation
@@ -44,12 +48,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import neg
 from typing import Optional, Tuple
 
-from .numfield import FieldElem, I_UNIT, ONE, ZERO, _IntElem, fe
+from .numfield import FieldElem, I_UNIT, ONE, ZERO, fe
 from .matalg import (
-    H_SYM3_INV, HTILDE, I2, I4, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
-    _monomial_conjugate, _monomial_frame, _reduced, is_symplectic, kron,
+    H_SYM3_INV, HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
+    _flat, _monomial_conjugate, _monomial_frame, _reduced, _ring,
+    _unipotent_conjugate, is_symplectic, kron,
 )
 
 __all__ = [
@@ -145,31 +152,25 @@ def _rho1_grid(a, b, c, d, two, three):
 
 def _rho1_raw(a: SqMatrix) -> SqMatrix:
     # The rho1 grid at a, with no determinant check, evaluated on the
-    # numerators of a: every entry is a cubic, so the grid is over
-    # a._d ** 3.  A rational a (its 28 irrational coordinates zero) runs
-    # the grid on plain ints, any other on _IntElem.
-    n = a._n
-    if n.count(0) - n[::8].count(0) == 28:
-        grid = _rho1_grid(n[0], n[8], n[16], n[24], 2, 3)
-        out = [0] * 128
-        out[::8] = [e for row in grid for e in row]
-    else:
-        grid = _rho1_grid(_IntElem(n[:8]), _IntElem(n[8:16]),
-                          _IntElem(n[16:24]), _IntElem(n[24:]), 2, 3)
-        out = [x for row in grid for e in row for x in e]
-    return _reduced(4, out, a._d ** 3)
+    # numerators of a in the smallest ring that holds them: every entry
+    # is a cubic, so the grid is over a._d ** 3.
+    grid = _rho1_grid(*_ring(a._n), 2, 3)
+    return _reduced(4, _flat([e for row in grid for e in row]), a._d ** 3)
+
+
+# The differential of rho1 at I, the coefficient of t in the grid at
+# I + t x for a traceless x = [[p, q], [r, -p]], as (entry of x,
+# multiplier) for each entry, row by row: p, q, r are entries 0, 1, 2.
+_RHO1_STAR = ((0, 3), (1, 3), (0, 0), (0, 0),
+              (2, 1), (0, 1), (0, 0), (1, 2),
+              (0, 0), (0, 0), (0, -3), (2, 3),
+              (0, 0), (2, 2), (1, 1), (0, -1))
 
 
 def _rho1_star(x: SqMatrix) -> SqMatrix:
-    # The differential of rho1 at I: the coefficient of t in the grid at
-    # I + t x, for a traceless x = [[p, q], [r, -p]].
-    (p, q), (r, _) = x.rows
-    z = ZERO
-    return SqMatrix((
-        (3 * p, 3 * q, z, z),
-        (r, p, z, 2 * q),
-        (z, z, -3 * p, 3 * r),
-        (z, 2 * r, q, -p)))
+    n = x._n
+    return _reduced(4, [c * y for k, c in _RHO1_STAR for y in n[8 * k:8 * k + 8]],
+                    x._d)
 
 
 def rho1(a: SqMatrix) -> SqMatrix:
@@ -296,12 +297,15 @@ GOLDEN_H0 = SqMatrix([
 def m_field_matrix(beta, gamma) -> SqMatrix:
     """The phi_star image of [[x, y], [y, -x]] written in terms of
     beta = x + iy and gamma = x - iy."""
-    beta, gamma, z = fe(beta), fe(gamma), ZERO
-    return SqMatrix([
-        [z, z, z, 3 * beta],
-        [z, z, 3 * beta, gamma],
-        [z, gamma, z, z],
-        [gamma, 4 * beta, z, z]])
+    beta, gamma = fe(beta), fe(gamma)
+    d = lcm(beta._d, gamma._d)
+    b = [x * (d // beta._d) for x in beta._n]
+    g = [x * (d // gamma._d) for x in gamma._n]
+    b3, b4, z = [3 * x for x in b], [4 * x for x in b], [0] * 8
+    return _reduced(4, [*z, *z, *z, *b3,
+                        *z, *z, *b3, *g,
+                        *z, *g, *z, *z,
+                        *g, *b4, *z, *z], d)
 
 
 def s_matrix(beta, gamma) -> SqMatrix:
@@ -309,13 +313,13 @@ def s_matrix(beta, gamma) -> SqMatrix:
     beta, gamma = fe(beta), fe(gamma)
     if gamma.is_zero:
         raise SingularNormalization("gamma must be nonzero")
-    r = 2 * beta / gamma
-    z, one = ZERO, ONE
-    return SqMatrix([
-        [one, r, z, z],
-        [z, one, z, z],
-        [z, z, one, z],
-        [z, z, -r, one]])
+    q = beta * gamma.inv()  # r = 2 q
+    r = [2 * x for x in q._n]
+    one, z = [q._d] + [0] * 7, [0] * 8
+    return _reduced(4, [*one, *r, *z, *z,
+                        *z, *one, *z, *z,
+                        *z, *z, *one, *z,
+                        *z, *z, *map(neg, r), *one], q._d)
 
 
 def s_conjugate(beta, gamma) -> SqMatrix:
@@ -326,9 +330,8 @@ def s_conjugate(beta, gamma) -> SqMatrix:
                  [0, 1,  0,         0      ],
                  [1, 0,  0,         0      ]].
     """
-    s = s_matrix(beta, gamma)
-    # S = I + N with N^2 = 0, so S^-1 = I - N = 2I - S: one field inverse
-    return s * m_field_matrix(beta, gamma) * (2 * I4 - s)
+    # S = I + N with N^2 = 0, so S^-1 = I - N: row and column operations
+    return _unipotent_conjugate(m_field_matrix(beta, gamma), s_matrix(beta, gamma))
 
 
 # -- Cartan decomposition in the post-T4 frame --------------------------------

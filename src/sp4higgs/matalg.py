@@ -7,9 +7,15 @@ arithmetic runs on the ints and reduces each result by one gcd, so no
 partial sum is normalized; entries are built as FieldElems only when
 read.
 
-Everything is exact: determinants by cofactor expansion, inverses by
-adjugate (dimensions are fixed and tiny, so no pivoting is needed), and
-matrix exponentials only for nilpotent arguments, via the finite series.
+Everything is exact: determinants and inverses by adjugate (dimensions
+are fixed and tiny, so no pivoting is needed), and matrix exponentials
+only for nilpotent arguments, via the finite series.  The adjugate runs
+on the numerators in the smallest ring that holds them (``_ring``):
+plain ints when every entry is rational, ``numfield._QuadElem`` (3 ints)
+when all entries lie in one quadratic subfield Q(b_k), such as the Q(i)
+of the Cayley frame, and ``numfield._IntElem`` (8 ints) otherwise; a
+4x4 one goes through the twelve 2x2 minors of row pairs (0, 1) and
+(2, 3), and an inverse makes one field inverse, of the determinant.
 
 Also defines the fixed symplectic forms and change-of-basis matrices
 used throughout the symplectic rank-2 analysis:
@@ -35,8 +41,8 @@ from operator import add, neg, sub
 from typing import NamedTuple, Optional
 
 from .numfield import (
-    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _canonical, _factor, _mul_into,
-    _nonzero, embed_u_v, fe,
+    FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _IntElem, _QuadElem, _canonical,
+    _factor, _mul_into, _nonzero, embed_u_v, fe,
 )
 
 __all__ = [
@@ -208,38 +214,28 @@ class SqMatrix:
 
     def det(self) -> FieldElem:
         n = self._dim
-        xs = _entries(self._n)
-        full = tuple(range(n))
-        num = _minor(xs, [_factor(x) for x in xs], n, full, full, {})
-        return _canonical(num, self._d ** n)
+        xs = _ring(self._n)
+        det = _row0_expansion(xs, _cofactors(xs, 1), n)
+        return _canonical(_flat([det]), self._d ** n)
 
     def inv(self) -> "SqMatrix":
-        """For self = N / d: d * adj(N) / det(N), from the minors of the
-        numerators and one field inverse of their determinant."""
+        """For self = N / d: d * adj(N) / det(N), from the cofactors of
+        the numerators in the ring of ``_ring`` and one field inverse of
+        their determinant."""
         n = self._dim
-        xs = _entries(self._n)
-        ys = [_factor(x) for x in xs]
-        full = tuple(range(n))
-        memo = {}
-        minors = [_minor(xs, ys, n, full[:i] + full[i + 1:],
-                         full[:j] + full[j + 1:], memo)
-                  for i in range(n) for j in range(n)]
-        # expands along row 0 through the minors already in memo
-        det = _minor(xs, ys, n, full, full, memo)
-        if not any(det):
+        xs = _ring(self._n)
+        cofs = _cofactors(xs, n)
+        det = _row0_expansion(xs, cofs, n)
+        if not det:
             raise SingularMatrix("matrix is singular")
-        dinv = _canonical(det, 1).inv()
-        scaled = tuple(x * self._d for x in dinv._n)
-        y, y_neg = _factor(scaled), _factor(tuple(map(neg, scaled)))
-        out = [0] * (8 * n * n)
-        for i in range(n):
-            for j in range(n):
-                # adjugate entry (i, j) is (-1)^(i+j) times minor (j, i)
-                x = minors[n * j + i]
-                if any(x):
-                    _mul_into(out, 8 * (n * i + j), x,
-                              y_neg if (i + j) & 1 else y)
-        return _reduced(n, out, dinv._d)
+        if det.__class__ is int:
+            r, u = (1, det) if det > 0 else (-1, -det)
+        else:
+            r, u = det.reciprocal()
+        # entry (i, j) of the inverse is (-1)^(i+j) d cofs[n j + i] / det
+        y, y_neg = r * self._d, r * -self._d
+        return _reduced(n, _flat([cofs[k] * (y_neg if odd else y)
+                                  for k, odd in _ADJUGATE[n]]), u)
 
     @property
     def is_zero(self) -> bool:
@@ -309,26 +305,98 @@ def _entries(ints: tuple) -> list:
     return [ints[o:o + 8] for o in range(0, len(ints), 8)]
 
 
-def _minor(xs: list, ys: list, n: int, rows: tuple, cols: tuple, memo: dict):
-    """Numerators of the determinant of the rows x cols submatrix of the
-    n x n entries ``xs`` (8 ints each, row by row; ``ys`` the same as
-    ``_factor``s), by cofactor expansion along its first row; no
-    gcd.  ``memo`` shares smaller minors between calls."""
-    if len(rows) == 1:
-        return xs[n * rows[0] + cols[0]]
-    key = (rows, cols)
-    out = memo.get(key)
-    if out is None:
-        pos, negs = [0] * 8, [0] * 8
-        r, rest = rows[0], rows[1:]
-        for j, c in enumerate(cols):
-            y = ys[n * r + c]
-            if y:
-                m = _minor(xs, ys, n, rest, cols[:j] + cols[j + 1:], memo)
-                if any(m):
-                    _mul_into(negs if j & 1 else pos, 0, m, y)
-        out = memo[key] = list(map(sub, pos, negs))
+# the index k of the basis element b_k of numfield with b_k^2 = s, for
+# each square s
+_QUAD_INDEX = {_MUL[9 * k][1]: k for k in range(1, 8)}
+
+
+def _ring(ints) -> list:
+    """The entries of the flat numerators ``ints`` (8 per entry) as
+    elements of the smallest ring that holds them all, read off the
+    coordinates they use: plain ints when every entry is rational, a
+    ``_QuadElem`` each when all lie in one quadratic subfield Q(b_k),
+    an ``_IntElem`` each otherwise.  ``_flat`` is the inverse."""
+    support = [k for k in range(1, 8) if any(ints[k::8])]
+    if not support:
+        return list(ints[::8])
+    if len(support) == 1:
+        k = support[0]
+        s = _MUL[9 * k][1]
+        return [_QuadElem((a, b, s)) for a, b in zip(ints[::8], ints[k::8])]
+    return [_IntElem(ints[o:o + 8]) for o in range(0, len(ints), 8)]
+
+
+def _flat(elems) -> list:
+    """The 8 numerators of each of the ring elements ``elems``, all of
+    one ring of ``_ring``, in one flat list."""
+    e = elems[0]
+    if e.__class__ is _IntElem:
+        return [x for e in elems for x in e]
+    out = [0] * (8 * len(elems))
+    if e.__class__ is int:
+        out[::8] = elems
+    else:
+        out[::8] = [x[0] for x in elems]
+        out[_QUAD_INDEX[e[2]]::8] = [x[1] for x in elems]
     return out
+
+
+# The twelve 2x2 minors of a 4x4 grid xs: minor m is
+# xs[a] xs[b] - xs[c] xs[d] for (a, b, c, d) = _MINORS[m], on rows
+# (2, 3) for m < 6 and (0, 1) for m >= 6, over column pair m % 6 of
+# _PAIRS.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MINORS = tuple((4 * r + c, 4 * t + e, 4 * r + e, 4 * t + c)
+                for r, t in ((2, 3), (0, 1)) for c, e in _PAIRS)
+
+
+def _cofactor_table() -> tuple:
+    # cofactor (i, j) of a 4x4 grid, the determinant of the grid without
+    # row i and column j, expanded along row 1 - i (for i < 2) or
+    # 5 - i (for i >= 2), its other two rows being a pair of _MINORS:
+    # with c0 < c1 < c2 the columns other than j, it is
+    # x[c0] m(c1, c2) - x[c1] m(c0, c2) + x[c2] m(c0, c1) on that row.
+    table = []
+    for i in range(4):
+        r, base = (1 - i, 0) if i < 2 else (5 - i, 6)
+        for j in range(4):
+            c0, c1, c2 = (c for c in range(4) if c != j)
+            table.append((4 * r + c0, base + _PAIRS.index((c1, c2)),
+                          4 * r + c1, base + _PAIRS.index((c0, c2)),
+                          4 * r + c2, base + _PAIRS.index((c0, c1))))
+    return tuple(table)
+
+
+_COFACTORS = _cofactor_table()
+
+# for each entry of an n x n inverse, row by row: the index n j + i of
+# the cofactor it transposes, and whether its sign (-1)^(i+j) is -1
+_ADJUGATE = {n: tuple((n * j + i, (i + j) & 1) for i in range(n)
+                      for j in range(n))
+             for n in (2, 4)}
+
+
+def _cofactors(xs: list, rows: int) -> list:
+    """The cofactors (i, j), row by row for i < ``rows``, of the square
+    grid ``xs`` of ring elements (row by row): cofactor (i, j) is the
+    determinant of the grid without row i and column j, unsigned; no
+    gcd.  The 4x4 ones go through the twelve 2x2 minors of row pairs
+    (0, 1) and (2, 3) (only the latter for row 0)."""
+    if len(xs) == 4:
+        return xs[::-1]
+    ms = [xs[a] * xs[b] - xs[c] * xs[d]
+          for a, b, c, d in (_MINORS if rows > 2 else _MINORS[:6])]
+    return [xs[a] * ms[p] - xs[b] * ms[q] + xs[c] * ms[t]
+            for a, p, b, q, c, t in _COFACTORS[:4 * rows]]
+
+
+def _row0_expansion(xs: list, cofs: list, n: int):
+    """The determinant of the n x n grid ``xs`` from its row-0 cofactors:
+    the sum of (-1)^j xs[j] cofs[j]."""
+    t = [xs[j] * cofs[j] for j in range(n)]
+    if n == 2:
+        return t[0] - t[1]
+    return (t[0] + t[2]) - (t[1] + t[3])
 
 
 def _cayley_conjugate(m: SqMatrix) -> SqMatrix:
@@ -391,6 +459,39 @@ def _monomial_conjugate(m: SqMatrix, frame: _MonomialFrame) -> SqMatrix:
     ints = m._n
     return _reduced(m._dim, [ints[k] * c for k, c in frame.table],
                     m._d * frame.d)
+
+
+def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
+    """s m s^-1 for a unipotent s = I + N with N^2 = 0 (its diagonal
+    entries 1), so s^-1 = I - N.  Over the denominator e of s,
+    N = N' / e, and
+
+        s m s^-1 = (e I + N') m (e I - N') / e^2:
+
+    each nonzero N'[i][k] adds N'[i][k] times row k of m to row i of
+    e m, then takes column i of that times N'[i][k] from column k of
+    its e-multiple; no matrix product, one gcd."""
+    n, e, sn = m._dim, s._d, s._n
+    ops = []
+    for i in range(n):
+        for k in range(n):
+            y = sn[8 * (n * i + k):8 * (n * i + k) + 8]
+            if i != k and any(y):
+                ops.append((i, k, _factor(y), _factor(tuple(map(neg, y)))))
+    xs = m._n
+    rows = [e * x for x in xs]
+    for i, k, y, _ in ops:
+        for j in range(n):
+            x = xs[8 * (n * k + j):8 * (n * k + j) + 8]
+            if any(x):
+                _mul_into(rows, 8 * (n * i + j), x, y)
+    out = [e * x for x in rows]
+    for i, k, _, y_neg in ops:
+        for r in range(n):
+            x = rows[8 * (n * r + i):8 * (n * r + i) + 8]
+            if any(x):
+                _mul_into(out, 8 * (n * r + k), x, y_neg)
+    return _reduced(n, out, e * e * m._d)
 
 
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:

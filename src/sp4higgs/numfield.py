@@ -24,6 +24,13 @@ precomputed structure-constant table.  An inverse takes the norm down
 the tower, one quadratic step at a time.  No generic polynomial
 quotient-ring machinery is involved.
 
+Polynomials in field elements (matrix grids, determinants) can also be
+evaluated on numerators alone, with no gcd, in the three rings that
+``matalg._ring`` chooses from: plain ints for rational values,
+``_QuadElem`` (3 ints, a + b g with g one basis element and g^2 an int)
+for values in one quadratic subfield, and ``_IntElem`` (8 ints) for any
+value.
+
 The module also provides the two nested radicals
 
     u = -4*sqrt(6 + 3*sqrt3)   and   v = 2/sqrt(2 + sqrt3)
@@ -102,11 +109,14 @@ class FieldElem:
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs):
-        qs = [Fraction(c) for c in coeffs]
+        qs = list(coeffs)
         if len(qs) != 8:
             raise ValueError("FieldElem needs exactly 8 coordinates")
-        # reduced fractions over the lcm of their denominators are
-        # already canonical
+        for q in qs:
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError("coordinate %r is not an int or Fraction" % (q,))
+        # ints and reduced fractions over the lcm of their denominators
+        # are already canonical
         d = lcm(*(q.denominator for q in qs))
         object.__setattr__(self, "_n", tuple(q.numerator * (d // q.denominator)
                                              for q in qs))
@@ -416,8 +426,14 @@ class _IntElem(tuple):
 
     __slots__ = ()
 
+    def __bool__(self):
+        return any(self)
+
     def __add__(self, other):
         return _IntElem(map(add, self, other))
+
+    def __sub__(self, other):
+        return _IntElem(map(sub, self, other))
 
     def __mul__(self, other):
         if other.__class__ is int:
@@ -427,6 +443,52 @@ class _IntElem(tuple):
         return _IntElem(out)
 
     __rmul__ = __mul__
+
+    def reciprocal(self) -> tuple:
+        """(r, u) with 1 / self = r / u, r an _IntElem and u a positive
+        int: one field inverse, through the tower; self is nonzero."""
+        z = _canonical(self, 1).inv()
+        return _IntElem(z._n), z._d
+
+
+class _QuadElem(tuple):
+    """a + b g for the 3 ints (a, b, s), where g is one basis element b_k
+    (k > 0) with g^2 = s, over a denominator kept by the caller: the
+    ring element type for values in the quadratic subfield Q(b_k), with
+    no gcd.  ``+`` and ``-`` add and subtract, ``*`` multiplies (so
+    denominators multiply too); an int operand scales."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
+
+    def __add__(self, other):
+        a, b, s = self
+        return _QuadElem((a + other[0], b + other[1], s))
+
+    def __sub__(self, other):
+        a, b, s = self
+        return _QuadElem((a - other[0], b - other[1], s))
+
+    def __mul__(self, other):
+        a, b, s = self
+        if other.__class__ is int:
+            return _QuadElem((other * a, other * b, s))
+        c, e, _ = other
+        return _QuadElem((a * c + s * (b * e), a * e + b * c, s))
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> tuple:
+        """(r, u) with 1 / self = r / u, r a _QuadElem and u a positive
+        int: the conjugate a - b g over the norm a^2 - s b^2, which is
+        nonzero for nonzero self since s is not a rational square."""
+        a, b, s = self
+        u = a * a - s * (b * b)
+        if u > 0:
+            return _QuadElem((a, -b, s)), u
+        return _QuadElem((-a, b, s)), -u
 
 
 def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:

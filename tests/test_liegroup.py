@@ -6,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from sp4higgs.liegroup import (
-    _J13_FRAME, _rho1_grid, _rho1_raw, GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
+    _F_FRAME, _J13_FRAME, _rho1_grid, _rho1_raw, _rho1_star,
+    GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, HT, HT_INV, SWAP,
     NotInAlgebra, SingularNormalization, cartan_split, gl1_torus,
     m_delta_element, m_delta_membership, m_field_matrix,
     normalizer_witness_check, phi, phi_star, rho1, rho13, rho13_star,
     rho_delta, rho_p, s_conjugate, s_matrix, sl2, in_sp4c, T2_DET1,
 )
 from sp4higgs.matalg import (
-    H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13,
-    SqMatrix, _monomial_conjugate, is_symplectic, kron,
+    H_PERM, H_SYM3, H_SYM3_INV, I2, I4, J0, J12, J13, T2,
+    SqMatrix, _monomial_conjugate, _ring, is_symplectic, kron,
 )
 from sp4higgs.numfield import FieldElem, I_UNIT, ONE, SQRT3, SQRT6, ZERO, fe
 
 from builders import dense_elem
+from test_matalg import RING_SUPPORTS, ring_class, support_elem
 
 E = SqMatrix([[0, 1], [0, 0]])
 F = SqMatrix([[0, 0], [1, 0]])
@@ -377,6 +379,72 @@ def test_rho1_raw_matches_reference_grid():
             _rho1_grid_ref(a, b, c, d, two, three))
 
 
+@pytest.mark.parametrize("support", RING_SUPPORTS, ids=str)
+def test_rho1_raw_in_every_ring(support):
+    # rational, one-subfield and general quads, each in the ring _ring
+    # picks for it, against the FieldElem reference grid
+    rng = random.Random(20261041 + len(support) + 3 * support[-1])
+    two, three = fe(2), fe(3)
+    for bound, den in ((9, 1), (9, 9), (10 ** 6, 7)):
+        for _ in range(3):
+            a, b, c, d = (support_elem(rng, support, bound, den) for _ in range(4))
+            m = SqMatrix([[a, b], [c, d]])
+            assert {type(e) for e in _ring(m._n)} == {ring_class(support)}
+            assert _rho1_raw(m) == SqMatrix(_rho1_grid_ref(a, b, c, d, two, three))
+
+
+def _rho1_star_ref(x):
+    # rho1_star built from FieldElem arithmetic, entry by entry
+    (p, q), (r, _) = x.rows
+    z = ZERO
+    return SqMatrix((
+        (3 * p, 3 * q, z, z),
+        (r, p, z, 2 * q),
+        (z, z, -3 * p, 3 * r),
+        (z, 2 * r, q, -p)))
+
+
+def test_differentials_match_the_field_built_rho1_star():
+    rng = random.Random(20261042)
+    f, f_inv = _F_FRAME.matrix, _F_FRAME.matrix.inv()
+    for _ in range(20):
+        p, q, r = dense_elem(rng), dense_elem(rng), dense_elem(rng)
+        for x in (SqMatrix([[p, q], [r, -p]]), SqMatrix([[p, 0], [0, -p]]),
+                  SqMatrix([[Fraction(3, 7), -2], [5, Fraction(-3, 7)]])):
+            ref = _rho1_star_ref(x)
+            assert _rho1_star(x) == ref
+            assert rho13_star(x) == H_SYM3_INV * ref * H_SYM3
+            assert phi_star(x) == f * _rho1_star_ref(T2 * x * T2.inv()) * f_inv
+
+
+def _m_field_matrix_ref(beta, gamma):
+    z = ZERO
+    return SqMatrix([
+        [z, z, z, 3 * beta],
+        [z, z, 3 * beta, gamma],
+        [z, gamma, z, z],
+        [gamma, 4 * beta, z, z]])
+
+
+def test_s_conjugate_matches_the_generic_product():
+    # S M S^-1 as two 4x4 products and a generic inverse, not the
+    # closed form of the docstring
+    rng = random.Random(20261043)
+    for k in range(30):
+        beta, gamma = dense_elem(rng), dense_elem(rng)
+        if k % 3 == 2:
+            beta, gamma = beta * 10 ** 9, gamma * Fraction(1, 10 ** 7)
+        s, m = s_matrix(beta, gamma), m_field_matrix(beta, gamma)
+        r = 2 * beta / gamma
+        assert s == SqMatrix([[1, r, 0, 0], [0, 1, 0, 0],
+                              [0, 0, 1, 0], [0, 0, -r, 1]])
+        assert m == _m_field_matrix_ref(beta, gamma)
+        assert s_conjugate(beta, gamma) == s * m * s.inv()
+    for beta, gamma in ((0, 1), (1, 1), (SQRT3, I_UNIT), (Fraction(2, 3), -5)):
+        s, m = s_matrix(beta, gamma), m_field_matrix(beta, gamma)
+        assert s_conjugate(beta, gamma) == s * m * s.inv()
+
+
 def test_rho13_star_matches_dual_number_evaluation():
     rng = random.Random(20261026)
     for _ in range(30):
@@ -415,8 +483,8 @@ def test_s_conjugate_gamma_zero_raises():
 
 
 def test_s_matrix_inverse_is_negated_ratio():
-    # S = I + N with N^2 = 0: r -> -r inverts it, and so does 2I - S,
-    # which s_conjugate relies on
+    # S = I + N with N^2 = 0: r -> -r inverts it, and so does
+    # 2I - S = I - N, which s_conjugate relies on
     rng = random.Random(20261018)
     for _ in range(10):
         beta, gamma = dense_elem(rng), dense_elem(rng)

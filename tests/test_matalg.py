@@ -10,13 +10,15 @@ import pytest
 
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T2, T4,
-    SingularMatrix, SqMatrix, _cayley_conjugate, _monomial_conjugate,
-    _monomial_frame,
+    SingularMatrix, SqMatrix, _cayley_conjugate, _flat, _monomial_conjugate,
+    _monomial_frame, _ring,
     conjugate, exp_nilpotent, is_symplectic, kron, kron_identities_check,
     preserves_symplectic_up_to_scalar,
 )
 from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
-from sp4higgs.numfield import FieldElem, I_UNIT, ONE, SQRT2, SQRT3, ZERO, fe
+from sp4higgs.numfield import (
+    FieldElem, I_UNIT, ONE, SQRT2, SQRT3, ZERO, _IntElem, _QuadElem, fe,
+)
 
 from builders import dense_elem
 from test_numfield import ref_mul as ref_field_mul
@@ -300,6 +302,71 @@ def test_products_across_the_dispatch_boundary(bound):
                                for _ in range(4)] for _ in range(4)])
             assert (mixed * a4).rows == ref_mul(mixed.rows, a4.rows)
             assert_inverse_matches_reference(mixed)
+
+
+# matalg._ring runs det, inv (and liegroup's rho1 grid) in the smallest
+# ring that holds a matrix's entries: plain ints for rational entries, a
+# _QuadElem each for entries in one quadratic subfield Q(b_k), an
+# _IntElem each otherwise.  Random positions almost never keep a matrix
+# inside one subfield, so these draw every coordinate support a ring
+# choice reads: {0}, {0, k} and {k} for k = 1..7, and all 8.
+
+RING_SUPPORTS = ([(0,)] + [(0, k) for k in range(1, 8)]
+                 + [(k,) for k in range(1, 8)] + [tuple(range(8))])
+
+
+def ring_class(support):
+    """The element type _ring picks for entries on ``support``."""
+    nonrational = [k for k in support if k]
+    if not nonrational:
+        return int
+    return _QuadElem if len(nonrational) == 1 else _IntElem
+
+
+def support_elem(rng, support, bound=9, den=9):
+    """Nonzero random coordinates on ``support``, zero elsewhere."""
+    x = [0] * 8
+    for k in support:
+        x[k] = Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
+                        rng.randint(1, den))
+    return FieldElem(x)
+
+
+def support_matrix(rng, n, support, bound=9):
+    return SqMatrix([[support_elem(rng, support, bound) for _ in range(n)]
+                     for _ in range(n)])
+
+
+def singular_support_matrix(rng, n, support):
+    """Rows on ``support`` whose last row is a rational combination of
+    the others, so the matrix stays on ``support``."""
+    rows = [[support_elem(rng, support) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+    rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO)
+                 for j in range(n)])
+    return SqMatrix(rows)
+
+
+@pytest.mark.parametrize("support", RING_SUPPORTS, ids=str)
+@pytest.mark.parametrize("n", [2, 4])
+def test_every_ring_matches_reference(n, support):
+    rng = random.Random(20261040 + 10 * n + len(support) + 3 * support[-1])
+    for bound in (9, 9, 10 ** 12):
+        m = support_matrix(rng, n, support, bound)
+        elems = _ring(m._n)
+        assert {type(e) for e in elems} == {ring_class(support)}
+        assert _flat(elems) == list(m._n)
+        assert m.det() == ref_det(m.rows)
+        assert m.inv().rows == ref_inv(m.rows)
+        # a subfield is a field: the inverse stays on its coordinates
+        inv = m.inv()._n
+        assert {k for k in range(8) if any(inv[k::8])} <= {0, *support}
+        assert_canonical(m.inv())
+        s = singular_support_matrix(rng, n, support)
+        assert {type(e) for e in _ring(s._n)} == {ring_class(support)}
+        assert s.det().is_zero and ref_det(s.rows).is_zero
+        with pytest.raises(SingularMatrix):
+            s.inv()
 
 
 def test_t4_is_t2_kron_identity():

@@ -176,6 +176,26 @@ def test_coercion_and_equality():
         fe(1.5)
 
 
+def test_constructor_takes_only_what_fe_takes():
+    # a float or a string coordinate was passed through Fraction(c):
+    # 0.1 became 3602879701896397/36028797018963968 and "1/3" a third
+    from decimal import Decimal
+    for bad in (0.1, 1.0, "1/3", "2", Decimal("0.5"), None, 1j, SQRT2):
+        with pytest.raises(TypeError):
+            FieldElem([bad] + [0] * 7)
+        with pytest.raises(TypeError):
+            FieldElem([0] * 7 + [bad])
+        if not isinstance(bad, FieldElem):
+            with pytest.raises(TypeError):
+                fe(bad)
+    x = FieldElem([1, Fraction(-2, 6), 0, True, 0, Fraction(5), -7, 0])
+    assert x.coeffs == (1, Fraction(-1, 3), 0, 1, 0, 5, -7, 0)
+    assert FieldElem(Fraction(k, 4) for k in range(8)) == FieldElem(
+        [Fraction(k, 4) for k in range(8)])
+    with pytest.raises(ValueError):
+        FieldElem([1] * 7)
+
+
 def test_foreign_operands_defer_then_raise():
     # an operand the field does not take gets NotImplemented, so Python
     # tries the other operand's method and raises TypeError only then
