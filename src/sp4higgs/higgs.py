@@ -17,10 +17,10 @@ check their preconditions once and call the shape's rule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+from ._record import Record
 from .f2 import F2Vector
 from .numfield import FieldElem, ZERO, fe
 
@@ -88,15 +88,16 @@ class NotPolystable(ValueError):
     """Operation requires a polystable datum."""
 
 
-@dataclass(frozen=True)
-class CurveCtx:
-    """A genus-g curve, g >= 2.  2-torsion labels and spin-structure
+class CurveCtx(Record):
+    """A genus-g curve, g an int >= 2.  2-torsion labels and spin-structure
     labels are F2 vectors of length 2g, relative to a distinguished base
     square root of K which is encoded as the zero label."""
 
     genus: int
 
     def __post_init__(self):
+        if not isinstance(self.genus, int):
+            raise TypeError("genus %r is not an int" % (self.genus,))
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
 
@@ -112,12 +113,12 @@ class CurveCtx:
         return F2Vector.zero(self.two_g)
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
+class LineBundleClass(Record):
     """Formal line bundle class: K^k_power * O(extra_degree) * torsion.
 
-    k_power may be a half-integer (a power of the base square root of
-    K); torsion is an F2^(2g) label.  Duals negate every field (torsion
+    k_power is an int or a Fraction, kept as a Fraction, and may be a
+    half-integer (a power of the base square root of K); torsion is an
+    F2^(2g) label.  Duals negate every field (torsion
     is its own negative).
     """
 
@@ -126,10 +127,14 @@ class LineBundleClass:
     torsion: F2Vector
 
     def __post_init__(self):
-        kp = Fraction(self.k_power)
+        kp = self.k_power
+        if type(kp) is not Fraction:
+            if not isinstance(kp, (int, Fraction)):
+                raise TypeError("k_power %r is not an int or Fraction" % (kp,))
+            kp = Fraction(kp)
+            object.__setattr__(self, "k_power", kp)
         if kp.denominator not in (1, 2):
             raise ValueError("k_power must be a half-integer")
-        object.__setattr__(self, "k_power", kp)
 
     # degree = extra + k_power*(2g-2); always an integer because
     # half-integer k_power multiplies the even number 2g-2.
@@ -210,8 +215,7 @@ def milnor_wood(ctx: CurveCtx, d: int) -> bool:
     return abs(d) <= ctx.deg_k
 
 
-@dataclass(frozen=True)
-class SectionSlot:
+class SectionSlot(Record):
     """A section of ``bundle`` as a coefficient vector of length h0.
 
     ``h0_override`` supplies the dimension when h0 cannot be derived
@@ -292,15 +296,13 @@ class Stability(enum.Enum):
         return self in (Stability.STABLE, Stability.STRICTLY_POLYSTABLE)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     verdict: Stability
     clause: str
     non_simple: bool = False
 
 
-@dataclass(frozen=True)
-class CayleyCase:
+class CayleyCase(Record):
     """One of the three orthogonal rank-2 possibilities:
     kind "split" (W = L + L^-1, w1 = 0), kind "cover" (connected double
     cover, w1 != 0), kind "torsion" (W = M1 + M2 with 2-torsion M_i).
@@ -314,14 +316,12 @@ class CayleyCase:
     m2: Optional[F2Vector] = None
 
 
-@dataclass(frozen=True)
-class CayleyPartner:
+class CayleyPartner(Record):
     case: CayleyCase
     theta_present: bool
 
 
-@dataclass(frozen=True)
-class SWInvariants:
+class SWInvariants(Record):
     """Topological invariants: Toledo d, first class w1, and either the
     integer lift c (only defined when w1 = 0 on rank-2 maximal data) or
     just the second class w2."""
@@ -386,8 +386,7 @@ class _Shape:
         raise NotPolystable("no spin label for %r" % (self,))
 
 
-@dataclass(frozen=True)
-class DiagonalShape(_Shape):
+class DiagonalShape(_Shape, Record):
     """V = N + N^-1 K with gamma the off-diagonal unit form and
     beta = [[beta1, beta3], [beta3, beta2]]; always has degree 2g-2.
 
@@ -476,8 +475,7 @@ class DiagonalShape(_Shape):
         return self.N.torsion
 
 
-@dataclass(frozen=True)
-class CoverOrthShape(_Shape):
+class CoverOrthShape(_Shape, Record):
     """V = W (x) K^(1/2) with W an orthogonal bundle from a connected
     double cover: w1 is the nonzero class of the cover, w2 is stored
     (never computed here).  The quadratic part of the Higgs field is the
@@ -525,8 +523,7 @@ class CoverOrthShape(_Shape):
         return not self.beta_present
 
 
-@dataclass(frozen=True)
-class TorsionSplitShape(_Shape):
+class TorsionSplitShape(_Shape, Record):
     """V = L1 K^(1/2) + L2 K^(1/2) with L_i 2-torsion (labels t1, t2),
     gamma diagonal from the torsion isomorphisms, beta diagonal with
     entries in H0(K^2)."""
@@ -579,8 +576,7 @@ class TorsionSplitShape(_Shape):
         return self.beta1.is_zero and self.beta2.is_zero
 
 
-@dataclass(frozen=True)
-class SL2RDatum(_Shape):
+class SL2RDatum(_Shape, Record):
     """Rank-1 datum (L, beta, gamma) with beta in H0(L^2 K) and
     gamma in H0(L^-2 K)."""
 
@@ -611,8 +607,7 @@ class SL2RDatum(_Shape):
         return SWInvariants(self.toledo(ctx), _root_of_k_label(self.L), 0)
 
 
-@dataclass(frozen=True)
-class IrreducibleImage(_Shape):
+class IrreducibleImage(_Shape, Record):
     """Image of a rank-1 datum under the irreducible embedding:
     V = L^3 + L^-1 with beta = [[0, 3b], [3b, g]] and
     gamma = [[0, g], [g, 4b]] in terms of the rank-1 fields (b, g).
@@ -669,8 +664,7 @@ class IrreducibleImage(_Shape):
         return _root_of_k_label(self.L)
 
 
-@dataclass(frozen=True)
-class DirectSum(_Shape):
+class DirectSum(_Shape, Record):
     """Direct sum of symplectic data; flattens nested sums."""
 
     summands: Tuple["HiggsDatum", ...]

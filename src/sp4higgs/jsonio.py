@@ -4,7 +4,7 @@ Data files are objects tagged by "shape" and carrying "genus"; field
 elements are arrays of 8 "num/den" strings, mod-2 vectors are bitstrings
 of length 2g, and line bundle classes are {k_power, extra_degree,
 torsion} objects.  Every other key of a shape object is the name of a
-field of the shape's dataclass, so one codec per field type encodes and
+field of the shape's record, so one codec per field type encodes and
 decodes every shape.  Encoding then decoding is the identity, and output
 is deterministic (sorted keys, no run metadata).
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from functools import partial
 from fractions import Fraction
 from typing import Tuple, get_type_hints
@@ -129,8 +128,7 @@ _SHAPES = {"diagonal": DiagonalShape, "cover_orth": CoverOrthShape,
            "irreducible_image": IrreducibleImage, "direct_sum": DirectSum}
 _TAGS = {cls: tag for tag, cls in _SHAPES.items()}
 # shape class -> [(field name, (encode, decode))] in field order
-_FIELDS = {cls: [(f.name, _CODECS[get_type_hints(cls)[f.name]])
-                 for f in fields(cls)]
+_FIELDS = {cls: [(name, _CODECS[get_type_hints(cls)[name]]) for name in cls._fields]
            for cls in _SHAPES.values()}
 
 

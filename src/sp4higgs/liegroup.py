@@ -46,12 +46,12 @@ test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import neg
 from typing import Optional, Tuple
 
+from ._record import Record
 from .numfield import FieldElem, I_UNIT, ONE, ZERO, fe
 from .matalg import (
     H_SYM3_INV, HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
@@ -337,8 +337,7 @@ def s_conjugate(beta, gamma) -> SqMatrix:
 # -- Cartan decomposition in the post-T4 frame --------------------------------
 
 
-@dataclass(frozen=True)
-class CartanSplit:
+class CartanSplit(Record):
     """Splitting X = h_part + m_part in the frame where the compact part
     is block-diagonal: h_part = blockdiag(Z, -Z^t) and m_part is
     block-off-diagonal with symmetric blocks."""
@@ -420,8 +419,7 @@ def m_delta_element(a, b) -> SqMatrix:
 # -- normalizer facts ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizerReport:
+class NormalizerReport(Record):
     det_value: FieldElem
     det_ok: bool
     normalizes_ok: bool

@@ -11,10 +11,10 @@ through the same witness pairs that build the rank-n witnesses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Sequence, Set, Tuple, Union
 
+from ._record import Record
 from .f2 import F2Vector
 from .higgs import (
     CurveCtx, DiagonalShape, DirectSum, HiggsDatum, LineBundleClass,
@@ -67,8 +67,7 @@ class Subgroup(enum.Enum):
 _PRODUCT_AND_DIAGONAL = frozenset({Subgroup.G_DELTA, Subgroup.G_P})
 
 
-@dataclass(frozen=True)
-class Hitchin:
+class Hitchin(Record):
     """One of the 2^(2g) distinguished components, labeled by the spin
     structure (square root of K) relative to the base root.  Admits
     only the irreducible subgroup."""
@@ -82,8 +81,7 @@ class Hitchin:
         return frozenset({Subgroup.G_I})
 
 
-@dataclass(frozen=True)
-class ZeroSW:
+class ZeroSW(Record):
     """Component with w1 = 0 and integer lift c, 0 <= c < 2g-2.  The
     c = 0 component admits the product and diagonal subgroups; the
     intermediate ones admit nothing."""
@@ -97,8 +95,7 @@ class ZeroSW:
         return _PRODUCT_AND_DIAGONAL if self.c == 0 else frozenset()
 
 
-@dataclass(frozen=True)
-class SW:
+class SW(Record):
     """Component labeled by (w1, w2) with w1 != 0.  Admits the product
     and diagonal subgroups."""
 
@@ -132,8 +129,7 @@ def classify(ctx: CurveCtx, datum: HiggsDatum) -> ComponentLabel:
     return ZeroSW(inv.c)
 
 
-@dataclass(frozen=True)
-class ReductionVerdict:
+class ReductionVerdict(Record):
     """Subgroups the component's data can be deformed into; the
     component is Zariski-dense exactly when the set is empty."""
 
@@ -158,8 +154,7 @@ def reduction_verdict(label: ComponentLabel) -> ReductionVerdict:
 # -- counting --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentCount:
+class ComponentCount(Record):
     """The three-way census of maximal components and its cross-checks.
 
     sw + zero_sw + hitchin = total = 3*4^g + 2g - 4, and the alternative
@@ -209,8 +204,7 @@ def count_components_sp2n(ctx: CurveCtx, n: int) -> int:
 # -- fiber geometry of the intermediate components --------------------------------
 
 
-@dataclass(frozen=True)
-class FiberGeometry:
+class FiberGeometry(Record):
     """Fiber data of the component with invariant c over the Jacobian:
     a rank-r twisted bundle over P^s times an affine factor."""
 

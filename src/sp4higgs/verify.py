@@ -9,11 +9,11 @@ seed, so reports are byte-stable across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List
 
 from . import liegroup, matalg
+from ._record import Record
 from .matalg import SqMatrix, kron, is_symplectic
 from .numfield import I_UNIT, ONE, SQRT6, fe
 
@@ -23,16 +23,14 @@ LIE_SEED = 20240801
 MATALG_SEED = 20240802
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     id: str
     ref: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     suite: str
     checks: List[Check]
 

@@ -19,7 +19,6 @@ with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
-import dataclasses
 import enum
 import hashlib
 import io
@@ -31,6 +30,7 @@ from pathlib import Path
 
 import sp4higgs as sh
 from sp4higgs import CurveCtx, F2Vector
+from sp4higgs._record import Record
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
 
@@ -138,8 +138,8 @@ def _plain(x):
         return sorted(_plain(v) for v in x)
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if dataclasses.is_dataclass(x):
-        out = {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Record):
+        out = {name: _plain(getattr(x, name)) for name in x._fields}
         out["type"] = type(x).__name__
         return out
     raise TypeError("no plain form for %r" % (x,))

@@ -5,7 +5,12 @@ Reprs reach CLI error clauses (and, hashed, the golden corpus), and
 hashes decide set and dict iteration order, so both are pinned exactly.
 """
 
+import os
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +238,45 @@ def test_reduction_verdict_mirrors_emptiness():
     with pytest.raises(ValueError, match=message):
         moduli.ReductionVerdict(frozenset({moduli.Subgroup.G_P}), True)
     assert moduli.ReductionVerdict(frozenset(), True).zariski_dense_component
+
+
+# -- what constructors accept -------------------------------------------------------
+
+
+@pytest.mark.parametrize("genus", [2.5, 3.0, Fraction(3), "3", None])
+def test_genus_must_be_an_int(genus):
+    with pytest.raises(TypeError, match="is not an int"):
+        sh.CurveCtx(genus)
+
+
+@pytest.mark.parametrize("k_power", [0.5, 1.0, "1/2", Decimal("0.5"), None])
+def test_k_power_must_be_an_int_or_fraction(k_power):
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        sh.LineBundleClass(k_power, 0, F("0000"))
+
+
+def test_exact_genus_and_k_power_are_kept():
+    assert type(sh.CurveCtx(3).genus) is int
+    assert sh.CurveCtx(3).deg_k == 4
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        sh.CurveCtx(1)
+    for k_power in (3, Fraction(3, 2), Fraction(-4, 2)):
+        bundle = sh.LineBundleClass(k_power, 0, F("0000"))
+        assert type(bundle.k_power) is Fraction
+        assert bundle.k_power == k_power
+
+
+# -- import cost --------------------------------------------------------------------
+
+
+def test_import_leaves_out_dataclasses_and_the_io_modules():
+    """``import sp4higgs`` builds its records without ``dataclasses``
+    (whose ``inspect`` import took most of the import's time) and does
+    not load the CLI or the JSON codec."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, sp4higgs\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'sp4higgs.cli', "
+            "'sp4higgs.jsonio', 'sp4higgs.higgs') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.split() == ["sp4higgs.higgs"]
