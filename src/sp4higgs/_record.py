@@ -3,8 +3,8 @@
 Curve contexts, bundle classes, sections, the shapes, verdicts,
 component labels and reports are all records: a fixed tuple of named
 fields, compared and hashed by value.  ``Record`` builds each record
-class when it is defined, with one compiled ``__init__`` (and field
-tuple) per class and the other methods shared, so building the classes
+class when it is defined: it compiles an ``__init__`` and a field-tuple
+getter per class and shares the other methods, so building the classes
 costs little of ``import sp4higgs``.
 """
 
@@ -27,9 +27,6 @@ class Record:
     raises AttributeError.
     """
 
-    __slots__ = ()
-    _fields = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # the class's own namespace: on Python 3.10, cls.__annotations__
@@ -41,9 +38,9 @@ class Record:
         if hasattr(cls, "__post_init__"):
             body += "    self.__post_init__()\n"
         namespace = {}
-        exec("def __init__(self, %s):\n%s\n"
+        exec("def __init__(self, %s):\n%s"
              "def _values(self):\n    return (%s)\n"
-             % (params, body or "    pass", "".join("self.%s, " % n for n in names)),
+             % (params, body, "".join("self.%s, " % n for n in names)),
              {"_setattr": _setattr, "_own": own}, namespace)
         init = namespace["__init__"]
         init.__qualname__ = cls.__qualname__ + ".__init__"
