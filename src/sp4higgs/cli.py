@@ -2,10 +2,12 @@
 
 Subcommands: verify / verify-lie (identity suites), classify, stability,
 normal-form (JSON datum in, JSON verdict out), count, f2-scan, fiber.
-Output is JSON on stdout with sorted keys and no run metadata, so runs
-on identical inputs are byte-stable.  Exit codes: 0 success, 1 domain
-failure, 2 usage or parse failure.  Errors are {"error", "clause"}
-objects naming the violated precondition.
+Each returns (exit code, payload) and prints nothing; ``main`` alone
+turns errors into {"error", "clause"} objects naming the violated
+precondition and prints one JSON object with sorted keys and no run
+metadata, so runs on identical inputs are byte-stable.  Exit codes: 0
+success, 1 domain failure (a library domain error, or WrongShape for
+normal-form on a non-diagonal datum), 2 usage or parse failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import moduli, verify
+from . import verify
 from .f2 import F2Vector
 from .higgs import (
     CurveCtx, DiagonalShape, NotMaximal, NotPolystable, OutOfClassifiedRange,
@@ -28,97 +30,101 @@ from .moduli import (
 
 __all__ = ["main"]
 
+
+class WrongShape(ValueError):
+    """A command was given a datum of a shape it does not take."""
+
+
 _DOMAIN_ERRORS = (NotMaximal, NotPolystable, OutOfClassifiedRange,
-                  RequiresExplicitH0, ScanBudgetExceeded)
+                  RequiresExplicitH0, ScanBudgetExceeded, WrongShape)
 
 # the largest genus whose counts (about 2^(2g+1) * 3) stay within
 # CPython's default limit of 4300 digits for printing an int
 MAX_COUNT_GENUS = 7140
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _fail(error: str, clause: str) -> int:
-    _emit({"error": error, "clause": clause})
-    return 1
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     reports = verify.run_suite(args.scope)
-    payload = [r.to_json() for r in reports]
-    _emit(payload if len(payload) > 1 else payload[0])
-    return 0 if all(r.ok for r in reports) else 1
+    payload = [{"suite": r.suite, "passed": r.passed, "failed": r.failed, "ok": r.ok,
+                "checks": [{"id": c.id, "ref": c.ref, "pass": c.passed, "detail": c.detail}
+                           for c in r.checks]} for r in reports]
+    return (0 if all(r.ok for r in reports) else 1,
+            payload if len(payload) > 1 else payload[0])
 
 
-def _cmd_classify(args) -> int:
-    ctx, datum = load_datum(args.infile)
+def _classify(ctx, datum) -> dict:
+    """component and deformation verdict of a datum file"""
     label = classify(ctx, datum)
     verdict = reduction_verdict(label)
-    _emit(dict(label.to_json(), admits=sorted(s.value for s in verdict.admits),
-               zariski_dense=verdict.zariski_dense_component))
-    return 0
+    # the label's class name and fields, a mod-2 vector as its bitstring
+    out = {"component": type(label).__name__}
+    for name in label._fields:
+        value = getattr(label, name)
+        out[name] = value.to_string() if isinstance(value, F2Vector) else value
+    return dict(out, admits=sorted(s.value for s in verdict.admits),
+                zariski_dense=verdict.zariski_dense_component)
 
 
-def _cmd_stability(args) -> int:
-    ctx, datum = load_datum(args.infile)
+def _stability(ctx, datum) -> dict:
+    """stability verdict of a datum file"""
     report = stability_report(ctx, datum)
-    _emit({"verdict": report.verdict.value,
-           "clause": report.clause,
-           "non_simple": report.non_simple})
-    return 0
+    return {"verdict": report.verdict.value,
+            "clause": report.clause,
+            "non_simple": report.non_simple}
 
 
-def _cmd_normal_form(args) -> int:
-    ctx, datum = load_datum(args.infile)
+def _normal_form(ctx, datum) -> dict:
+    """canonical scaling-orbit representative of a diagonal datum"""
     if not isinstance(datum, DiagonalShape):
-        return _fail("WrongShape", "normal-form expects a diagonal-shape datum")
-    normal = iso_normal_form(ctx, datum)
-    _emit(datum_to_json(ctx, normal))
-    return 0
+        raise WrongShape("normal-form expects a diagonal-shape datum")
+    return datum_to_json(ctx, iso_normal_form(ctx, datum))
 
 
-def _cmd_count(args) -> int:
+# the commands on one datum file; a payload's docstring is its help line
+_DATUM_COMMANDS = {"classify": _classify, "stability": _stability,
+                   "normal-form": _normal_form}
+
+
+def _cmd_datum(args):
+    return 0, args.payload(*load_datum(args.infile))
+
+
+def _cmd_count(args):
     if args.genus > MAX_COUNT_GENUS:
         raise OutOfClassifiedRange(
             "count supports genus <= %d: larger counts exceed the default "
             "int-to-str digit limit" % MAX_COUNT_GENUS)
     ctx = CurveCtx(args.genus)
     if args.sp2n is not None:
-        _emit({"genus": ctx.genus, "n": args.sp2n,
-               "total": count_components_sp2n(ctx, args.sp2n)})
-        return 0
+        return 0, {"genus": ctx.genus, "n": args.sp2n,
+                   "total": count_components_sp2n(ctx, args.sp2n)}
     c = count_components(ctx)
-    _emit({"genus": c.genus,
-           "sw": c.sw, "zero_sw": c.zero_sw, "hitchin": c.hitchin,
-           "total": c.total,
-           "rep_variety": c.rep_variety_total,
-           "grouped": {"hitchin": c.grouped_hitchin,
-                       "g_delta_g_p": c.grouped_gdelta_gp,
-                       "zariski_dense": c.grouped_zariski_dense}})
-    return 0
+    return 0, {"genus": c.genus,
+               "sw": c.sw, "zero_sw": c.zero_sw, "hitchin": c.hitchin,
+               "total": c.total,
+               "rep_variety": c.rep_variety_total,
+               "grouped": {"hitchin": c.grouped_hitchin,
+                           "g_delta_g_p": c.grouped_gdelta_gp,
+                           "zariski_dense": c.grouped_zariski_dense}}
 
 
-def _cmd_f2scan(args) -> int:
+def _cmd_f2scan(args):
     image = f2_image_scan(args.genus)
     # all_vectors runs in bitstring order, so `missing` comes out sorted
     missing = [[v.to_string(), w] for v in F2Vector.all_vectors(2 * args.genus)
                for w in (0, 1) if (v, w) not in image]
-    _emit({"genus": args.genus,
-           "mode": "exhaustive",
-           "image_size": len(image),
-           "missing": missing})
-    return 0
+    return 0, {"genus": args.genus,
+               "mode": "exhaustive",
+               "image_size": len(image),
+               "missing": missing}
 
 
-def _cmd_fiber(args) -> int:
+def _cmd_fiber(args):
     ctx = CurveCtx(args.genus)
     geom = fiber_geometry(ctx, args.c)
-    _emit({"c": geom.c, "r": geom.r, "s": geom.s,
-           "base_dim": geom.base_dim, "extra": geom.extra,
-           "total_dim": geom.total_dim})
-    return 0
+    return 0, {"c": geom.c, "r": geom.r, "s": geom.s,
+               "base_dim": geom.base_dim, "extra": geom.extra,
+               "total_dim": geom.total_dim}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,19 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lie", help="shortcut for verify --scope lie")
     p.set_defaults(func=_cmd_verify, scope="lie")
 
-    p = sub.add_parser("classify", help="component and deformation verdict "
-                                        "of a datum file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("stability", help="stability verdict of a datum file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("normal-form", help="canonical scaling-orbit "
-                                           "representative of a diagonal datum")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_normal_form)
+    for name, payload in _DATUM_COMMANDS.items():
+        p = sub.add_parser(name, help=payload.__doc__)
+        p.add_argument("--in", dest="infile", required=True)
+        p.set_defaults(func=_cmd_datum, payload=payload)
 
     p = sub.add_parser("count", help="component counts")
     p.add_argument("--genus", type=int, required=True)
@@ -180,14 +177,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        return _fail(type(exc).__name__, str(exc))
-    except ParseError as exc:
-        _emit({"error": "ParseError", "clause": str(exc)})
-        return 2
+        code, payload = args.func(args)
+        # encoded inside the try: an int too long to print is a ValueError
+        text = json.dumps(payload, sort_keys=True, indent=2)
     except ValueError as exc:
-        return _fail("ValueError", str(exc))
+        # domain errors and ParseError by name, any other as "ValueError"
+        named = isinstance(exc, (*_DOMAIN_ERRORS, ParseError))
+        code = 2 if isinstance(exc, ParseError) else 1
+        text = json.dumps({"error": type(exc).__name__ if named else "ValueError",
+                           "clause": str(exc)}, sort_keys=True, indent=2)
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

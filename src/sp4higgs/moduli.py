@@ -74,9 +74,6 @@ class Hitchin(Record):
 
     spin: F2Vector
 
-    def to_json(self) -> dict:
-        return {"component": "Hitchin", "spin": self.spin.to_string()}
-
     def admits(self) -> FrozenSet[Subgroup]:
         return frozenset({Subgroup.G_I})
 
@@ -87,9 +84,6 @@ class ZeroSW(Record):
     intermediate ones admit nothing."""
 
     c: int
-
-    def to_json(self) -> dict:
-        return {"component": "ZeroSW", "c": self.c}
 
     def admits(self) -> FrozenSet[Subgroup]:
         return _PRODUCT_AND_DIAGONAL if self.c == 0 else frozenset()
@@ -105,9 +99,6 @@ class SW(Record):
     def __post_init__(self):
         if self.w1.is_zero:
             raise ValueError("SW labels need nonzero w1")
-
-    def to_json(self) -> dict:
-        return {"component": "SW", "w1": self.w1.to_string(), "w2": self.w2}
 
     def admits(self) -> FrozenSet[Subgroup]:
         return _PRODUCT_AND_DIAGONAL

@@ -46,16 +46,6 @@ class Report(Record):
     def ok(self) -> bool:
         return self.failed == 0
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [{"id": c.id, "ref": c.ref, "pass": c.passed,
-                        "detail": c.detail} for c in self.checks],
-            "passed": self.passed,
-            "failed": self.failed,
-            "ok": self.ok,
-        }
-
 
 def _fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
     """num/den with |num| <= bound and 0 < den <= bound, drawn again
