@@ -117,9 +117,9 @@ class LineBundleClass(Record):
     """Formal line bundle class: K^k_power * O(extra_degree) * torsion.
 
     k_power is an int or a Fraction, kept as a Fraction, and may be a
-    half-integer (a power of the base square root of K); torsion is an
-    F2^(2g) label.  Duals negate every field (torsion
-    is its own negative).
+    half-integer (a power of the base square root of K); extra_degree is
+    an int; torsion is an F2^(2g) label.  Duals negate every field
+    (torsion is its own negative).
     """
 
     k_power: Fraction
@@ -135,6 +135,8 @@ class LineBundleClass(Record):
             object.__setattr__(self, "k_power", kp)
         if kp.denominator not in (1, 2):
             raise ValueError("k_power must be a half-integer")
+        if not isinstance(self.extra_degree, int):
+            raise TypeError("extra_degree %r is not an int" % (self.extra_degree,))
 
     # degree = extra + k_power*(2g-2); always an integer because
     # half-integer k_power multiplies the even number 2g-2.
@@ -218,9 +220,9 @@ def milnor_wood(ctx: CurveCtx, d: int) -> bool:
 class SectionSlot(Record):
     """A section of ``bundle`` as a coefficient vector of length h0.
 
-    ``h0_override`` supplies the dimension when h0 cannot be derived
-    from the degree (see RequiresExplicitH0); where it can, an override
-    must equal it.  The zero section is the all-zero vector; an empty
+    ``h0_override``, an int, supplies the dimension when h0 cannot be
+    derived from the degree (see RequiresExplicitH0); where it can, an
+    override must equal it.  The zero section is the all-zero vector; an empty
     vector is the only section of a bundle with no sections.
     """
 
@@ -229,9 +231,12 @@ class SectionSlot(Record):
     h0_override: Optional[int] = None
 
     def __post_init__(self):
-        if self.h0_override is not None and self.h0_override < 0:
-            raise ValueError("h0_override must be non-negative, not %d"
-                             % self.h0_override)
+        dim = self.h0_override
+        if dim is not None:
+            if not isinstance(dim, int):
+                raise TypeError("h0_override %r is not an int" % (dim,))
+            if dim < 0:
+                raise ValueError("h0_override must be non-negative, not %d" % dim)
         object.__setattr__(self, "coeffs", tuple(fe(c) for c in self.coeffs))
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from . import liegroup, matalg
 from ._record import Record
@@ -32,7 +32,7 @@ class Check(Record):
 
 class Report(Record):
     suite: str
-    checks: List[Check]
+    checks: Tuple[Check, ...]
 
     @property
     def passed(self) -> int:
@@ -199,4 +199,4 @@ def run_suite(scope: str) -> List[Report]:
     """The report of the named suite, or of every suite for ``"all"``;
     raises KeyError for any other scope."""
     names = list(SUITES) if scope == "all" else [scope]
-    return [Report(name, SUITES[name]()) for name in names]
+    return [Report(name, tuple(SUITES[name]())) for name in names]

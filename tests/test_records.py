@@ -255,6 +255,26 @@ def test_k_power_must_be_an_int_or_fraction(k_power):
         sh.LineBundleClass(k_power, 0, F("0000"))
 
 
+@pytest.mark.parametrize("extra_degree", [3.0, 0.5, Fraction(3), "3", None])
+def test_extra_degree_must_be_an_int(extra_degree):
+    with pytest.raises(TypeError, match="^extra_degree .* is not an int$"):
+        sh.LineBundleClass(0, extra_degree, F("0000"))
+
+
+@pytest.mark.parametrize("h0_override", [2.0, Fraction(2), "2", Decimal(2)])
+def test_h0_override_must_be_an_int_or_none(h0_override):
+    with pytest.raises(TypeError, match="^h0_override .* is not an int$"):
+        sh.SectionSlot(BUNDLE, (), h0_override=h0_override)
+
+
+def test_suite_reports_hash_and_hold_tuples():
+    reports = verify.run_suite("all")
+    assert [r.suite for r in reports] == list(verify.SUITES)
+    for report in reports:
+        assert type(report.checks) is tuple
+        assert hash(report) == hash((report.suite, report.checks))
+
+
 def test_exact_genus_and_k_power_are_kept():
     assert type(sh.CurveCtx(3).genus) is int
     assert sh.CurveCtx(3).deg_k == 4
