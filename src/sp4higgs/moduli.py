@@ -231,44 +231,32 @@ def quotient_roundtrip(z: Sequence, w: Sequence) -> bool:
     """Round-trip of the scaling quotient through its section variety.
 
     The class of (z, w) under t.(z, w) = (t^2 z, t^-2 w) maps to
-    ([w], (z_1 w, ..., z_r w)); the inverse reads the coefficients off
-    any representative of the line.  Returns True iff the recovered pair
-    (z', w') lies in the same orbit, i.e. w' = t^2 w and z' = t^-2 z for
-    one common scalar.
+    ([w], (z_1 w, ..., z_r w)); the inverse takes the line's normalized
+    representative w' = w / w_p (w_p its first nonzero coordinate) and
+    reads each z'_i off as the coefficient of z_i w on w'.  Returns True
+    iff the recovered pair (z', w') lies in the orbit of (z, w).
     """
     z = [fe(x) for x in z]
     w = [fe(x) for x in w]
     if all(x.is_zero for x in w):
         raise ValueError("w must be nonzero")
-
-    # forward map
-    line_rep = tuple(w)
     images = [tuple(zi * wj for wj in w) for zi in z]
-
-    # every image vector must lie on the line spanned by line_rep
-    for vec in images:
-        for p in range(len(w)):
-            for q in range(len(w)):
-                if not (vec[p] * line_rep[q] - vec[q] * line_rep[p]).is_zero:
-                    return False
-
-    # inverse against the chosen representative
-    pivot = next(k for k, x in enumerate(line_rep) if not x.is_zero)
-    w_prime = line_rep
+    pivot = next(k for k, x in enumerate(w) if not x.is_zero)
+    w_prime = [x / w[pivot] for x in w]
     z_prime = [vec[pivot] / w_prime[pivot] for vec in images]
+    return _same_orbit(z, w, z_prime, w_prime)
 
-    # orbit comparison: w' = t^2 w, z' = t^-2 z for a single t^2
-    scale = w_prime[pivot] / w[pivot]
-    if scale.is_zero:
+
+def _same_orbit(z, w, z_prime, w_prime) -> bool:
+    """Whether one scalar s has w' = s w and z' = s^-1 z; w is nonzero
+    and each primed vector has the length of its unprimed one."""
+    pivot = next(k for k, x in enumerate(w) if not x.is_zero)
+    s = w_prime[pivot] / w[pivot]
+    if s.is_zero:
         return False
-    for wp, wo in zip(w_prime, w):
-        if not (wp - scale * wo).is_zero:
-            return False
-    scale_inv = scale.inv()
-    for zp, zo in zip(z_prime, z):
-        if not (zp - scale_inv * zo).is_zero:
-            return False
-    return True
+    s_inv = s.inv()
+    return (all((a - s * b).is_zero for a, b in zip(w_prime, w))
+            and all((a - s_inv * b).is_zero for a, b in zip(z_prime, z)))
 
 
 # -- mod-2 invariant arithmetic -----------------------------------------------------

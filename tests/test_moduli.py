@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import sp4higgs as sh
+from sp4higgs import moduli
 from sp4higgs import (
     CurveCtx, F2Vector, Hitchin, OutOfClassifiedRange, SW, ScanBudgetExceeded,
     Stability, Subgroup, ZeroSW, classify, count_components,
@@ -191,6 +192,24 @@ def test_quotient_roundtrip_scaled_orbit():
 def test_quotient_roundtrip_rejects_zero_line():
     with pytest.raises(ValueError):
         quotient_roundtrip([1], [0, 0])
+
+
+def test_same_orbit_needs_one_scalar():
+    same_orbit, fe = moduli._same_orbit, sh.fe
+    z, w = [fe(1), fe(-2)], [fe(1), fe(2)]
+    thirds = [fe(Fraction(1, 3)), fe(Fraction(-2, 3))]
+    assert same_orbit(z, w, thirds, [fe(3), fe(6)])  # s = 3
+    assert not same_orbit(z, w, z, [fe(3), fe(6)])  # z' is not z / 3
+    assert not same_orbit(z, w, thirds, [fe(3), fe(5)])  # w' off the line of w
+    assert not same_orbit(z, w, z, [fe(0), fe(0)])  # s = 0
+
+
+def test_quotient_roundtrip_reads_the_normalized_representative(monkeypatch):
+    seen = []
+    monkeypatch.setattr(moduli, "_same_orbit", lambda *pairs: seen.append(pairs) or True)
+    assert quotient_roundtrip([1, 2], [0, 4, 6])
+    z, w, z_prime, w_prime = seen[0]
+    assert w_prime == [0, 1, Fraction(3, 2)] and z_prime == [4, 8]
 
 
 # -- mod-2 arithmetic -----------------------------------------------------------------
