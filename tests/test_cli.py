@@ -278,6 +278,79 @@ def test_override_contradicting_h0_exit_1(tmp_path, capsys):
     assert "h0_override 1" in payload["clause"] and "h0 = 0" in payload["clause"]
 
 
+def printed(payload) -> str:
+    """What the CLI writes for ``payload``: one indented, key-sorted object."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _with_bundle(doc, slot, bundle):
+    return dict(doc, **{slot: dict(doc[slot], bundle=bundle)})
+
+
+_SPLIT = datum_to_json(CTX3, torsion_split(CTX3, sh.F2Vector.unit(6, 0),
+                                           sh.F2Vector.unit(6, 1)))
+_SL2 = datum_to_json(CTX3, max_sl2(CTX3))
+_K = sh.LineBundleClass.canonical(CTX3).to_json()
+_DEGREE_0 = sl2_of_degree(CTX3, 0, beta=1, gamma=2)
+
+# (command, datum document, exit code, payload): each reaches a clause
+# that only the datum's own checks or stability rules give
+DATUM_PATHS = {
+    "torsion-label-length": (
+        "classify", dict(_SPLIT, t1="0000"), 1,
+        {"error": "ValueError", "clause": "torsion labels must have length 2g"}),
+    "torsion-split-slot-bundle": (
+        "classify", _with_bundle(_SPLIT, "beta1", _K), 1,
+        {"error": "ValueError", "clause": "beta1 slot must live in H0(K^2)"}),
+    "sl2r-beta-bundle": (
+        "stability", _with_bundle(_SL2, "beta", _SL2["gamma"]["bundle"]), 1,
+        {"error": "ValueError", "clause": "beta slot must live in H0(L^2 K)"}),
+    "sl2r-gamma-bundle": (
+        "stability", _with_bundle(_SL2, "gamma", _SL2["beta"]["bundle"]), 1,
+        {"error": "ValueError", "clause": "gamma slot must live in H0(L^-2 K)"}),
+    "irreducible-image-degree-0": (
+        "stability", datum_to_json(CTX3, sh.IrreducibleImage(
+            _DEGREE_0.L, _DEGREE_0.beta, _DEGREE_0.gamma)), 0,
+        {"verdict": "Stable", "non_simple": False,
+         "clause": "irreducible image, deg L = 0, both fields nonzero"}),
+    "direct-sum-not-polystable": (
+        "stability", datum_to_json(CTX3, sh.DirectSum((
+            diagonal_shape(CTX3, 0, b1=1, b2=0), max_sl2(CTX3)))), 0,
+        {"verdict": "SemistableNotPoly", "non_simple": False,
+         "clause": "direct sum with a non-polystable summand"}),
+    "normal-form-wrong-shape": (
+        "normal-form", _SL2, 1,
+        {"error": "WrongShape", "clause": "normal-form expects a diagonal-shape datum"}),
+}
+
+
+@pytest.mark.parametrize("name", list(DATUM_PATHS))
+def test_datum_command_paths(tmp_path, capsys, name):
+    cmd, doc, want_code, want = DATUM_PATHS[name]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, cmd, "--in", str(path))
+    assert (code, out) == (want_code, printed(want))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_count_past_the_int_digit_limit_is_a_value_error(capsys):
+    # the payload is encoded inside main's error mapping, so an int too
+    # long to print is the ValueError object, not a traceback
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(capsys, "count", "--genus", "2000")
+        # the first int the encoder meets in key order is grouped.g_delta_g_p
+        with pytest.raises(ValueError) as exc:
+            str(sh.count_components(sh.CurveCtx(2000)).grouped_gdelta_gp)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, printed({"error": "ValueError", "clause": str(exc.value)}))
+    assert str(exc.value).startswith("Exceeds the limit (640 digits)")
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     path = write_datum(tmp_path, CTX3, diagonal_shape(CTX3, 1))
     _, first = run_cli(capsys, "classify", "--in", path)
