@@ -1,6 +1,6 @@
 """Print each line of a src/sp4higgs function that no tier-1 test runs: opt-in
-(pytest does not collect it; about 70 s), tier-1 traced in this process by
-sys.settrace and threading.settrace.  Usage: python tests/trace_lines.py"""
+(not collected by pytest; about 75 s on a 2-core x86_64 host), tier-1 traced
+in process by sys.settrace and threading.settrace: python tests/trace_lines.py"""
 import sys
 import threading
 from pathlib import Path
