@@ -222,8 +222,8 @@ class SectionSlot(Record):
 
     ``h0_override``, an int, supplies the dimension when h0 cannot be
     derived from the degree (see RequiresExplicitH0); where it can, an
-    override must equal it.  The zero section is the all-zero vector; an empty
-    vector is the only section of a bundle with no sections.
+    override must equal it.  The zero section is the all-zero vector; an
+    empty vector is the only section of a bundle with no sections.
     """
 
     bundle: LineBundleClass

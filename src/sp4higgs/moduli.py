@@ -243,7 +243,7 @@ def quotient_roundtrip(z: Sequence, w: Sequence) -> bool:
     images = [tuple(zi * wj for wj in w) for zi in z]
     pivot = next(k for k, x in enumerate(w) if not x.is_zero)
     w_prime = [x / w[pivot] for x in w]
-    z_prime = [vec[pivot] / w_prime[pivot] for vec in images]
+    z_prime = [vec[pivot] for vec in images]  # w'[pivot] = 1
     return _same_orbit(z, w, z_prime, w_prime)
 
 
