@@ -2,12 +2,13 @@
 
 Subcommands: verify / verify-lie (identity suites), classify, stability,
 normal-form (JSON datum in, JSON verdict out), count, f2-scan, fiber.
-Each returns (exit code, payload) and prints nothing; ``main`` alone
-turns errors into {"error", "clause"} objects naming the violated
-precondition and prints one JSON object with sorted keys and no run
-metadata, so runs on identical inputs are byte-stable.  Exit codes: 0
-success, 1 domain failure (a library domain error, or WrongShape for
-normal-form on a non-diagonal datum), 2 usage or parse failure.
+Each builds its stdout object in this module and returns (exit code,
+payload) without printing; ``main`` alone turns errors into {"error",
+"clause"} objects naming the violated precondition and prints the one
+JSON object, with sorted keys and no run metadata, so runs on identical
+inputs are byte-stable.  Exit codes: 0 success, 1 domain failure (a
+library domain error, or WrongShape for normal-form on a non-diagonal
+datum), 2 usage or parse failure.
 """
 
 from __future__ import annotations
