@@ -364,20 +364,17 @@ class _Shape:
     ``cayley``, ``sw``, the reduction rules ``gdelta``/``sl2xsl2``/``gp``,
     ``energy_minimum`` and ``hitchin_spin`` assume a maximal polystable
     datum in canonical form (see _require_maximal_polystable).  A shape
-    without a rule raises: TypeError for an unsupported datum,
-    NotPolystable for a missing spin label.
+    without a rule raises TypeError; only the shapes that reach
+    c = 2g-2 define ``hitchin_spin``.
     """
 
     rank = 2
 
-    def _unsupported(self, message: str):
-        raise TypeError(message % (self,))
-
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
-        self._unsupported("no Cayley partner for %r")
+        raise TypeError("no Cayley partner for %r" % (self,))
 
     def gdelta(self, ctx: CurveCtx) -> bool:
-        self._unsupported("unsupported datum for the reduction check: %r")
+        raise TypeError("unsupported datum for the reduction check: %r" % (self,))
 
     sl2xsl2 = gdelta
 
@@ -385,10 +382,7 @@ class _Shape:
         return self.sl2xsl2(ctx)
 
     def energy_minimum(self, ctx: CurveCtx) -> bool:
-        self._unsupported("unsupported datum for the minimum test: %r")
-
-    def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
-        raise NotPolystable("no spin label for %r" % (self,))
+        raise TypeError("unsupported datum for the minimum test: %r" % (self,))
 
 
 class DiagonalShape(_Shape, Record):
@@ -453,9 +447,9 @@ class DiagonalShape(_Shape, Record):
         return CayleyPartner(CayleyCase(kind="split", L=l), theta)
 
     def sw(self, ctx: CurveCtx) -> SWInvariants:
+        # stability, run first by _require_maximal_polystable, bounds
+        # deg N to [g-1, 3g-3], so c is in [0, 2g-2]
         c = self.c_invariant(ctx)
-        if not 0 <= c <= ctx.deg_k:
-            raise OutOfClassifiedRange("c = %d outside [0, 2g-2]" % c)
         return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
 
     def gdelta(self, ctx: CurveCtx) -> bool:

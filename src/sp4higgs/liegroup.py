@@ -113,8 +113,7 @@ SWAP = SqMatrix([[0, 1], [1, 0]])  # determinant -1
 def sl2(a, b, c, d) -> SqMatrix:
     """Build a 2x2 matrix and check determinant 1 exactly."""
     m = SqMatrix([[a, b], [c, d]])
-    if m.det() != ONE:
-        raise ValueError("determinant is %r, expected 1" % (m.det(),))
+    _check_det(m, allow_minus=False)
     return m
 
 
@@ -195,12 +194,8 @@ def rho_p(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     """Product embedding (A, B) -> blockdiag(A, B), symplectic for J12."""
     _check_det(a, allow_minus=False)
     _check_det(b, allow_minus=False)
-    z = ZERO
-    return SqMatrix([
-        [a[0][0], a[0][1], z, z],
-        [a[1][0], a[1][1], z, z],
-        [z, z, b[0][0], b[0][1]],
-        [z, z, b[1][0], b[1][1]]])
+    zero2 = SqMatrix.zeros(2)
+    return _from_blocks(a, zero2, zero2, b)
 
 
 def rho_delta(a: SqMatrix) -> SqMatrix:
@@ -348,14 +343,6 @@ class CartanSplit(Record):
     @property
     def z_block(self) -> SqMatrix:
         return self.h_part.block(0, 0)
-
-    @property
-    def beta_block(self) -> SqMatrix:
-        return self.m_part.block(0, 1)
-
-    @property
-    def gamma_block(self) -> SqMatrix:
-        return self.m_part.block(1, 0)
 
 
 def in_sp4c(x: SqMatrix) -> bool:

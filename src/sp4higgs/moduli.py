@@ -19,9 +19,9 @@ from .f2 import F2Vector
 from .higgs import (
     CurveCtx, DiagonalShape, DirectSum, HiggsDatum, LineBundleClass,
     NotPolystable, OutOfClassifiedRange, SectionSlot, SL2RDatum,
-    _require_maximal_polystable,
+    _require_maximal_polystable, h0,
 )
-from .numfield import fe
+from .numfield import ONE, ZERO, fe
 
 __all__ = [
     "ScanBudgetExceeded",
@@ -349,13 +349,9 @@ def _sp4_zero_one_witness(ctx: CurveCtx) -> DiagonalShape:
     b1 = SectionSlot.zero(ctx, n.power(2) * k)
     b3 = SectionSlot.zero(ctx, k.power(2))
     b2_bundle = n.power(-2) * k.power(3)  # degree 4g-6
-    if b2_bundle.degree(ctx) > ctx.deg_k:
-        b2 = SectionSlot.zero(ctx, b2_bundle)
-    else:
-        b2 = SectionSlot.zero(ctx, b2_bundle, h0_override=1)
-    coeffs = list(b2.coeffs)
-    coeffs[0] = fe(1)
-    b2 = SectionSlot(b2.bundle, tuple(coeffs), b2.h0_override)
+    override = None if b2_bundle.degree(ctx) > ctx.deg_k else 1
+    dim = override or h0(ctx, b2_bundle)
+    b2 = SectionSlot(b2_bundle, (ONE,) + (ZERO,) * (dim - 1), override)
     return DiagonalShape(N=n, beta1=b1, beta2=b2, beta3=b3)
 
 

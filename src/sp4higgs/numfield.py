@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, neg, sub
 from typing import Union
 
@@ -68,24 +68,12 @@ class DivisionByZero(ZeroDivisionError):
     """Raised when inverting the zero element of the field."""
 
 
-# Products of the real basis elements {1, sqrt2, sqrt3, sqrt6},
-# as (result index, integer coefficient):
-#   sqrt2*sqrt2 = 2, sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3,
-#   sqrt3*sqrt3 = 3, sqrt3*sqrt6 = 3*sqrt2, sqrt6*sqrt6 = 6.
-_REAL_MUL = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, 2), (3, 1), (2, 2)),
-    ((2, 1), (3, 1), (0, 3), (1, 3)),
-    ((3, 1), (2, 2), (1, 3), (0, 6)),
-)
-
-# The same products over the full basis, flattened: entry 8*j + k is
-# (result index, signed coefficient) of basis element j times basis
-# element k, the sign carrying i * i = -1.
-_MUL = tuple(
-    (((j ^ k) & 4) | _REAL_MUL[j & 3][k & 3][0],
-     -_REAL_MUL[j & 3][k & 3][1] if j & k & 4 else _REAL_MUL[j & 3][k & 3][1])
-    for j in range(8) for k in range(8))
+# Basis element j is the product of sqrt2, sqrt3 and i over the set
+# bits 1, 2 and 4 of j, so b_j b_k = c b_(j xor k), with c the product
+# of the squares 2, 3 and -1 over the bits that j and k share.  Entry
+# 8*j + k is (j xor k, c).
+_MUL = tuple((j ^ k, prod(s for bit, s in ((1, 2), (2, 3), (4, -1)) if j & k & bit))
+             for j in range(8) for k in range(8))
 
 _ZERO_N = (0,) * 8
 

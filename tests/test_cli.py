@@ -14,7 +14,7 @@ import sp4higgs as sh
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
 
-from builders import diagonal_shape, max_sl2, sl2_of_degree, torsion_split
+from builders import diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
 
 CTX3 = sh.CurveCtx(3)
 
@@ -220,6 +220,15 @@ def test_matalg_suite_negative_control(monkeypatch, capsys):
         1, ["kron-swap-conjugation", "h-intertwines-forms"])
 
 
+def test_kron_identities_negative_control(monkeypatch, capsys):
+    # a doubled kron breaks the mixed product; verify imports kron by
+    # name, so only kron_identities_check sees the patched one
+    from sp4higgs import matalg
+    true_kron = matalg.kron
+    monkeypatch.setattr(matalg, "kron", lambda a, b: true_kron(a, b).scale(2))
+    assert _failed_checks(capsys, "matalg") == (1, ["kron-identities"])
+
+
 def test_rho13_star_negative_control(monkeypatch, capsys):
     # the bump vanishes at p = 0 and p = 1, so it agrees with the closed
     # form on e, f and h0: only the seeded traceless directions catch it
@@ -292,6 +301,16 @@ _SPLIT = datum_to_json(CTX3, torsion_split(CTX3, sh.F2Vector.unit(6, 0),
 _SL2 = datum_to_json(CTX3, max_sl2(CTX3))
 _K = sh.LineBundleClass.canonical(CTX3).to_json()
 _DEGREE_0 = sl2_of_degree(CTX3, 0, beta=1, gamma=2)
+# deg L = 1 > 0 with gamma = 0: an unstable rank-1 datum
+_UNSTABLE_1 = sl2_of_degree(CTX3, 1)
+# a stable diagonal datum at c = 2g-2 with N written as O(3g-3), not as
+# the cube of a square root of K, so it carries no spin label
+_N6 = sh.LineBundleClass(0, 6, CTX3.zero_torsion())
+_K1 = sh.LineBundleClass.canonical(CTX3)
+_N_AS_DEGREE = sh.DiagonalShape(
+    N=_N6, beta1=slot(CTX3, _N6.power(2) * _K1),
+    beta2=slot(CTX3, _N6.power(-2) * _K1.power(3), 1),
+    beta3=slot(CTX3, _K1.power(2)))
 
 # (command, datum document, exit code, payload): each reaches a clause
 # that only the datum's own checks or stability rules give
@@ -318,6 +337,16 @@ DATUM_PATHS = {
             diagonal_shape(CTX3, 0, b1=1, b2=0), max_sl2(CTX3)))), 0,
         {"verdict": "SemistableNotPoly", "non_simple": False,
          "clause": "direct sum with a non-polystable summand"}),
+    "hitchin-n-not-a-cube": (
+        "classify", datum_to_json(CTX3, _N_AS_DEGREE), 1,
+        {"error": "NotPolystable",
+         "clause": "c = 2g-2 requires N to be encoded as the cube of a square "
+                   "root of K (k_power 3/2); got %r" % (_N_AS_DEGREE.N,)}),
+    "irreducible-image-unstable-input": (
+        "stability", datum_to_json(CTX3, sh.IrreducibleImage(
+            _UNSTABLE_1.L, _UNSTABLE_1.beta, _UNSTABLE_1.gamma)), 1,
+        {"error": "NotPolystable",
+         "clause": "rank-1 input of the irreducible image is not polystable"}),
     "normal-form-wrong-shape": (
         "normal-form", _SL2, 1,
         {"error": "WrongShape", "clause": "normal-form expects a diagonal-shape datum"}),

@@ -136,6 +136,13 @@ def test_repr_is_unchanged():
     assert repr(F2Vector.unit(6, 5)) == "F2Vector(000001)"
 
 
+@pytest.mark.parametrize("value", [16, -1])
+def test_from_int_width_guard(value):
+    with pytest.raises(ValueError) as info:
+        F2Vector.from_int(value, 4)
+    assert str(info.value) == "%d does not fit in 4 bits" % value
+
+
 def test_vectors_are_immutable():
     v = F2Vector.zero(4)
     with pytest.raises(AttributeError):

@@ -276,6 +276,16 @@ def test_sw_invariants_diagonal():
     assert inv.c == 1 and inv.w2 == 1
 
 
+@pytest.mark.parametrize("c", [-1, 5])  # c = -1 and c = 2g-1 at g = 3
+@pytest.mark.parametrize("rule", [sw_invariants, sh.classify])
+def test_c_outside_range_is_caught_by_stability(rule, c):
+    # DiagonalShape.sw checks no c range: every caller reaches it after
+    # stability, which bounds deg N = c + g-1 to [g-1, 3g-3]
+    with pytest.raises(OutOfClassifiedRange) as info:
+        rule(CTX3, diagonal_shape(CTX3, c))
+    assert str(info.value) == "deg N = %d outside [g-1, 3g-3] = [2, 6]" % (c + 2)
+
+
 def test_sw_invariants_additive_w1():
     rng = random.Random(13)
     for _ in range(20):
@@ -592,3 +602,25 @@ def test_shape_validation_catches_wrong_bundle():
 def test_cover_shape_needs_nonzero_w1():
     with pytest.raises(ValueError):
         sh.CoverOrthShape(w1=CTX3.zero_torsion(), w2=0)
+
+
+# (call, exception, exact message) of the argument guards that the CLI's
+# datum decoding never reaches
+GUARDS = {
+    "constant-slot": (
+        lambda: SectionSlot.constant(CTX3, LineBundleClass.canonical(CTX3)),
+        ValueError, "constant slots need a 1-dimensional section space"),
+    "cover-w2": (lambda: sh.CoverOrthShape(e(CTX3, 0), 2), ValueError,
+                 "w2 must be 0 or 1"),
+    "cayley-spin-length": (
+        lambda: cayley_partner(CTX3, diagonal_shape(CTX3, 1), F2Vector.zero(4)),
+        ValueError, "spin label must have length 2g"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_messages(name):
+    call, exc, message = GUARDS[name]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -231,6 +231,24 @@ def test_phi_star_error_clauses():
     assert _error_clause(phi_star, I4) == "expected a 2x2 matrix"
 
 
+# (call, exact ValueError message) of the argument guards outside phi
+GUARDS = {
+    "sl2-det-2": (lambda: sl2(2, 0, 0, 1), "determinant is FieldElem(2)"),
+    "sl2-det-minus-1": (lambda: sl2(0, 1, 1, 0), "determinant is FieldElem(-1)"),
+    "gl1-torus-zero": (lambda: gl1_torus(0), "torus parameter must be nonzero"),
+    "cartan-split-2x2": (lambda: cartan_split(I2), "expected a 4x4 matrix"),
+    "m-delta-2x2": (lambda: m_delta_membership(I2), "expected a 4x4 matrix"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_messages(name):
+    call, message = GUARDS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- differentials ------------------------------------------------------------
 
 

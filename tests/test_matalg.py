@@ -101,6 +101,30 @@ def test_kron_identities():
     assert kron_identities_check(I2, rand2(rng), I2, rand2(rng))
 
 
+# a shear: invertible, and P^t P = [[1, 1], [1, 2]] (x) I is not I
+_SHEAR = SqMatrix([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+# kron replacements that kron_identities_check must reject: one breaks
+# the mixed product, the other keeps it (a conjugate of the true kron
+# is still multiplicative) but breaks the transpose identity
+BAD_KRONS = {
+    "doubled": lambda a, b: kron(a, b).scale(2),
+    "shear-conjugated": lambda a, b: conjugate(kron(a, b), _SHEAR),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_KRONS))
+def test_kron_identities_negative_control(monkeypatch, name):
+    import sp4higgs.matalg
+    rng = random.Random(6)
+    a, b, c, d = (rand2(rng) for _ in range(4))
+    bad = BAD_KRONS[name]
+    keeps_mixed_product = bad(a, b) * bad(c, d) == bad(a * c, b * d)
+    assert keeps_mixed_product == (name == "shear-conjugated")
+    monkeypatch.setattr(sp4higgs.matalg, "kron", bad)
+    assert kron_identities_check(a, b, c, d) is False
+
+
 def test_exp_nilpotent_two_term_series():
     up = SqMatrix([[0, 1], [0, 0]])
     low = SqMatrix([[0, 0], [1, 0]])
@@ -503,3 +527,35 @@ def golden_outputs() -> dict:
 def test_matrix_json_is_frozen():
     want = GOLDEN_PATH.read_text(encoding="utf-8")
     assert json.dumps(golden_outputs(), sort_keys=True) + "\n" == want
+
+
+# (call, exception, exact message) of each shape and argument guard
+GUARDS = {
+    "non-square": (lambda: SqMatrix([[1, 2], [3]]), ValueError,
+                   "SqMatrix must be square of dimension 2 or 4"),
+    "3x3": (lambda: SqMatrix.identity(3), ValueError,
+            "SqMatrix must be square of dimension 2 or 4"),
+    "block-of-2x2": (lambda: I2.block(0, 0), ValueError,
+                     "block extraction needs a 4x4 matrix"),
+    "dimension-mismatch": (lambda: I2 + I4, ValueError, "dimension mismatch: 2 vs 4"),
+    "json-dim": (lambda: SqMatrix.from_json(dict(I2.to_json(), dim=4)), ValueError,
+                 "matrix dim field disagrees with entry grid"),
+    "kron-4x4": (lambda: kron(I4, I2), ValueError,
+                 "kron is defined here for 2x2 factors only"),
+    "zero-form": (lambda: preserves_symplectic_up_to_scalar(I4, SqMatrix.zeros(4)),
+                  ValueError, "form is zero"),
+    "immutable": (lambda: setattr(I2, "_d", 2), AttributeError, "SqMatrix is immutable"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_messages(name):
+    call, exc, message = GUARDS[name]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_comparing_with_a_non_matrix_is_not_implemented():
+    assert I2.__eq__("I2") is NotImplemented
+    assert I2 != "I2" and not I2 == "I2"

@@ -302,6 +302,22 @@ def test_scan_rejects_non_exhaustive():
         f2_image_scan(2, exhaustive=False)
 
 
+def test_scan_rejects_a_non_alternating_pairing(monkeypatch):
+    monkeypatch.setattr(F2Vector, "pairing", lambda x, y: 1)
+    with pytest.raises(ArithmeticError) as info:
+        f2_image_scan(2)
+    assert str(info.value) == "the mod-2 pairing is not alternating"
+
+
+def test_scan_rejects_a_witness_that_misses_its_class(monkeypatch):
+    # every witness becomes the pair for (w1, 0), so (w1, 1) is missed
+    realizing = moduli._pair_realizing
+    monkeypatch.setattr(moduli, "_pair_realizing", lambda w1, w2: realizing(w1, 0))
+    with pytest.raises(ArithmeticError) as info:
+        f2_image_scan(2)
+    assert str(info.value) == "a witness pair misses its class"
+
+
 # -- higher-rank witnesses --------------------------------------------------------------
 
 
@@ -343,3 +359,23 @@ def test_witness_every_invariant_pair_reducible():
 def test_witness_needs_n_at_least_3():
     with pytest.raises(ValueError):
         sp2n_reduction_witness(CTX2, 2, CTX2.zero_torsion(), 0)
+
+
+# (call, exact ValueError message) of the argument guards
+GUARDS = {
+    "f2-pairing-halves": (lambda: f2_pairing((1,), (0,), (0, 1), (1,)),
+                          "halves must share one length"),
+    "scan-genus-0": (lambda: f2_image_scan(0), "genus must be at least 1"),
+    "pair-realizing-0-1": (lambda: moduli._pair_realizing(F2Vector.zero(4), 1),
+                           "(0, 1) is not realized by any pair"),
+    "witness-w2": (lambda: sp2n_reduction_witness(CTX2, 3, CTX2.zero_torsion(), 2),
+                   "w2 must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_messages(name):
+    call, message = GUARDS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

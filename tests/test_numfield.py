@@ -50,6 +50,14 @@ def test_inverse_of_zero_raises():
         ZERO.inv()
 
 
+def test_inverse_checks_that_the_norm_reaches_q(monkeypatch):
+    # with the zero test defeated, 0 reaches the norm, which is 0
+    monkeypatch.setattr(FieldElem, "is_zero", property(lambda self: False))
+    with pytest.raises(AssertionError) as info:
+        ZERO.inv()
+    assert str(info.value) == "field norm failed to collapse to Q"
+
+
 def test_field_axioms_random():
     rng = random.Random(7)
     for _ in range(40):
@@ -201,8 +209,10 @@ def test_foreign_operands_defer_then_raise():
     # tries the other operand's method and raises TypeError only then
     for other in ("x", 1.5, None):
         for method in ("__add__", "__radd__", "__sub__", "__rsub__",
-                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__eq__"):
             assert getattr(SQRT3, method)(other) is NotImplemented
+        assert SQRT3 != other
         with pytest.raises(TypeError):
             SQRT3 + other
         with pytest.raises(TypeError):
@@ -211,6 +221,17 @@ def test_foreign_operands_defer_then_raise():
             SQRT3 * other
         with pytest.raises(TypeError):
             other / SQRT3
+
+
+def test_elements_are_immutable():
+    with pytest.raises(AttributeError) as info:
+        ONE._d = 2
+    assert str(info.value) == "FieldElem is immutable"
+
+
+def test_repr_writes_unit_coordinates_without_a_factor():
+    x = FieldElem.from_parts(one=Fraction(1, 2), sqrt2=1, sqrt3=-1, i_sqrt6=-2)
+    assert repr(x) == "FieldElem(1/2 + sqrt2 + -sqrt3 + -2*i*sqrt6)"
 
 
 def test_hash_consistent_with_cross_type_equality():
@@ -337,6 +358,7 @@ def test_inverse_matches_reference(style):
         a, b = FieldElem(x), FieldElem(y)
         assert a.inv().coeffs == ref_inv(x)
         assert (b / a).coeffs == ref_mul(y, ref_inv(x))
+        assert (3 / a).coeffs == ref_scale(3, ref_inv(x))
 
 
 # basis indices spanning each proper subfield: Q, Q(sqrt2), Q(sqrt3),

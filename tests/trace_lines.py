@@ -1,6 +1,7 @@
-"""Print each line of a src/sp4higgs function that no tier-1 test runs: opt-in
-(not collected by pytest; about 75 s on a 2-core x86_64 host), tier-1 traced
-in process by sys.settrace and threading.settrace: python tests/trace_lines.py"""
+"""Print each line of a src/sp4higgs function that no tier-1 test runs, and exit 1
+if the traced tier-1 run fails or any line is printed: not collected by pytest
+(about 75 s on a 2-core x86_64 host), tier-1 traced in process by sys.settrace
+and threading.settrace: python tests/trace_lines.py"""
 import sys
 import threading
 from pathlib import Path
@@ -30,10 +31,14 @@ if __name__ == "__main__":
     # pytest puts the absolute src/ first on sys.path; test subprocesses go untraced
     threading.settrace(_trace)
     sys.settrace(_trace)
-    pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), str(ROOT / "tests")])
+    code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
+                        str(ROOT / "tests")])
     sys.settrace(None)
+    missed = 0
     for path in sorted((ROOT / "src" / "sp4higgs").glob("*.py")):
         lines = path.read_text().splitlines()
         for n in sorted(set(_function_lines(compile(path.read_text(), str(path), "exec")))):
             if (str(path), n) not in ran:
                 print("%s:%d: %s" % (path.relative_to(ROOT), n, lines[n - 1].strip()))
+                missed += 1
+    sys.exit(1 if code or missed else 0)
