@@ -691,6 +691,8 @@ class DirectSum(_Shape, Record):
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         if not self.summands:
             return StabilityReport(Stability.STRICTLY_POLYSTABLE, "empty sum")
+        if len(self.summands) == 1:
+            return self.summands[0].stability(ctx)
         verdicts = [s.stability(ctx).verdict for s in self.summands]
         if all(v.is_polystable for v in verdicts):
             return StabilityReport(Stability.STRICTLY_POLYSTABLE,
@@ -764,14 +766,16 @@ def stability_sp4(ctx: CurveCtx, datum: HiggsDatum) -> Stability:
 
 def _require_maximal_polystable(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
     """The datum in canonical form, after checking that it is maximal
-    and polystable: a sum of two maximal rank-1 data becomes the
-    torsion-split shape.  Every rule that needs a maximal polystable
-    datum is reached through here."""
+    and polystable: a one-summand sum becomes its summand and a sum of
+    two maximal rank-1 data the torsion-split shape.  Every rule that
+    needs a maximal polystable datum is reached through here."""
     if not is_maximal(ctx, datum):
         raise NotMaximal("Toledo invariant %d is not maximal"
                          % toledo(ctx, datum))
     if not stability_sp4(ctx, datum).is_polystable:
         raise NotPolystable("datum is not polystable")
+    if isinstance(datum, DirectSum) and len(datum.summands) == 1:
+        return datum.summands[0]
     if isinstance(datum, DirectSum) and len(datum.summands) == 2:
         return direct_sum(ctx, *datum.summands)
     return datum

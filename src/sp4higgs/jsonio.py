@@ -162,9 +162,15 @@ def _decode(data: dict) -> HiggsDatum:
 
 def load_datum(path: str) -> Tuple[CurveCtx, HiggsDatum]:
     """Read a datum file; a file that cannot be opened, is not UTF-8
-    JSON or nests too deeply to read raises ParseError."""
+    JSON that Python reads (an integer literal past the interpreter's
+    digit limit is not) or nests too deeply to read raises ParseError.
+    The ValueErrors of the datum's own constructors pass through."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return datum_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # also UnicodeDecodeError, int digit limit
+                raise ParseError(str(exc)) from None
+        return datum_from_json(data)
+    except (OSError, RecursionError) as exc:
         raise ParseError(str(exc)) from None

@@ -47,12 +47,11 @@ test suite).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import neg
 from typing import Optional, Tuple
 
 from ._record import Record
-from .numfield import FieldElem, I_UNIT, ONE, ZERO, fe
+from .numfield import FieldElem, I_UNIT, ONE, ZERO, _common, fe
 from .matalg import (
     H_SYM3_INV, HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
     _flat, _monomial_conjugate, _monomial_frame, _reduced, _ring,
@@ -154,7 +153,7 @@ def _rho1_raw(a: SqMatrix) -> SqMatrix:
     # numerators of a in the smallest ring that holds them: every entry
     # is a cubic, so the grid is over a._d ** 3.
     grid = _rho1_grid(*_ring(a._n), 2, 3)
-    return _reduced(4, _flat([e for row in grid for e in row]), a._d ** 3)
+    return _reduced(_flat([e for row in grid for e in row]), a._d ** 3)
 
 
 # The differential of rho1 at I, the coefficient of t in the grid at
@@ -168,8 +167,7 @@ _RHO1_STAR = ((0, 3), (1, 3), (0, 0), (0, 0),
 
 def _rho1_star(x: SqMatrix) -> SqMatrix:
     n = x._n
-    return _reduced(4, [c * y for k, c in _RHO1_STAR for y in n[8 * k:8 * k + 8]],
-                    x._d)
+    return _reduced([c * y for k, c in _RHO1_STAR for y in n[8 * k:8 * k + 8]], x._d)
 
 
 def rho1(a: SqMatrix) -> SqMatrix:
@@ -292,15 +290,13 @@ GOLDEN_H0 = SqMatrix([
 def m_field_matrix(beta, gamma) -> SqMatrix:
     """The phi_star image of [[x, y], [y, -x]] written in terms of
     beta = x + iy and gamma = x - iy."""
-    beta, gamma = fe(beta), fe(gamma)
-    d = lcm(beta._d, gamma._d)
-    b = [x * (d // beta._d) for x in beta._n]
-    g = [x * (d // gamma._d) for x in gamma._n]
+    ints, d = _common([fe(beta), fe(gamma)])
+    b, g = ints[:8], ints[8:]
     b3, b4, z = [3 * x for x in b], [4 * x for x in b], [0] * 8
-    return _reduced(4, [*z, *z, *z, *b3,
-                        *z, *z, *b3, *g,
-                        *z, *g, *z, *z,
-                        *g, *b4, *z, *z], d)
+    return _reduced([*z, *z, *z, *b3,
+                     *z, *z, *b3, *g,
+                     *z, *g, *z, *z,
+                     *g, *b4, *z, *z], d)
 
 
 def s_matrix(beta, gamma) -> SqMatrix:
@@ -311,10 +307,10 @@ def s_matrix(beta, gamma) -> SqMatrix:
     q = beta * gamma.inv()  # r = 2 q
     r = [2 * x for x in q._n]
     one, z = [q._d] + [0] * 7, [0] * 8
-    return _reduced(4, [*one, *r, *z, *z,
-                        *z, *one, *z, *z,
-                        *z, *z, *one, *z,
-                        *z, *z, *map(neg, r), *one], q._d)
+    return _reduced([*one, *r, *z, *z,
+                     *z, *one, *z, *z,
+                     *z, *z, *one, *z,
+                     *z, *z, *map(neg, r), *one], q._d)
 
 
 def s_conjugate(beta, gamma) -> SqMatrix:

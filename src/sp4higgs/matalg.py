@@ -36,13 +36,12 @@ used throughout the symplectic rank-2 analysis:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add, neg, sub
 from typing import NamedTuple, Optional
 
 from .numfield import (
     FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _IntElem, _QuadElem, _canonical,
-    _factor, _mul_into, _nonzero, embed_u_v, fe,
+    _combined, _common, _factor, _lowest, _mul_into, _nonzero, embed_u_v, fe,
 )
 
 __all__ = [
@@ -67,31 +66,22 @@ class SqMatrix:
     """Immutable square matrix (dimension 2 or 4) over FieldElem.
 
     ``_n`` holds the 8 integer numerators of every entry, row by row, in
-    one flat tuple, and ``_d`` their common positive denominator.  The
-    gcd of all the ints and ``_d`` is 1, so equal matrices have equal
-    ``(_n, _d)``.  ``rows`` and ``m[i][j]`` build FieldElem views on
-    demand.
+    one flat tuple, and ``_d`` their common positive denominator; the
+    number of ints fixes the dimension.  The gcd of all the ints and
+    ``_d`` is 1, so equal matrices have equal ``(_n, _d)``.  ``rows`` and
+    ``m[i][j]`` build FieldElem views on demand.
     """
 
-    __slots__ = ("_dim", "_n", "_d")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, rows):
         rows = [[fe(x) for x in row] for row in rows]
         n = len(rows)
         if n not in (2, 4) or any(len(row) != n for row in rows):
             raise ValueError("SqMatrix must be square of dimension 2 or 4")
-        entries = [a for row in rows for a in row]
-        # canonical entries over the lcm of their denominators are
-        # canonical together
-        d = lcm(*[a._d for a in entries])
-        ints = []
-        for a in entries:
-            if a._d == d:
-                ints += a._n
-            else:
-                m = d // a._d
-                ints += [x * m for x in a._n]
-        _set(self, n, tuple(ints), d)
+        ints, d = _common([a for row in rows for a in row])
+        _set_n(self, tuple(ints))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("SqMatrix is immutable")
@@ -117,16 +107,16 @@ class SqMatrix:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return _DIM[len(self._n)]
 
     @property
     def rows(self) -> tuple:
         """The entries as a tuple of rows of FieldElems."""
-        return tuple(self[i] for i in range(self._dim))
+        return tuple(self[i] for i in range(self.dim))
 
     def __getitem__(self, i: int) -> tuple:
         """Row i as a tuple of FieldElems."""
-        n = self._dim
+        n = self.dim
         o = 8 * n * range(n)[i]
         d, ints = self._d, self._n
         return tuple(_canonical(ints[k:k + 8], d)
@@ -134,13 +124,13 @@ class SqMatrix:
 
     def block(self, i: int, j: int) -> "SqMatrix":
         """2x2 block (i, j) of a 4x4 matrix, blocks indexed 0/1."""
-        if self._dim != 4:
+        if self.dim != 4:
             raise ValueError("block extraction needs a 4x4 matrix")
         if i not in (0, 1) or j not in (0, 1):
             raise IndexError("block index (%r, %r) is outside {0, 1}" % (i, j))
         o = 64 * i + 16 * j
         ints = self._n
-        return _reduced(2, ints[o:o + 16] + ints[o + 32:o + 48], self._d)
+        return _reduced(ints[o:o + 16] + ints[o + 32:o + 48], self._d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -154,20 +144,16 @@ class SqMatrix:
         if not isinstance(other, SqMatrix):
             return NotImplemented
         self._samedim(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._dim, list(map(op, self._n, other._n)), d)
-        return _reduced(self._dim, [op(x * e, y * d)
-                                    for x, y in zip(self._n, other._n)], d * e)
+        return _reduced(*_combined(self, other, op))
 
     def __neg__(self) -> "SqMatrix":
-        return _new(self._dim, tuple(map(neg, self._n)), self._d)
+        return _new(tuple(map(neg, self._n)), self._d)
 
     def __mul__(self, other):
         if not isinstance(other, SqMatrix):
             return self.scale(other)
         self._samedim(other)
-        n = self._dim
+        n = self.dim
         xs = _entries(self._n)
         ys = [_factor(y) for y in _entries(other._n)]
         out = [0] * (8 * n * n)
@@ -180,7 +166,7 @@ class SqMatrix:
                     y = ys[n * k + j]
                     if y:
                         _mul_into(out, 8 * (n * i + j), x, y)
-        return _reduced(n, out, self._d * other._d)
+        return _reduced(out, self._d * other._d)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -192,39 +178,39 @@ class SqMatrix:
         for o, x in enumerate(_entries(self._n)):
             if any(x):
                 _mul_into(out, 8 * o, x, y)
-        return _reduced(self._dim, out, self._d * c._d)
+        return _reduced(out, self._d * c._d)
 
     def transpose(self) -> "SqMatrix":
-        n, ints = self._dim, self._n
+        n, ints = self.dim, self._n
         out = []
         for j in range(n):
             for i in range(n):
                 o = 8 * (n * i + j)
                 out.extend(ints[o:o + 8])
-        return _new(n, tuple(out), self._d)
+        return _new(tuple(out), self._d)
 
     @property
     def T(self) -> "SqMatrix":
         return self.transpose()
 
     def trace(self) -> FieldElem:
-        n, ints = self._dim, self._n
+        n, ints = self.dim, self._n
         step = 8 * (n + 1)
         return _canonical([sum(ints[k::step]) for k in range(8)], self._d)
 
     def det(self) -> FieldElem:
-        n = self._dim
+        n = self.dim
         xs = _ring(self._n)
-        det = _row0_expansion(xs, _cofactors(xs, 1), n)
+        det = _row0_expansion(xs, _cofactors(xs), n)
         return _canonical(_flat([det]), self._d ** n)
 
     def inv(self) -> "SqMatrix":
         """For self = N / d: d * adj(N) / det(N), from the cofactors of
         the numerators in the ring of ``_ring`` and one field inverse of
         their determinant."""
-        n = self._dim
+        n = self.dim
         xs = _ring(self._n)
-        cofs = _cofactors(xs, n)
+        cofs = _cofactors(xs)
         det = _row0_expansion(xs, cofs, n)
         if not det:
             raise SingularMatrix("matrix is singular")
@@ -234,8 +220,8 @@ class SqMatrix:
             r, u = det.reciprocal()
         # entry (i, j) of the inverse is (-1)^(i+j) d cofs[n j + i] / det
         y, y_neg = r * self._d, r * -self._d
-        return _reduced(n, _flat([cofs[k] * (y_neg if odd else y)
-                                  for k, odd in _ADJUGATE[n]]), u)
+        return _reduced(_flat([cofs[k] * (y_neg if odd else y)
+                               for k, odd in _ADJUGATE[n]]), u)
 
     @property
     def is_zero(self) -> bool:
@@ -255,8 +241,8 @@ class SqMatrix:
         return "SqMatrix(\n  %s)" % body
 
     def _samedim(self, other: "SqMatrix"):
-        if self._dim != other._dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self._dim, other._dim))
+        if len(self._n) != len(other._n):
+            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
 
     # -- serialization ----------------------------------------------------
 
@@ -273,31 +259,25 @@ class SqMatrix:
         return m
 
 
+# the dimension of a matrix from the number of its ints
+_DIM = {32: 2, 128: 4}
+
 _new_matrix = object.__new__
-_set_dim = SqMatrix._dim.__set__
 _set_n = SqMatrix._n.__set__
 _set_d = SqMatrix._d.__set__
 
 
-def _set(m: SqMatrix, dim: int, ints: tuple, d: int):
-    _set_dim(m, dim)
-    _set_n(m, ints)
-    _set_d(m, d)
-
-
-def _new(dim: int, ints: tuple, d: int) -> SqMatrix:
+def _new(ints: tuple, d: int) -> SqMatrix:
     """The matrix ints / d, with (ints, d) already canonical."""
     m = _new_matrix(SqMatrix)
-    _set(m, dim, ints, d)
+    _set_n(m, ints)
+    _set_d(m, d)
     return m
 
 
-def _reduced(dim: int, ints, d: int) -> SqMatrix:
-    """The matrix ints / d, for 8 * dim**2 ints and a positive int d."""
-    g = gcd(*ints, d)
-    if g == 1:
-        return _new(dim, tuple(ints), d)
-    return _new(dim, tuple(map(g.__rfloordiv__, ints)), d // g)
+def _reduced(ints, d: int) -> SqMatrix:
+    """The matrix ints / d, for 32 or 128 ints and a positive int d."""
+    return _new(*_lowest(ints, d))
 
 
 def _entries(ints: tuple) -> list:
@@ -376,18 +356,16 @@ _ADJUGATE = {n: tuple((n * j + i, (i + j) & 1) for i in range(n)
              for n in (2, 4)}
 
 
-def _cofactors(xs: list, rows: int) -> list:
-    """The cofactors (i, j), row by row for i < ``rows``, of the square
-    grid ``xs`` of ring elements (row by row): cofactor (i, j) is the
-    determinant of the grid without row i and column j, unsigned; no
-    gcd.  The 4x4 ones go through the twelve 2x2 minors of row pairs
-    (0, 1) and (2, 3) (only the latter for row 0)."""
+def _cofactors(xs: list) -> list:
+    """The cofactors (i, j), row by row, of the square grid ``xs`` of ring
+    elements (row by row): cofactor (i, j) is the determinant of the grid
+    without row i and column j, unsigned; no gcd.  The 4x4 ones go
+    through the twelve 2x2 minors of row pairs (0, 1) and (2, 3)."""
     if len(xs) == 4:
         return xs[::-1]
-    ms = [xs[a] * xs[b] - xs[c] * xs[d]
-          for a, b, c, d in (_MINORS if rows > 2 else _MINORS[:6])]
+    ms = [xs[a] * xs[b] - xs[c] * xs[d] for a, b, c, d in _MINORS]
     return [xs[a] * ms[p] - xs[b] * ms[q] + xs[c] * ms[t]
-            for a, p, b, q, c, t in _COFACTORS[:4 * rows]]
+            for a, p, b, q, c, t in _COFACTORS]
 
 
 def _row0_expansion(xs: list, cofs: list, n: int):
@@ -413,8 +391,8 @@ def _cayley_conjugate(m: SqMatrix) -> SqMatrix:
     # i times the 8 coordinates (re, im) is (-im, re)
     iu = [-x for x in u[4:]] + u[:4]
     iv = [-x for x in v[4:]] + v[:4]
-    return _reduced(2, [*map(add, s, iu), *map(add, t, iv),
-                        *map(sub, t, iv), *map(sub, s, iu)], 2 * m._d)
+    return _reduced([*map(add, s, iu), *map(add, t, iv),
+                     *map(sub, t, iv), *map(sub, s, iu)], 2 * m._d)
 
 
 class _MonomialFrame(NamedTuple):
@@ -444,11 +422,11 @@ def _monomial_frame(g: SqMatrix) -> _MonomialFrame:
     ratios = [w[i] * w_inv[j] for i in range(n) for j in range(n)]
     if any(len(_nonzero(r._n)) != 1 for r in ratios):
         raise ValueError("frame ratios must be rational multiples of one basis element")
-    d = lcm(*[r._d for r in ratios])
+    ints, d = _common(ratios)
     table = []
-    for o, r in enumerate(ratios):
-        (k, q), = _nonzero(r._n)
-        q, src = q * (d // r._d), 8 * (n * s[o // n] + s[o % n])
+    for o in range(n * n):
+        (k, q), = _nonzero(ints[8 * o:8 * o + 8])
+        src = 8 * (n * s[o // n] + s[o % n])
         table += [(src + (u ^ k), _MUL[8 * (u ^ k) + k][1] * q) for u in range(8)]
     return _MonomialFrame(g, tuple(table), d)
 
@@ -457,8 +435,7 @@ def _monomial_conjugate(m: SqMatrix, frame: _MonomialFrame) -> SqMatrix:
     """g m g^-1 for the monomial g of ``frame``: one pass over the ints
     of m and one gcd."""
     ints = m._n
-    return _reduced(m._dim, [ints[k] * c for k, c in frame.table],
-                    m._d * frame.d)
+    return _reduced([ints[k] * c for k, c in frame.table], m._d * frame.d)
 
 
 def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
@@ -471,7 +448,7 @@ def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
     each nonzero N'[i][k] adds N'[i][k] times row k of m to row i of
     e m, then takes column i of that times N'[i][k] from column k of
     its e-multiple; no matrix product, one gcd."""
-    n, e, sn = m._dim, s._d, s._n
+    n, e, sn = m.dim, s._d, s._n
     ops = []
     for i in range(n):
         for k in range(n):
@@ -491,7 +468,7 @@ def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
             x = rows[8 * (n * r + i):8 * (n * r + i) + 8]
             if any(x):
                 _mul_into(out, 8 * (n * r + k), x, y_neg)
-    return _reduced(n, out, e * e * m._d)
+    return _reduced(out, e * e * m._d)
 
 
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
@@ -510,7 +487,7 @@ def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
                 for c in range(2):
                     _mul_into(out, 8 * (8 * i + 4 * r + 2 * j + c), x,
                               ys[2 * r + c])
-    return _reduced(4, out, a._d * b._d)
+    return _reduced(out, a._d * b._d)
 
 
 def conjugate(m: SqMatrix, p: SqMatrix) -> SqMatrix:
@@ -528,14 +505,8 @@ def is_symplectic(g: SqMatrix, j: SqMatrix) -> bool:
 def preserves_symplectic_up_to_scalar(m: SqMatrix, j: SqMatrix) -> Optional[FieldElem]:
     """The scalar c with m^t j m = c*j, or None if no such scalar exists."""
     p = m.T * j * m
-    c = None
-    for i in range(j.dim):
-        for k in range(j.dim):
-            if not j[i][k].is_zero:
-                c = p[i][k] / j[i][k]
-                break
-        if c is not None:
-            break
+    c = next((x / y for p_row, j_row in zip(p.rows, j.rows)
+              for x, y in zip(p_row, j_row) if not y.is_zero), None)
     if c is None:
         raise ValueError("form is zero")
     return c if p == j.scale(c) else None

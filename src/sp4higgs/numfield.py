@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm, prod
 from operator import add, neg, sub
 from typing import Union
@@ -85,6 +86,22 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 # 8 coordinates joined by commas; _RATIONAL matches no comma, so the
 # joined string matches exactly when each coordinate matches on its own
 _EIGHT = re.compile(",".join([_RATIONAL.pattern] * 8))
+
+
+def _coerced(method):
+    """The binary operator ``method`` with its operand passed through
+    ``_operand`` (a FieldElem as it is), or NotImplemented for an operand
+    the field does not take, so that the other operand's method can run."""
+
+    @wraps(method)
+    def coerced(self, other):
+        if other.__class__ is not FieldElem:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return method(self, other)
+
+    return coerced
 
 
 class FieldElem:
@@ -149,52 +166,37 @@ class FieldElem:
 
     # -- ring operations ----------------------------------------------
 
+    @_coerced
     def __add__(self, other) -> "FieldElem":
-        if other.__class__ is not FieldElem:
-            other = _operand(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _add_or_sub(self, other, add)
+        return _canonical(*_combined(self, other, add))
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other) -> "FieldElem":
-        if other.__class__ is not FieldElem:
-            other = _operand(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _add_or_sub(self, other, sub)
+        return _canonical(*_combined(self, other, sub))
 
+    @_coerced
     def __rsub__(self, other) -> "FieldElem":
-        other = _operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _add_or_sub(other, self, sub)
+        return _canonical(*_combined(other, self, sub))
 
     def __neg__(self) -> "FieldElem":
         return _raw(tuple(map(neg, self._n)), self._d)
 
+    @_coerced
     def __mul__(self, other) -> "FieldElem":
-        if other.__class__ is not FieldElem:
-            other = _operand(other)
-            if other is NotImplemented:
-                return NotImplemented
         out = [0] * 8
         _mul_into(out, 0, self._n, _factor(other._n))
         return _canonical(out, self._d * other._d)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other) -> "FieldElem":
-        other = _operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inv()
 
+    @_coerced
     def __rtruediv__(self, other) -> "FieldElem":
-        other = _operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other * self.inv()
 
     def __pow__(self, n: int) -> "FieldElem":
@@ -258,10 +260,8 @@ class FieldElem:
 
     # -- comparisons, hashing, display ---------------------------------
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        other = _operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
@@ -334,12 +334,43 @@ def _raw(n: tuple, d: int) -> FieldElem:
     return z
 
 
+def _lowest(ints, d: int) -> tuple:
+    """The ints and the positive int d divided by their gcd, as
+    (tuple, int): the lowest terms of ints / d."""
+    g = gcd(d, *ints)
+    if g == 1:
+        return tuple(ints), d
+    return tuple(map(g.__rfloordiv__, ints)), d // g
+
+
 def _canonical(n, d: int) -> FieldElem:
     """The element n/d, for 8 ints n and a positive int d."""
-    g = gcd(*n, d)
-    if g == 1:
-        return _raw(tuple(n), d)
-    return _raw(tuple(map(g.__rfloordiv__, n)), d // g)
+    return _raw(*_lowest(n, d))
+
+
+def _combined(a, b, op) -> tuple:
+    """The unreduced (ints, d) of ``op(a, b)``, ``op`` add or sub, for two
+    values a and b each stored as ints ``_n`` over a positive ``_d``
+    (FieldElems, or SqMatrix of one dimension)."""
+    d, e = a._d, b._d
+    if d == e:
+        return list(map(op, a._n, b._n)), d
+    return [op(x * e, y * d) for x, y in zip(a._n, b._n)], d * e
+
+
+def _common(elems) -> tuple:
+    """(ints, d) for the FieldElems ``elems`` over the lcm d of their
+    denominators: the numerators of each, in order, in one flat list.
+    Canonical elements over that lcm are canonical together."""
+    d = lcm(*[a._d for a in elems])
+    ints = []
+    for a in elems:
+        if a._d == d:
+            ints += a._n
+        else:
+            m = d // a._d
+            ints += [x * m for x in a._n]
+    return ints, d
 
 
 def _nonzero(n) -> list:
@@ -479,19 +510,9 @@ class _QuadElem(tuple):
         return _QuadElem((-a, b, s)), -u
 
 
-def _add_or_sub(a: FieldElem, b: FieldElem, op) -> FieldElem:
-    d, e = a._d, b._d
-    if d == e:
-        n = tuple(map(op, a._n, b._n))
-        return _raw(n, 1) if d == 1 else _canonical(n, d)
-    return _canonical([op(x * e, y * d) for x, y in zip(a._n, b._n)], d * e)
-
-
 def _operand(x):
-    """x as a FieldElem if it is an int, Fraction or FieldElem, else
-    NotImplemented, so that the other operand's method can run."""
-    if isinstance(x, FieldElem):
-        return x
+    """x, not a FieldElem, as a FieldElem if it is an int or Fraction,
+    else NotImplemented, so that the other operand's method can run."""
     if isinstance(x, (int, Fraction)):
         return FieldElem.from_rational(x)
     return NotImplemented
@@ -499,7 +520,7 @@ def _operand(x):
 
 def fe(x: Scalar) -> FieldElem:
     """Coerce an int, Fraction or FieldElem to a FieldElem."""
-    if x.__class__ is FieldElem:  # the common case, as in the operators
+    if x.__class__ is FieldElem:
         return x
     y = _operand(x)
     if y is NotImplemented:

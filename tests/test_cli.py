@@ -436,6 +436,9 @@ MALFORMED = {
     "k_power not num/den": _with(_DIAGONAL, ("N", "k_power"), "0.5"),
     "negative h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), -1),
     "null h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), None),
+    # json reads no integer literal past the interpreter's 4,300-digit limit
+    "over-long integer": (b'{"genus": ' + b"9" * 5000
+                          + b', "shape": "cover_orth", "w1": "01", "w2": 0}'),
 }
 
 

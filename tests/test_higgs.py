@@ -18,6 +18,7 @@ from sp4higgs import (
 from builders import (
     cover_shape, diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split,
 )
+from test_acceptance import _generate_maximal_polystable
 
 
 CTX2 = CurveCtx(2)
@@ -498,6 +499,22 @@ def test_direct_sum_with_empty_is_identity():
     a = max_sl2(CTX3)
     assert direct_sum(CTX3, a, sh.DirectSum(())) is a
     assert direct_sum(CTX3, sh.DirectSum(()), a) is a
+
+
+def _classify_outcome(ctx, datum):
+    try:
+        return sh.classify(ctx, datum)
+    except (NotPolystable, OutOfClassifiedRange) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["g2", "g3"])
+def test_one_summand_sum_is_its_summand(ctx):
+    # the criterion-9 data of the golden corpus, each wrapped alone
+    for datum in _generate_maximal_polystable(ctx):
+        single = sh.DirectSum((datum,))
+        assert stability_report(ctx, single) == stability_report(ctx, datum)
+        assert _classify_outcome(ctx, single) == _classify_outcome(ctx, datum)
 
 
 def test_direct_sum_toledo_additive():
