@@ -171,7 +171,8 @@ class LineBundleClass(Record):
     @classmethod
     def half_canonical(cls, ctx: CurveCtx, torsion: Optional[F2Vector] = None) -> "LineBundleClass":
         """A square root of K; the torsion label says which one."""
-        return cls(Fraction(1, 2), 0, torsion or ctx.zero_torsion())
+        return cls(Fraction(1, 2), 0,
+                   torsion if torsion is not None else ctx.zero_torsion())
 
     @classmethod
     def two_torsion(cls, torsion: F2Vector) -> "LineBundleClass":
@@ -344,6 +345,16 @@ class SWInvariants(Record):
                 raise ValueError("w2 must be the parity of c")
 
 
+def _split_partner(ctx: CurveCtx, n: LineBundleClass, spin: F2Vector,
+                   slots: Tuple[SectionSlot, ...]) -> CayleyPartner:
+    """Partner of a datum on V = N + N^-1 K: W = L + L^-1 with
+    L = N K^(-1/2) for the square root labeled ``spin``, and theta
+    present when some section of the Higgs field is nonzero."""
+    l = n * LineBundleClass.half_canonical(ctx, spin).dual()
+    return CayleyPartner(CayleyCase(kind="split", L=l),
+                         not all(s.is_zero for s in slots))
+
+
 def _root_of_k_label(bundle: LineBundleClass) -> F2Vector:
     """Torsion label of the line bundle of a maximal rank-1 datum, which
     must be encoded as a square root of K."""
@@ -360,7 +371,8 @@ def _root_of_k_label(bundle: LineBundleClass) -> F2Vector:
 class _Shape:
     """The rules every shape answers.
 
-    ``rank``, ``toledo`` and ``stability`` hold for any datum.
+    ``rank``, ``toledo`` and ``stability`` hold for any datum; a rank-2
+    shape has degree 2g-2 unless it says otherwise.
     ``cayley``, ``sw``, the reduction rules ``gdelta``/``sl2xsl2``/``gp``,
     ``energy_minimum`` and ``hitchin_spin`` assume a maximal polystable
     datum in canonical form (see _require_maximal_polystable).  A shape
@@ -369,6 +381,9 @@ class _Shape:
     """
 
     rank = 2
+
+    def toledo(self, ctx: CurveCtx) -> int:
+        return ctx.deg_k
 
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
         raise TypeError("no Cayley partner for %r" % (self,))
@@ -414,9 +429,6 @@ class DiagonalShape(_Shape, Record):
                                  % (name, slot.bundle, bundle))
             slot.validate(ctx)
 
-    def toledo(self, ctx: CurveCtx) -> int:
-        return ctx.deg_k  # deg N + deg N^-1 K
-
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         g = ctx.genus
         deg_n = self.N.degree(ctx)
@@ -441,10 +453,8 @@ class DiagonalShape(_Shape, Record):
                                "diagonal, deg N = g-1, exactly one of beta1, beta2 nonzero")
 
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
-        l = self.N * LineBundleClass.half_canonical(ctx, spin).dual()
-        theta = not (self.beta1.is_zero and self.beta2.is_zero
-                     and self.beta3.is_zero)
-        return CayleyPartner(CayleyCase(kind="split", L=l), theta)
+        return _split_partner(ctx, self.N, spin,
+                              (self.beta1, self.beta2, self.beta3))
 
     def sw(self, ctx: CurveCtx) -> SWInvariants:
         # stability, run first by _require_maximal_polystable, bounds
@@ -453,16 +463,14 @@ class DiagonalShape(_Shape, Record):
         return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
 
     def gdelta(self, ctx: CurveCtx) -> bool:
-        return (self.N.degree(ctx) == ctx.genus - 1
-                and self.beta1.is_zero and self.beta2.is_zero)
+        return self.sl2xsl2(ctx) and self.beta1.is_zero and self.beta2.is_zero
 
     def sl2xsl2(self, ctx: CurveCtx) -> bool:
         return self.c_invariant(ctx) == 0
 
     def energy_minimum(self, ctx: CurveCtx) -> bool:
-        if self.c_invariant(ctx) > 0:
-            return self.beta1.is_zero and self.beta3.is_zero
-        return self.beta1.is_zero and self.beta2.is_zero and self.beta3.is_zero
+        return (self.beta1.is_zero and self.beta3.is_zero
+                and (self.c_invariant(ctx) > 0 or self.beta2.is_zero))
 
     def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
         # At c = 2g-2 the bundle N is forced to be the cube of a square
@@ -494,9 +502,6 @@ class CoverOrthShape(_Shape, Record):
         if len(self.w1) != ctx.two_g:
             raise ValueError("w1 has length %d, expected %d"
                              % (len(self.w1), ctx.two_g))
-
-    def toledo(self, ctx: CurveCtx) -> int:
-        return ctx.deg_k  # twist by K^(1/2) of a degree-0 orthogonal bundle
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         return StabilityReport(Stability.STABLE,
@@ -542,9 +547,6 @@ class TorsionSplitShape(_Shape, Record):
                 raise ValueError("%s slot must live in H0(K^2)" % name)
             slot.validate(ctx)
 
-    def toledo(self, ctx: CurveCtx) -> int:
-        return ctx.deg_k  # twist by K^(1/2) of a degree-0 orthogonal bundle
-
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         if self.t1 == self.t2:
             return StabilityReport(Stability.STRICTLY_POLYSTABLE,
@@ -575,15 +577,10 @@ class TorsionSplitShape(_Shape, Record):
         return self.beta1.is_zero and self.beta2.is_zero
 
 
-class SL2RDatum(_Shape, Record):
-    """Rank-1 datum (L, beta, gamma) with beta in H0(L^2 K) and
-    gamma in H0(L^-2 K)."""
-
-    L: LineBundleClass
-    beta: SectionSlot
-    gamma: SectionSlot
-
-    rank = 1
+class _RankOneBase(_Shape):
+    """The rules of the shapes built on a rank-1 datum (L, beta, gamma)
+    with beta in H0(L^2 K) and gamma in H0(L^-2 K): the datum itself
+    and its irreducible image.  Each subclass declares the three fields."""
 
     def validate(self, ctx: CurveCtx):
         k = LineBundleClass.canonical(ctx)
@@ -595,7 +592,18 @@ class SL2RDatum(_Shape, Record):
         self.gamma.validate(ctx)
 
     def toledo(self, ctx: CurveCtx) -> int:
-        return self.L.degree(ctx)
+        return self.rank * self.L.degree(ctx)
+
+
+class SL2RDatum(_RankOneBase, Record):
+    """Rank-1 datum (L, beta, gamma) with beta in H0(L^2 K) and
+    gamma in H0(L^-2 K)."""
+
+    L: LineBundleClass
+    beta: SectionSlot
+    gamma: SectionSlot
+
+    rank = 1
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         return StabilityReport(stability_sl2(ctx, self),
@@ -606,7 +614,7 @@ class SL2RDatum(_Shape, Record):
         return SWInvariants(self.toledo(ctx), _root_of_k_label(self.L), 0)
 
 
-class IrreducibleImage(_Shape, Record):
+class IrreducibleImage(_RankOneBase, Record):
     """Image of a rank-1 datum under the irreducible embedding:
     V = L^3 + L^-1 with beta = [[0, 3b], [3b, g]] and
     gamma = [[0, g], [g, 4b]] in terms of the rank-1 fields (b, g).
@@ -621,14 +629,8 @@ class IrreducibleImage(_Shape, Record):
     beta: SectionSlot
     gamma: SectionSlot
 
-    def validate(self, ctx: CurveCtx):
-        SL2RDatum(self.L, self.beta, self.gamma).validate(ctx)
-
-    def toledo(self, ctx: CurveCtx) -> int:
-        return 2 * self.L.degree(ctx)
-
     def stability(self, ctx: CurveCtx) -> StabilityReport:
-        if not stability_sl2(ctx, SL2RDatum(self.L, self.beta, self.gamma)).is_polystable:
+        if not stability_sl2(ctx, self).is_polystable:
             raise NotPolystable("rank-1 input of the irreducible image is "
                                 "not polystable")
         if self.L.degree(ctx) != 0:
@@ -642,10 +644,7 @@ class IrreducibleImage(_Shape, Record):
                                "irreducible image, deg L = 0, both fields nonzero")
 
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
-        l = self.L.power(3) * LineBundleClass.half_canonical(ctx, spin).dual()
-        return CayleyPartner(CayleyCase(kind="split", L=l),
-                             theta_present=not self.beta.is_zero
-                             or not self.gamma.is_zero)
+        return _split_partner(ctx, self.L.power(3), spin, (self.beta, self.gamma))
 
     def sw(self, ctx: CurveCtx) -> SWInvariants:
         return SWInvariants(self.toledo(ctx), ctx.zero_torsion(), 0, c=ctx.deg_k)
@@ -774,10 +773,24 @@ def _require_maximal_polystable(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
                          % toledo(ctx, datum))
     if not stability_sp4(ctx, datum).is_polystable:
         raise NotPolystable("datum is not polystable")
-    if isinstance(datum, DirectSum) and len(datum.summands) == 1:
-        return datum.summands[0]
-    if isinstance(datum, DirectSum) and len(datum.summands) == 2:
-        return direct_sum(ctx, *datum.summands)
+    return _resolved(ctx, datum)
+
+
+def _resolved(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
+    """A one-summand sum is its summand, and a sum of two maximal rank-1
+    data with nonzero gamma is the torsion-split shape; any other datum,
+    the empty sum included, is returned unchanged."""
+    parts = datum.summands if isinstance(datum, DirectSum) else ()
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2 and all(isinstance(s, SL2RDatum) and is_maximal(ctx, s)
+                               and not s.gamma.is_zero for s in parts):
+        k2 = LineBundleClass.canonical(ctx, 2)
+        # beta_i in H0(L_i^2 K) = H0(K^2) once L_i^2 = K is used
+        a, b = parts
+        return TorsionSplitShape(_root_of_k_label(a.L), _root_of_k_label(b.L),
+                                 SectionSlot(k2, a.beta.coeffs),
+                                 SectionSlot(k2, b.beta.coeffs))
     return datum
 
 
@@ -856,21 +869,10 @@ def irr_embed(ctx: CurveCtx, datum: SL2RDatum) -> IrreducibleImage:
 
 def direct_sum(ctx: CurveCtx, a: HiggsDatum, b: HiggsDatum) -> HiggsDatum:
     """Direct sum of two data.  Toledo adds, w1 adds, w2 follows the
-    Whitney product rule; a sum of two maximal rank-1 data is returned
-    in torsion-split form."""
-    if isinstance(a, DirectSum) and not a.summands:
-        return b
-    if isinstance(b, DirectSum) and not b.summands:
-        return a
-    if (isinstance(a, SL2RDatum) and isinstance(b, SL2RDatum)
-            and is_maximal(ctx, a) and is_maximal(ctx, b)
-            and not a.gamma.is_zero and not b.gamma.is_zero):
-        k2 = LineBundleClass.canonical(ctx, 2)
-        # beta_i in H0(L_i^2 K) = H0(K^2) once L_i^2 = K is used
-        return TorsionSplitShape(_root_of_k_label(a.L), _root_of_k_label(b.L),
-                                 SectionSlot(k2, a.beta.coeffs),
-                                 SectionSlot(k2, b.beta.coeffs))
-    return DirectSum((a, b))
+    Whitney product rule.  Nested sums are flattened, so an empty sum
+    drops out; a lone summand is returned as itself and a sum of two
+    maximal rank-1 data in torsion-split form."""
+    return _resolved(ctx, DirectSum((a, b)))
 
 
 # -- minima and normal forms -----------------------------------------------------

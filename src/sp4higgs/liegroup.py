@@ -116,9 +116,13 @@ def sl2(a, b, c, d) -> SqMatrix:
     return m
 
 
+def _check_dim(x: SqMatrix, n: int):
+    if x.dim != n:
+        raise ValueError("expected a %dx%d matrix" % (n, n))
+
+
 def _check_det(a: SqMatrix, allow_minus: bool):
-    if a.dim != 2:
-        raise ValueError("expected a 2x2 matrix")
+    _check_dim(a, 2)
     d = a.det()
     if d == ONE:
         return
@@ -128,8 +132,7 @@ def _check_det(a: SqMatrix, allow_minus: bool):
 
 
 def _check_traceless(x: SqMatrix):
-    if x.dim != 2:
-        raise ValueError("expected a 2x2 matrix")
+    _check_dim(x, 2)
     if not x.trace().is_zero:
         raise ValueError("input must be traceless")
 
@@ -355,8 +358,7 @@ def cartan_split(x: SqMatrix) -> CartanSplit:
     the upper-left one and the off-diagonal blocks to be symmetric, so
     the split is the block projection.
     """
-    if x.dim != 4:
-        raise ValueError("expected a 4x4 matrix")
+    _check_dim(x, 4)
     if not in_sp4c(x):
         raise NotInAlgebra("matrix fails X^t J + J X = 0 for the frozen form")
     z = x.block(0, 0)
@@ -375,8 +377,7 @@ def _from_blocks(b00, b01, b10, b11) -> SqMatrix:
 
 def m_delta_membership(x: SqMatrix) -> Optional[Tuple[FieldElem, FieldElem]]:
     """(beta~, gamma~) if x = [[0, beta~ I], [gamma~ I, 0]], else None."""
-    if x.dim != 4:
-        raise ValueError("expected a 4x4 matrix")
+    _check_dim(x, 4)
     zero2 = SqMatrix.zeros(2)
     if x.block(0, 0) != zero2 or x.block(1, 1) != zero2:
         return None

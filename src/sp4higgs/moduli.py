@@ -206,8 +206,7 @@ class FiberGeometry(Record):
     extra: int
 
     def __post_init__(self):
-        total = self.base_dim + self.r + self.s + self.extra
-        if total != 10 * (self.base_dim - 1):
+        if self.total_dim != 10 * (self.base_dim - 1):
             raise ValueError("dimension identity failed")
 
     @property

@@ -41,6 +41,15 @@ def test_degree_arithmetic():
     assert half.power(2) == k  # torsion doubles away
 
 
+def test_half_canonical_keeps_the_label_it_is_given():
+    # an empty label is kept, not replaced by the zero label of length 2g
+    empty = F2Vector(())
+    assert LineBundleClass.half_canonical(CTX2, empty).torsion is empty
+    label = e(CTX2, 1)
+    assert LineBundleClass.half_canonical(CTX2, label).torsion is label
+    assert LineBundleClass.half_canonical(CTX2).torsion == CTX2.zero_torsion()
+
+
 def test_dual_negates_everything():
     n = LineBundleClass(Fraction(1, 2), 3, e(CTX3, 1))
     nd = n.dual()
@@ -515,6 +524,40 @@ def test_one_summand_sum_is_its_summand(ctx):
         single = sh.DirectSum((datum,))
         assert stability_report(ctx, single) == stability_report(ctx, datum)
         assert _classify_outcome(ctx, single) == _classify_outcome(ctx, datum)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda a, b: (a, b),
+    lambda a, b: (sh.DirectSum((a,)), b),
+    lambda a, b: (a, sh.DirectSum((b,))),
+    lambda a, b: (sh.DirectSum(()), sh.DirectSum((a, b))),
+    lambda a, b: (sh.DirectSum((a, b)), sh.DirectSum(())),
+], ids=["bare", "left-one-summand", "right-one-summand", "empty-and-pair",
+        "pair-and-empty"])
+def test_direct_sum_resolves_however_wrapped(wrap):
+    # two maximal rank-1 data are the torsion-split shape, whichever
+    # sums they arrive in
+    a, b = max_sl2(CTX3, CTX3.zero_torsion()), max_sl2(CTX3, e(CTX3, 0))
+    s = direct_sum(CTX3, *wrap(a, b))
+    k2 = LineBundleClass.canonical(CTX3, 2)
+    assert s == sh.TorsionSplitShape(CTX3.zero_torsion(), e(CTX3, 0),
+                                     SectionSlot(k2, a.beta.coeffs),
+                                     SectionSlot(k2, b.beta.coeffs))
+    assert stability_report(CTX3, s).verdict == Stability.STABLE
+
+
+def test_direct_sum_of_a_lone_summand_and_nothing_is_the_summand():
+    a = max_sl2(CTX3)
+    assert direct_sum(CTX3, sh.DirectSum((a,)), sh.DirectSum(())) is a
+    assert direct_sum(CTX3, sh.DirectSum(()), sh.DirectSum(())) == sh.DirectSum(())
+
+
+def test_direct_sum_keeps_pairs_that_are_not_two_maximal_rank1_data():
+    maximal, low = max_sl2(CTX3), sl2_of_degree(CTX3, 0, beta=1, gamma=1)
+    no_gamma = max_sl2(CTX3, gamma=0)
+    for a, b in ((maximal, low), (low, maximal), (maximal, no_gamma),
+                 (irr_embed(CTX3, maximal), maximal)):
+        assert direct_sum(CTX3, a, b) == sh.DirectSum((a, b))
 
 
 def test_direct_sum_toledo_additive():

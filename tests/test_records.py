@@ -8,6 +8,7 @@ hashes decide set and dict iteration order, so both are pinned exactly.
 import os
 import subprocess
 import sys
+import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sp4higgs as sh
-from sp4higgs import liegroup, moduli, verify
+from sp4higgs import f2, higgs, liegroup, matalg, moduli, numfield, verify
 from sp4higgs.matalg import SqMatrix
 
 F = sh.F2Vector
@@ -300,3 +301,19 @@ def test_import_leaves_out_dataclasses_and_the_io_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.split() == ["sp4higgs.higgs"]
+
+
+# -- the package's names -------------------------------------------------------------
+
+
+def test_package_exports_exactly_the_modules_all():
+    """The package's public names are the union of the ``__all__`` of
+    the modules it re-exports, each bound to the module's own object."""
+    modules = (numfield, matalg, liegroup, f2, higgs, moduli)
+    owner = {name: module for module in modules for name in module.__all__}
+    assert len(owner) == sum(len(module.__all__) for module in modules)
+    public = {name for name, value in vars(sh).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(owner)
+    for name, module in owner.items():
+        assert getattr(sh, name) is getattr(module, name), name
