@@ -59,6 +59,7 @@ __all__ = [
     "sl2xsl2_reduction_check",
     "irr_embed",
     "direct_sum",
+    "minimum",
     "is_hitchin_minimum",
     "iso_normal_form",
 ]
@@ -374,10 +375,14 @@ class _Shape:
     ``rank``, ``toledo`` and ``stability`` hold for any datum; a rank-2
     shape has degree 2g-2 unless it says otherwise.
     ``cayley``, ``sw``, the reduction rules ``gdelta``/``sl2xsl2``/``gp``,
-    ``energy_minimum`` and ``hitchin_spin`` assume a maximal polystable
-    datum in canonical form (see _require_maximal_polystable).  A shape
-    without a rule raises TypeError; only the shapes that reach
-    c = 2g-2 define ``hitchin_spin``.
+    ``minimum`` and ``hitchin_spin`` assume a maximal polystable datum in
+    canonical form (see _require_maximal_polystable).  A rank-2 shape
+    reads ``sw`` off its Cayley partner at the base root.  ``minimum`` is
+    the limit as t -> 0 of the C* action phi -> t phi: the diagonal shape
+    keeps only gamma and, when c > 0, beta2; the c = 0 diagonal, cover
+    and torsion-split shapes lose every beta; the irreducible image keeps
+    gamma.  A shape without a rule raises TypeError; only the shapes that
+    reach c = 2g-2 define ``hitchin_spin``.
     """
 
     rank = 2
@@ -388,6 +393,18 @@ class _Shape:
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
         raise TypeError("no Cayley partner for %r" % (self,))
 
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        case = self.cayley(ctx, ctx.zero_torsion()).case
+        if case.kind == "cover":
+            return SWInvariants(ctx.deg_k, case.w1, case.w2)
+        if case.kind == "split":
+            c = case.L.degree(ctx)
+            return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
+        w1 = case.m1 + case.m2
+        # equal labels give w1 = 0; the datum is then the c = 0 shape
+        return SWInvariants(ctx.deg_k, w1, case.m1.pairing(case.m2),
+                            c=0 if w1.is_zero else None)
+
     def gdelta(self, ctx: CurveCtx) -> bool:
         raise TypeError("unsupported datum for the reduction check: %r" % (self,))
 
@@ -396,7 +413,7 @@ class _Shape:
     def gp(self, ctx: CurveCtx) -> bool:
         return self.sl2xsl2(ctx)
 
-    def energy_minimum(self, ctx: CurveCtx) -> bool:
+    def minimum(self, ctx: CurveCtx) -> "HiggsDatum":
         raise TypeError("unsupported datum for the minimum test: %r" % (self,))
 
 
@@ -456,21 +473,17 @@ class DiagonalShape(_Shape, Record):
         return _split_partner(ctx, self.N, spin,
                               (self.beta1, self.beta2, self.beta3))
 
-    def sw(self, ctx: CurveCtx) -> SWInvariants:
-        # stability, run first by _require_maximal_polystable, bounds
-        # deg N to [g-1, 3g-3], so c is in [0, 2g-2]
-        c = self.c_invariant(ctx)
-        return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
-
     def gdelta(self, ctx: CurveCtx) -> bool:
-        return self.sl2xsl2(ctx) and self.beta1.is_zero and self.beta2.is_zero
+        # beta2 = 0 in a maximal polystable datum forces c = 0
+        return self.beta1.is_zero and self.beta2.is_zero
 
     def sl2xsl2(self, ctx: CurveCtx) -> bool:
         return self.c_invariant(ctx) == 0
 
-    def energy_minimum(self, ctx: CurveCtx) -> bool:
-        return (self.beta1.is_zero and self.beta3.is_zero
-                and (self.c_invariant(ctx) > 0 or self.beta2.is_zero))
+    def minimum(self, ctx: CurveCtx) -> "DiagonalShape":
+        beta2 = self.beta2 if self.c_invariant(ctx) > 0 else self.beta2.scale(0)
+        return DiagonalShape(self.N, self.beta1.scale(0), beta2,
+                             self.beta3.scale(0))
 
     def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
         # At c = 2g-2 the bundle N is forced to be the cube of a square
@@ -485,8 +498,9 @@ class DiagonalShape(_Shape, Record):
 class CoverOrthShape(_Shape, Record):
     """V = W (x) K^(1/2) with W an orthogonal bundle from a connected
     double cover: w1 is the nonzero class of the cover, w2 is stored
-    (never computed here).  The quadratic part of the Higgs field is the
-    orthogonal form; beta is recorded only as present or absent."""
+    relative to the base square root of K (never computed here).  The
+    quadratic part of the Higgs field is the orthogonal form; beta is
+    recorded only as present or absent."""
 
     w1: F2Vector
     w2: int
@@ -508,11 +522,10 @@ class CoverOrthShape(_Shape, Record):
                                "connected-cover orthogonal bundle is stable")
 
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
-        return CayleyPartner(CayleyCase(kind="cover", w1=self.w1, w2=self.w2),
+        # W (x) M_s for the root moved by s: w2 gains <w1, s>
+        w2 = (self.w2 + self.w1.pairing(spin)) % 2
+        return CayleyPartner(CayleyCase(kind="cover", w1=self.w1, w2=w2),
                              self.beta_present)
-
-    def sw(self, ctx: CurveCtx) -> SWInvariants:
-        return SWInvariants(ctx.deg_k, self.w1, self.w2)
 
     def gdelta(self, ctx: CurveCtx) -> bool:
         return not self.beta_present
@@ -523,8 +536,8 @@ class CoverOrthShape(_Shape, Record):
     def gp(self, ctx: CurveCtx) -> bool:
         return True
 
-    def energy_minimum(self, ctx: CurveCtx) -> bool:
-        return not self.beta_present
+    def minimum(self, ctx: CurveCtx) -> "CoverOrthShape":
+        return CoverOrthShape(self.w1, self.w2, beta_present=False)
 
 
 class TorsionSplitShape(_Shape, Record):
@@ -561,20 +574,15 @@ class TorsionSplitShape(_Shape, Record):
             CayleyCase(kind="torsion", m1=self.t1 + spin, m2=self.t2 + spin),
             theta)
 
-    def sw(self, ctx: CurveCtx) -> SWInvariants:
-        w1 = self.t1 + self.t2
-        w2 = self.t1.pairing(self.t2)
-        # equal labels give w1 = 0; the datum is then the c = 0 shape
-        return SWInvariants(ctx.deg_k, w1, w2, c=0 if w1.is_zero else None)
-
     def gdelta(self, ctx: CurveCtx) -> bool:
         return self.beta1.coeffs == self.beta2.coeffs
 
     def sl2xsl2(self, ctx: CurveCtx) -> bool:
         return True
 
-    def energy_minimum(self, ctx: CurveCtx) -> bool:
-        return self.beta1.is_zero and self.beta2.is_zero
+    def minimum(self, ctx: CurveCtx) -> "TorsionSplitShape":
+        return TorsionSplitShape(self.t1, self.t2, self.beta1.scale(0),
+                                 self.beta2.scale(0))
 
 
 class _RankOneBase(_Shape):
@@ -646,17 +654,14 @@ class IrreducibleImage(_RankOneBase, Record):
     def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
         return _split_partner(ctx, self.L.power(3), spin, (self.beta, self.gamma))
 
-    def sw(self, ctx: CurveCtx) -> SWInvariants:
-        return SWInvariants(self.toledo(ctx), ctx.zero_torsion(), 0, c=ctx.deg_k)
-
     def gdelta(self, ctx: CurveCtx) -> bool:
         return False
 
     def sl2xsl2(self, ctx: CurveCtx) -> bool:
         return False
 
-    def energy_minimum(self, ctx: CurveCtx) -> bool:
-        return self.beta.is_zero
+    def minimum(self, ctx: CurveCtx) -> "IrreducibleImage":
+        return IrreducibleImage(self.L, self.beta.scale(0), self.gamma)
 
     def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
         return _root_of_k_label(self.L)
@@ -878,11 +883,23 @@ def direct_sum(ctx: CurveCtx, a: HiggsDatum, b: HiggsDatum) -> HiggsDatum:
 # -- minima and normal forms -----------------------------------------------------
 
 
+def minimum(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
+    """The limit as t -> 0 of a maximal polystable datum under the C*
+    action phi -> t phi, in canonical form: the minimum of the energy
+    function that the datum flows to, in the same component (the rule
+    per shape is in is_hitchin_minimum)."""
+    return _require_maximal_polystable(ctx, datum).minimum(ctx)
+
+
 def is_hitchin_minimum(ctx: CurveCtx, datum: HiggsDatum) -> bool:
-    """Whether the datum is the minimum of the energy function in its
-    component: beta1 = beta3 = 0 in the c > 0 diagonal shapes, beta = 0
-    entirely in the c = 0 and torsion/cover shapes."""
-    return _require_maximal_polystable(ctx, datum).energy_minimum(ctx)
+    """Whether the datum is a minimum of the energy function in its
+    component: a fixed point of the t -> 0 limit of phi -> t phi (see
+    minimum).  The limit zeroes beta1 and beta3 in the c > 0 diagonal
+    shapes and keeps beta2; it zeroes beta entirely in the c = 0
+    diagonal, torsion-split and cover shapes, and in the irreducible
+    image it zeroes beta and keeps gamma."""
+    datum = _require_maximal_polystable(ctx, datum)
+    return datum.minimum(ctx) == datum
 
 
 def iso_normal_form(ctx: CurveCtx, datum: DiagonalShape) -> DiagonalShape:

@@ -81,7 +81,8 @@ _ZERO_N = (0,) * 8
 _BASIS_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
-# a JSON coordinate: the datum schema's rational pattern ^-?[0-9]+/[0-9]+$
+# a JSON coordinate num/den; the datum schema's rational pattern also
+# excludes a zero denominator, which from_json rejects after the match
 _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 # 8 coordinates joined by commas; _RATIONAL matches no comma, so the
 # joined string matches exactly when each coordinate matches on its own

@@ -1,4 +1,5 @@
-"""Mutated datum files never crash the CLI.
+"""Mutated datum files never crash the CLI, and the schema reads them
+as the decoder does.
 
 Valid datum documents from the golden corpus are mutated: fields are
 dropped, added or retyped, coordinate strings and bitstrings are
@@ -6,7 +7,9 @@ perturbed, arrays lose or gain entries, and the file text may be cut
 short.  Each mutant is run through ``cli.main`` in-process.  Whatever
 the input, the CLI exits 0, 1 or 2, prints exactly one JSON object
 (nothing at all is allowed only with exit 2) and lets no exception
-escape.
+escape.  ``docs/datum-schema.json`` accepts a mutant exactly when
+``datum_from_json`` raises no ParseError, apart from the cases the
+schema cannot state, which are named below.
 """
 
 import contextlib
@@ -15,10 +18,13 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sp4higgs.cli import main
+from sp4higgs.jsonio import ParseError, datum_from_json
 
 from test_golden import corpus
 
@@ -111,6 +117,13 @@ def _mutate(data, doc):
     return doc
 
 
+def _mutant(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    return doc
+
+
 def _run(cmd, text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:
@@ -125,10 +138,7 @@ def _run(cmd, text):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_datum_gives_an_exit_code_and_one_json_object(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(DOCS)))
-    for _ in range(data.draw(st.integers(1, 3))):
-        doc = _mutate(data, doc)
-    text = json.dumps(doc)
+    text = json.dumps(_mutant(data))
     if data.draw(st.integers(0, 7)) == 0:
         text = text[:data.draw(st.integers(0, len(text)))]
     code, out, err = _run(data.draw(st.sampled_from(COMMANDS)), text)
@@ -141,3 +151,91 @@ def test_mutated_datum_gives_an_exit_code_and_one_json_object(data):
     assert isinstance(payload, dict)
     if code:
         assert set(payload) == {"error", "clause"}
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "datum-schema.json"
+
+
+def _validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+
+
+def _integral_float(node):
+    """Whether a float with no fractional part, such as 2.0, occurs in
+    ``node``: JSON Schema reads it as the integer 2, while the decoder,
+    reading the types of Python's json, rejects it."""
+    if isinstance(node, dict):
+        return any(map(_integral_float, node.values()))
+    if isinstance(node, list):
+        return any(map(_integral_float, node))
+    return isinstance(node, float) and node.is_integer()
+
+
+def _decodes(doc) -> bool:
+    try:
+        datum_from_json(doc)
+    except ParseError:
+        return False
+    except ValueError:  # a domain error of the datum's own constructors
+        pass
+    return True
+
+
+def test_schema_accepts_a_mutant_exactly_when_the_decoder_reads_it():
+    validator = _validator()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def agree(data):
+        doc = _mutant(data)
+        decodes = _decodes(doc)
+        if validator.is_valid(doc) != decodes:
+            # the one named gap the mutants reach: an integral float
+            assert not decodes and _integral_float(doc), doc
+
+    agree()
+
+
+def _cover(w1="000100", w2=1):
+    return {"genus": 3, "shape": "cover_orth", "w1": w1, "w2": w2,
+            "beta_present": False}
+
+
+def _sl2r(coeff, torsion="000000"):
+    bundle = {"k_power": "1/2", "extra_degree": 0, "torsion": torsion}
+    k2 = {"k_power": "2/1", "extra_degree": 0, "torsion": "000000"}
+    return {"genus": 3, "shape": "sl2r", "L": bundle,
+            "beta": {"bundle": k2, "coeffs": [[coeff] + ["0/1"] * 7] * 5},
+            "gamma": {"bundle": {"k_power": "0/1", "extra_degree": 0,
+                                 "torsion": "000000"},
+                      "coeffs": [["1/1"] + ["0/1"] * 7]}}
+
+
+def _sum(*summands):
+    parts = [{k: v for k, v in s.items() if k != "genus"} for s in summands]
+    return {"genus": 3, "shape": "direct_sum", "summands": parts}
+
+
+@pytest.mark.parametrize("doc, valid", [
+    (_sl2r("1/2"), True),
+    (_sl2r("1/007"), True),
+    (_sl2r("1/0"), False),
+    (_sl2r("1/00"), False),
+    (_sl2r("1/2\n"), False),  # Python's re matches $ before a final newline
+    (_cover("00010"), False),
+    (_cover("000100\n"), False),
+    ({k: v for k, v in _cover().items() if k != "w2"}, False),
+    (_sum(_sl2r("1/2"), _sl2r("1/2", "100000")), True),
+    (_sum(_sl2r("1/2"), _sl2r("1/0")), False),
+    (_sum(_sl2r("1/2"), dict(_cover(), shape="cover")), False),
+    (_sum(_sl2r("1/2"), _sum(_cover(), _cover("00100", 0))), False),
+    (dict(_cover(), w2=1.0), True),  # named gap: an integral float
+    (_cover("0001"), True),  # named gap: a length other than 2g
+])
+def test_schema_verdicts_on_named_documents(doc, valid):
+    assert _validator().is_valid(doc) == valid
+    # the two named gaps decode differently from how they validate:
+    # 1.0 is no JSON integer to the decoder, and a length other than 2g
+    # decodes and is a domain error of the command (exit 1)
+    assert _decodes(doc) == (valid and not _integral_float(doc))

@@ -1,0 +1,131 @@
+"""The Cayley partner moves with the spin, and every maximal datum flows
+to a minimum of its component.
+
+Both properties run over the rank-2 golden data that classify.  For a
+change of square root of K by a 2-torsion class s, the split partner's
+L and each torsion label m_i gain s, theta and w1 stay, and w2 gains
+<w1, s>.  ``minimum``, the t -> 0 limit of phi -> t phi, is polystable,
+is a fixed point of itself, keeps the component label, agrees with the
+minimum rule per c range, and no reduction checker accepts a datum and
+rejects its minimum.
+"""
+
+import random
+
+import pytest
+
+import sp4higgs as sh
+from sp4higgs import CurveCtx, F2Vector, LineBundleClass
+
+from builders import diagonal_shape, max_sl2
+from test_golden import corpus
+
+CTX3 = CurveCtx(3)
+CHECKERS = (sh.gdelta_reduction_check, sh.gp_reduction_check,
+            sh.sl2xsl2_reduction_check)
+
+
+def _classifiable_rank2():
+    out = []
+    for ident, ctx, datum, _ in corpus():
+        if sh.rank(datum) != 2:
+            continue
+        try:
+            label = sh.classify(ctx, datum)
+        except ValueError:
+            continue
+        out.append((ident, ctx, datum, label))
+    return out
+
+
+RANK2 = _classifiable_rank2()
+
+
+def _spins(ctx):
+    """All spins at g = 2, eight seeded ones above."""
+    if ctx.genus == 2:
+        return list(F2Vector.all_vectors(ctx.two_g))
+    rng = random.Random(ctx.genus)
+    return [F2Vector.from_int(rng.getrandbits(ctx.two_g), ctx.two_g)
+            for _ in range(8)]
+
+
+def _w1_w2(ctx, case):
+    """Stiefel-Whitney classes of an orthogonal partner W."""
+    if case.kind == "cover":
+        return case.w1, case.w2
+    if case.kind == "torsion":
+        return case.m1 + case.m2, case.m1.pairing(case.m2)
+    return ctx.zero_torsion(), case.L.degree(ctx) % 2
+
+
+def test_corpus_has_the_classifiable_rank2_data():
+    assert len(RANK2) == 231
+    assert {type(d).__name__ for _, _, d, _ in RANK2} == {
+        "DiagonalShape", "CoverOrthShape", "TorsionSplitShape",
+        "IrreducibleImage", "DirectSum"}
+
+
+def test_cayley_partner_is_spin_covariant():
+    for ident, ctx, datum, _ in RANK2:
+        base = sh.cayley_partner(ctx, datum)
+        w1, w2 = _w1_w2(ctx, base.case)
+        for s in _spins(ctx):
+            moved = sh.cayley_partner(ctx, datum, s)
+            where = (ident, s)
+            assert moved.case.kind == base.case.kind, where
+            assert moved.theta_present == base.theta_present, where
+            assert _w1_w2(ctx, moved.case) == (w1, (w2 + w1.pairing(s)) % 2), where
+            if base.case.kind == "split":
+                assert moved.case.L == base.case.L * LineBundleClass.two_torsion(s), where
+            if base.case.kind == "torsion":
+                assert (moved.case.m1, moved.case.m2) == (
+                    base.case.m1 + s, base.case.m2 + s), where
+
+
+def _rule_per_c_range(ctx, datum):
+    """The minima stated per shape: beta1 = beta3 = 0 in the c > 0
+    diagonal shapes, every beta zero at c = 0 and in the torsion-split
+    and cover shapes, beta = 0 in the irreducible image."""
+    if isinstance(datum, sh.DiagonalShape):
+        return (datum.beta1.is_zero and datum.beta3.is_zero
+                and (datum.c_invariant(ctx) > 0 or datum.beta2.is_zero))
+    if isinstance(datum, sh.CoverOrthShape):
+        return not datum.beta_present
+    if isinstance(datum, sh.TorsionSplitShape):
+        return datum.beta1.is_zero and datum.beta2.is_zero
+    return datum.beta.is_zero
+
+
+def _resolved(ctx, datum):
+    """The datum as the rules see it: adding the empty sum resolves a
+    sum to its summand or to the torsion-split shape."""
+    return sh.direct_sum(ctx, datum, sh.DirectSum(()))
+
+
+def test_every_datum_flows_to_a_minimum_of_its_component():
+    for ident, ctx, datum, label in RANK2:
+        low = sh.minimum(ctx, datum)
+        assert sh.stability_sp4(ctx, low).is_polystable, ident
+        assert sh.minimum(ctx, low) == low, ident
+        assert sh.classify(ctx, low) == label, ident
+        assert sh.is_hitchin_minimum(ctx, datum) == _rule_per_c_range(
+            ctx, _resolved(ctx, datum)), ident
+        for check in CHECKERS:
+            assert not check(ctx, datum) or check(ctx, low), (ident, check)
+
+
+def test_c0_diagonal_minimum_loses_beta2():
+    # at c = 0 a kept beta2 would leave beta1 = 0 != beta2: not polystable
+    stable = diagonal_shape(CTX3, 0, b1=1, b2=1, b3=1)
+    assert sh.minimum(CTX3, stable) == diagonal_shape(CTX3, 0, b1=0, b2=0)
+
+
+@pytest.mark.parametrize("datum", [
+    max_sl2(CTX3),
+    sh.DirectSum(tuple(max_sl2(CTX3, F2Vector.unit(6, k)) for k in range(3))),
+])
+def test_minimum_of_a_datum_that_is_not_rank2_is_unsupported(datum):
+    with pytest.raises(TypeError) as info:
+        sh.minimum(CTX3, datum)
+    assert str(info.value) == "unsupported datum for the minimum test: %r" % (datum,)

@@ -253,6 +253,12 @@ def test_cayley_cover_passthrough():
     assert cp.case.w1 == e(CTX3, 2) and cp.case.w2 == 1
 
 
+def test_cover_w1_of_another_length_is_rejected():
+    with pytest.raises(ValueError) as info:
+        stability_report(CTX3, cover_shape(CTX3, w1=e(CTX2, 0)))
+    assert str(info.value) == "w1 has length 4, expected 6"
+
+
 def test_cayley_requires_maximal():
     with pytest.raises(NotMaximal):
         cayley_partner(CTX3, sl2_of_degree(CTX3, 0))
@@ -289,8 +295,8 @@ def test_sw_invariants_diagonal():
 @pytest.mark.parametrize("c", [-1, 5])  # c = -1 and c = 2g-1 at g = 3
 @pytest.mark.parametrize("rule", [sw_invariants, sh.classify])
 def test_c_outside_range_is_caught_by_stability(rule, c):
-    # DiagonalShape.sw checks no c range: every caller reaches it after
-    # stability, which bounds deg N = c + g-1 to [g-1, 3g-3]
+    # the partner's deg L = c is read with no range check: every caller
+    # reaches it after stability, which bounds deg N = c + g-1 to [g-1, 3g-3]
     with pytest.raises(OutOfClassifiedRange) as info:
         rule(CTX3, diagonal_shape(CTX3, c))
     assert str(info.value) == "deg N = %d outside [g-1, 3g-3] = [2, 6]" % (c + 2)
