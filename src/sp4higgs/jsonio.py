@@ -57,7 +57,11 @@ def _parsed(parse, kind: type, value, name: str):
     try:
         return parse(value)
     except ValueError as exc:
-        raise ParseError("%s: cannot read %r (%s)" % (name, value, exc)) from None
+        raise _unreadable(name, value, exc) from None
+
+
+def _unreadable(name: str, value, exc: ValueError) -> ParseError:
+    return ParseError("%s: cannot read %r (%s)" % (name, value, exc))
 
 
 def _field(data: dict, name: str):
@@ -69,7 +73,6 @@ def _field(data: dict, name: str):
 _int = partial(_typed, int)
 _list = partial(_typed, list)
 _f2 = partial(_parsed, F2Vector.from_string, str)
-_elem = partial(_parsed, FieldElem.from_json, list)
 
 
 def _at_least(low: int, value, name: str) -> int:
@@ -107,8 +110,18 @@ def _slot(value, name: str) -> SectionSlot:
     coeffs = _list(_field(value, "coeffs"), "coeffs")
     override = (_at_least(0, value["h0_override"], "h0_override")
                 if "h0_override" in value else None)
+    # what _parsed(FieldElem.from_json, list, c, "coefficient") does,
+    # inlined: the coefficients are most of what a datum decodes
+    elems = []
+    for c in coeffs:
+        if type(c) is not list:
+            _typed(list, c, "coefficient")
+        try:
+            elems.append(FieldElem.from_json(c))
+        except ValueError as exc:
+            raise _unreadable("coefficient", c, exc) from None
     return SectionSlot(_bundle(_field(value, "bundle"), "bundle"),
-                       tuple(_elem(c, "coefficient") for c in coeffs), override)
+                       tuple(elems), override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities

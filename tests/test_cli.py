@@ -186,6 +186,17 @@ def test_verify_all_matches_golden(capsys):
     assert run_cli(capsys, "verify", "--scope", "all") == (0, golden)
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+@pytest.mark.parametrize("cmd", ["classify", "normal-form"])
+def test_example_datum_matches_its_frozen_output(capsys, cmd):
+    # the files the installed console script is diffed against in CI
+    path = EXAMPLES / "diagonal-g2.json"
+    frozen = (EXAMPLES / ("diagonal-g2.%s.json" % cmd)).read_text(encoding="utf-8")
+    assert run_cli(capsys, cmd, "--in", str(path)) == (0, frozen)
+
+
 def test_verify_lie_alias(capsys):
     code, out = run_cli(capsys, "verify-lie")
     assert code == 0

@@ -154,6 +154,7 @@ def test_mutated_datum_gives_an_exit_code_and_one_json_object(data):
 
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "datum-schema.json"
+EXAMPLE = SCHEMA.with_name("examples") / "diagonal-g2.json"
 
 
 def _validator():
@@ -232,6 +233,7 @@ def _sum(*summands):
     (_sum(_sl2r("1/2"), _sum(_cover(), _cover("00100", 0))), False),
     (dict(_cover(), w2=1.0), True),  # named gap: an integral float
     (_cover("0001"), True),  # named gap: a length other than 2g
+    (json.loads(EXAMPLE.read_text()), True),
 ])
 def test_schema_verdicts_on_named_documents(doc, valid):
     assert _validator().is_valid(doc) == valid

@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import sp4higgs as sh
-from sp4higgs import CurveCtx, F2Vector
+from sp4higgs import CurveCtx, F2Vector, numfield
 from sp4higgs._record import Record
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
@@ -198,6 +198,36 @@ def test_golden_corpus(tmp_path):
     assert len(actual) == len(expected)
     changed = [json.loads(a)["id"] for a, b in zip(actual, expected) if a != b]
     assert not changed, "golden entries changed: %s" % changed
+
+
+def _coefficients(node):
+    """Every coefficient (8 strings) in a datum document."""
+    if isinstance(node, dict):
+        yield from node.get("coeffs", ())
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _coefficients(child)
+
+
+def test_decode_matches_only_the_coefficients_that_are_not_zero(monkeypatch):
+    # the canonical zero "0/1" x 8 is read without the 16-group regex
+    docs = [doc for *_, doc in corpus()]
+    coefficients = [c for doc in docs for c in _coefficients(doc)]
+    dense = sum(c != ["0/1"] * 8 for c in coefficients)
+    assert 0 < dense < len(coefficients)
+    calls = []
+
+    class Counting:
+        def fullmatch(self, s, eight=numfield._EIGHT):
+            calls.append(s)
+            return eight.fullmatch(s)
+
+    monkeypatch.setattr(numfield, "_EIGHT", Counting())
+    for doc in docs:
+        datum_from_json(doc)
+    assert len(calls) == dense
+    assert ",".join(["0/1"] * 8) not in calls
 
 
 if __name__ == "__main__":

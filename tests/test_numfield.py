@@ -434,7 +434,13 @@ def test_json_matches_reference(style):
         scaled = ["%d/%d" % (c.numerator * m, c.denominator * m)
                   for c, m in zip(x, (rng.randint(1, 1000) for _ in x))]
         assert FieldElem.from_json(scaled).coeffs == x
-    assert FieldElem.from_json(["-0/5"] + ["0/3"] * 7).to_json() == ["0/1"] * 8
+    # zeros not in canonical form decode to ZERO and encode canonically,
+    # alone or among "0/1", whose joined string is then near the zero's
+    for zero in ("-0/5", "-0/1", "00/1", "0/01", "0/7"):
+        for data in ([zero] + ["0/3"] * 7, [zero] * 8, ["0/1"] * 7 + [zero]):
+            a = FieldElem.from_json(data)
+            assert a == ZERO and a.to_json() == ["0/1"] * 8
+            assert_canonical(a)
 
 
 _ONE_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
@@ -443,7 +449,8 @@ _ONE_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 def reference_from_json(data):
     """Decode coordinate by coordinate into Fractions, raising the same
     ValueError clauses as ``FieldElem.from_json``."""
-    if len(data) != 8 or any(type(s) is not str for s in data):
+    if (type(data) not in (list, tuple) or len(data) != 8
+            or any(type(s) is not str for s in data)):
         raise ValueError("field element needs 8 coordinate strings")
     for s in data:
         if _ONE_RATIONAL.fullmatch(s) is None:
@@ -486,6 +493,13 @@ DECODE_ERRORS = {
     "a non-string": (_VALID[:7] + [1], "field element needs 8 coordinate strings"),
     "a nested list": ([_VALID[:1]] + _VALID[1:],
                       "field element needs 8 coordinate strings"),
+    "a dict of 8 string keys": (dict.fromkeys(["1/2"] + ["0/%d" % k for k in range(1, 8)], 0),
+                                "field element needs 8 coordinate strings"),
+    "a string of 8 characters": ("0/1,0/1,", "field element needs 8 coordinate strings"),
+    "eight zeros with a comma moved": (["0/1,0/1"] + ["0/1"] * 6 + [""],
+                                       "coordinate '0/1,0/1' is not a num/den string"),
+    "seven zeros and an int zero": (["0/1"] * 7 + [0],
+                                    "field element needs 8 coordinate strings"),
 }
 
 
@@ -508,10 +522,21 @@ def test_json_decode_matches_per_coordinate_reference():
                         rng.randint(1, 10 ** rng.randint(1, 30)))
         return "%s/%s" % (num, den)
 
-    for _ in range(200):
+    for k in range(200):
         data = [rng.choice((coordinate, lambda: "-0/5", lambda: "0/1"))()
                 for _ in range(8)]
+        if k % 4 == 0:  # the canonical zero, or it with one coordinate drawn
+            data = ["0/1"] * 8
+            if k % 8:
+                data[rng.randrange(8)] = coordinate()
         assert FieldElem.from_json(data).coeffs == reference_from_json(data)
+
+
+def test_zero_encodes_to_a_fresh_list():
+    out = ZERO.to_json()
+    out[0] = "1/1"
+    assert ZERO.to_json() == ["0/1"] * 8
+    assert FieldElem.from_json(tuple(ZERO.to_json())) is ZERO
 
 
 def assert_canonical(a):
