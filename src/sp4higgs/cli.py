@@ -128,7 +128,7 @@ def _cmd_fiber(args):
                "total_dim": geom.total_dim}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sp4higgs",
         description="Exact classification tools for maximal rank-2 "
@@ -163,18 +163,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.set_defaults(func=_cmd_fiber)
 
-    return parser
+    # sub.choices is argparse's own map from command name to subparser
+    return parser, sub.choices
 
 
 # built once per process: argparse reads stdout, stderr and the terminal
-# width only when it prints, and parse_args makes a fresh namespace on
-# each call, so one parser serves every call of main
-_PARSER = _build_parser()
+# width only when it prints, and a parse makes a fresh namespace on each
+# call, so one tree serves every call of main.  Only top-level help and
+# usage errors go through the whole tree; see _parse.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse a command's arguments with its own subparser alone, the call
+    the tree's subparsers action would make after the top-level pass.  An
+    argv that is not a command followed by arguments its subparser takes
+    (an empty one, top-level help, an unknown command, leftover
+    arguments) is parsed by the whole tree, so every usage error and help
+    text is the tree's own."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -28,7 +28,7 @@ from .higgs import (
     IrreducibleImage, LineBundleClass, SectionSlot, SL2RDatum,
     TorsionSplitShape,
 )
-from .numfield import FieldElem
+from .numfield import ZERO, FieldElem
 
 __all__ = ["ParseError", "datum_to_json", "datum_from_json", "load_datum"]
 
@@ -105,21 +105,32 @@ def _bundle(value, name: str) -> LineBundleClass:
                            _f2(_field(value, "torsion"), "torsion"))
 
 
+# the canonical zero coefficient, as datum_to_json writes it
+_ZERO_COEFF = ["0/1"] * 8
+
+
 def _slot(value, name: str) -> SectionSlot:
     _typed(dict, value, name)
     coeffs = _list(_field(value, "coeffs"), "coeffs")
     override = (_at_least(0, value["h0_override"], "h0_override")
                 if "h0_override" in value else None)
-    # what _parsed(FieldElem.from_json, list, c, "coefficient") does,
-    # inlined: the coefficients are most of what a datum decodes
-    elems = []
-    for c in coeffs:
-        if type(c) is not list:
-            _typed(list, c, "coefficient")
-        try:
-            elems.append(FieldElem.from_json(c))
-        except ValueError as exc:
-            raise _unreadable("coefficient", c, exc) from None
+    n = len(coeffs)
+    # a slot of canonical zeros, common in data at the minima of the
+    # Hitchin function, in one compare; the types are compared as the loop
+    # checks them, so a list subclass is still no array
+    if coeffs == [_ZERO_COEFF] * n and list(map(type, coeffs)) == [list] * n:
+        elems = (ZERO,) * n
+    else:
+        # what _parsed(FieldElem.from_json, list, c, "coefficient") does,
+        # inlined: the coefficients are most of what a datum decodes
+        elems = []
+        for c in coeffs:
+            if type(c) is not list:
+                _typed(list, c, "coefficient")
+            try:
+                elems.append(FieldElem.from_json(c))
+            except ValueError as exc:
+                raise _unreadable("coefficient", c, exc) from None
     return SectionSlot(_bundle(_field(value, "bundle"), "bundle"),
                        tuple(elems), override)
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import sp4higgs as sh
-from sp4higgs.cli import main
-from sp4higgs.jsonio import datum_from_json, datum_to_json
+from sp4higgs.cli import _PARSER, main
+from sp4higgs.jsonio import ParseError, datum_from_json, datum_to_json
 
 from builders import diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
 
@@ -197,6 +197,75 @@ def test_example_datum_matches_its_frozen_output(capsys, cmd):
     assert run_cli(capsys, cmd, "--in", str(path)) == (0, frozen)
 
 
+# argv templates, {F} the example datum
+PARSES = [
+    # a command and what its own subparser parses or rejects
+    ["classify", "--in", "{F}"], ["classify", "--in={F}"], ["classify", "--i", "{F}"],
+    ["classify", "--in", "missing.json", "--in", "{F}"],  # the last --in wins
+    ["classify", "-h"], ["classify"], ["classify", "--in"],
+    ["classify", "--", "--in", "{F}"],
+    ["count", "--genus", "2"], ["verify", "--scope", "lie"],
+    ["f2-scan", "--genus", "2"], ["fiber", "--genus", "4", "--c", "1"],
+    # what the whole tree parses: top-level help, arguments left over
+    # after the command's own, no command or an unknown one
+    ["--help"], ["classify", "--in", "{F}", "extra"],
+    ["classify", "--in", "{F}", "--bogus"], ["--", "classify", "--in", "{F}"],
+    ["nosuch"], ["clas", "--in", "{F}"], [],
+]
+
+
+def _whole_tree(argv) -> int:
+    """The reference for main on the argvs of PARSES, whose commands raise
+    no ValueError: the whole tree parses argv, then the command runs."""
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    code, payload = args.func(args)
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return code
+
+
+@pytest.mark.parametrize("template", PARSES, ids=" ".join)
+def test_parse_matches_the_whole_tree(capsys, template):
+    argv = [s.format(F=EXAMPLES / "diagonal-g2.json") for s in template]
+    results = []
+    for run in (main, _whole_tree):
+        code = run(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+
+
+def test_a_datum_request_is_parsed_once(monkeypatch, capsys):
+    # the whole tree parses twice: once itself, once in its subparsers action
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    path = EXAMPLES / "diagonal-g2.json"
+    frozen = (EXAMPLES / "diagonal-g2.classify.json").read_text(encoding="utf-8")
+    assert run_cli(capsys, "classify", "--in", str(path)) == (0, frozen)
+    assert parsers == ["sp4higgs classify"]
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    path = str(EXAMPLES / "diagonal-g2.json")
+    frozen = (EXAMPLES / "diagonal-g2.classify.json").read_text(encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["sp4higgs", "classify", "--in", path])
+    assert main() == 0
+    assert capsys.readouterr().out == frozen
+    monkeypatch.setattr(sys, "argv", ["sp4higgs", "classify", "--in", path, "extra"])
+    assert main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("sp4higgs: error: unrecognized arguments: extra\n")
+
+
 def test_verify_lie_alias(capsys):
     code, out = run_cli(capsys, "verify-lie")
     assert code == 0
@@ -303,8 +372,8 @@ def printed(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _with_bundle(doc, slot, bundle):
-    return dict(doc, **{slot: dict(doc[slot], bundle=bundle)})
+def _with_slot(doc, slot, **fields):
+    return dict(doc, **{slot: dict(doc[slot], **fields)})
 
 
 _SPLIT = datum_to_json(CTX3, torsion_split(CTX3, sh.F2Vector.unit(6, 0),
@@ -323,20 +392,24 @@ _N_AS_DEGREE = sh.DiagonalShape(
     beta2=slot(CTX3, _N6.power(-2) * _K1.power(3), 1),
     beta3=slot(CTX3, _K1.power(2)))
 
+_ZERO_COEFF = ["0/1"] * 8
+_BAD_COEFF = ["0/1"] * 7 + ["1/0"]
+
 # (command, datum document, exit code, payload): each reaches a clause
-# that only the datum's own checks or stability rules give
+# that only the datum's own checks, its stability rules or the decoding
+# of its coefficients give
 DATUM_PATHS = {
     "torsion-label-length": (
         "classify", dict(_SPLIT, t1="0000"), 1,
         {"error": "ValueError", "clause": "torsion labels must have length 2g"}),
     "torsion-split-slot-bundle": (
-        "classify", _with_bundle(_SPLIT, "beta1", _K), 1,
+        "classify", _with_slot(_SPLIT, "beta1", bundle=_K), 1,
         {"error": "ValueError", "clause": "beta1 slot must live in H0(K^2)"}),
     "sl2r-beta-bundle": (
-        "stability", _with_bundle(_SL2, "beta", _SL2["gamma"]["bundle"]), 1,
+        "stability", _with_slot(_SL2, "beta", bundle=_SL2["gamma"]["bundle"]), 1,
         {"error": "ValueError", "clause": "beta slot must live in H0(L^2 K)"}),
     "sl2r-gamma-bundle": (
-        "stability", _with_bundle(_SL2, "gamma", _SL2["beta"]["bundle"]), 1,
+        "stability", _with_slot(_SL2, "gamma", bundle=_SL2["beta"]["bundle"]), 1,
         {"error": "ValueError", "clause": "gamma slot must live in H0(L^-2 K)"}),
     "irreducible-image-degree-0": (
         "stability", datum_to_json(CTX3, sh.IrreducibleImage(
@@ -361,6 +434,23 @@ DATUM_PATHS = {
     "normal-form-wrong-shape": (
         "normal-form", _SL2, 1,
         {"error": "WrongShape", "clause": "normal-form expects a diagonal-shape datum"}),
+    # the coefficient decoder: beta is six zeros and gamma one, and
+    # deg L > 0 with gamma = 0 is unstable (with gamma = 1, stable)
+    "sl2r-slots-of-zeros": (
+        "stability", _with_slot(_SL2, "gamma", coeffs=[_ZERO_COEFF]), 0,
+        {"verdict": "Unstable", "non_simple": False,
+         "clause": "rank-1 criterion, deg L = 2"}),
+    # gamma lives in a bundle with no sections: its coeffs are []
+    "sl2r-empty-slot": (
+        "stability", datum_to_json(CTX3, sl2_of_degree(CTX3, 3)), 0,
+        {"verdict": "Unstable", "non_simple": False,
+         "clause": "rank-1 criterion, deg L = 3"}),
+    "malformed-coefficient-among-zeros": (
+        "classify", _with_slot(_SL2, "beta", coeffs=[_ZERO_COEFF] * 2 + [_BAD_COEFF]
+                                      + [_ZERO_COEFF] * 3), 2,
+        {"error": "ParseError",
+         "clause": "coefficient: cannot read %r (coordinate '1/0' has a zero "
+                   "denominator)" % (_BAD_COEFF,)}),
 }
 
 
@@ -371,6 +461,30 @@ def test_datum_command_paths(tmp_path, capsys, name):
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, cmd, "--in", str(path))
     assert (code, out) == (want_code, printed(want))
+
+
+def test_a_slot_of_zeros_reads_no_coefficient(monkeypatch):
+    # beta is eight zeros and gamma has none: neither reaches from_json
+    calls = []
+    from_json = sh.FieldElem.from_json
+    monkeypatch.setattr(sh.FieldElem, "from_json",
+                        lambda c: calls.append(c) or from_json(c))
+    doc = datum_to_json(CTX3, sl2_of_degree(CTX3, 3))
+    assert doc["beta"]["coeffs"] == [_ZERO_COEFF] * 8
+    _, datum = datum_from_json(doc)
+    assert calls == []
+    assert datum.beta.coeffs == (sh.ZERO,) * 8
+    assert all(c is sh.ZERO for c in datum.beta.coeffs)
+    assert datum.gamma.coeffs == ()
+
+    # a list subclass is no JSON array, zero or not
+    class Coefficient(list):
+        pass
+
+    doc["beta"]["coeffs"][3] = Coefficient(_ZERO_COEFF)
+    with pytest.raises(ParseError) as exc:
+        datum_from_json(doc)
+    assert str(exc.value) == "coefficient must be an array, not Coefficient"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -510,13 +624,15 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
     calls = [["classify"], ["--help"], ["verify-lie"],
              ["verify", "--scope", "matalg"],
              ["classify", "--in", not_polystable],
-             ["classify", "--in", valid], ["classify", "--in", valid]]
+             ["classify", "--in", valid], ["classify", "--in", valid],
+             ["classify", "--in", valid, "extra"], ["classify", "-h"],
+             ["classify", f"--in={valid}"]]
     fresh = []
     for argv in calls:
         result = subprocess.run([sys.executable, "-m", "sp4higgs.cli", *argv],
                                 capture_output=True, text=True)
         fresh.append((result.returncode, result.stdout, result.stderr))
-    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 1, 0, 0]
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 1, 0, 0, 2, 0, 0]
 
     built = []
     init = argparse.ArgumentParser.__init__
