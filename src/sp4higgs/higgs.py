@@ -11,7 +11,8 @@ The explicit maximal shapes, the stability and polystability verdicts,
 Cayley partners, Stiefel-Whitney invariants, the subgroup-reduction
 checkers and the irreducible embedding of rank-1 data all live here.
 Each shape class carries its own rules; the module-level functions
-check their preconditions once and call the shape's rule.
+check their preconditions once and call the shape's rule.  The records
+carry no JSON: the datum file format, both directions, is in jsonio.
 """
 
 from __future__ import annotations
@@ -179,11 +180,6 @@ class LineBundleClass(Record):
     def two_torsion(cls, torsion: F2Vector) -> "LineBundleClass":
         return cls(Fraction(0), 0, torsion)
 
-    def to_json(self) -> dict:
-        return {"k_power": "%d/%d" % (self.k_power.numerator, self.k_power.denominator),
-                "extra_degree": self.extra_degree,
-                "torsion": self.torsion.to_string()}
-
 
 def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:
     """Dimension of the space of sections, where the degree determines it.
@@ -239,7 +235,7 @@ class SectionSlot(Record):
                 raise TypeError("h0_override %r is not an int" % (dim,))
             if dim < 0:
                 raise ValueError("h0_override must be non-negative, not %d" % dim)
-        object.__setattr__(self, "coeffs", tuple(fe(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(fe, self.coeffs)))
 
     @property
     def is_zero(self) -> bool:
@@ -280,13 +276,6 @@ class SectionSlot(Record):
         if h0(ctx, bundle) != 1:
             raise ValueError("constant slots need a 1-dimensional section space")
         return cls(bundle, (fe(value),))
-
-    def to_json(self) -> dict:
-        out = {"bundle": self.bundle.to_json(),
-               "coeffs": [c.to_json() for c in self.coeffs]}
-        if self.h0_override is not None:
-            out["h0_override"] = self.h0_override
-        return out
 
 
 # -- verdict records ----------------------------------------------------------
@@ -378,11 +367,9 @@ class _Shape:
     ``minimum`` and ``hitchin_spin`` assume a maximal polystable datum in
     canonical form (see _require_maximal_polystable).  A rank-2 shape
     reads ``sw`` off its Cayley partner at the base root.  ``minimum`` is
-    the limit as t -> 0 of the C* action phi -> t phi: the diagonal shape
-    keeps only gamma and, when c > 0, beta2; the c = 0 diagonal, cover
-    and torsion-split shapes lose every beta; the irreducible image keeps
-    gamma.  A shape without a rule raises TypeError; only the shapes that
-    reach c = 2g-2 define ``hitchin_spin``.
+    the limit of the C* action (the rule per shape is in the module-level
+    ``minimum``).  A shape without a rule raises TypeError; only the
+    shapes that reach c = 2g-2 define ``hitchin_spin``.
     """
 
     rank = 2
@@ -886,18 +873,19 @@ def direct_sum(ctx: CurveCtx, a: HiggsDatum, b: HiggsDatum) -> HiggsDatum:
 def minimum(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
     """The limit as t -> 0 of a maximal polystable datum under the C*
     action phi -> t phi, in canonical form: the minimum of the energy
-    function that the datum flows to, in the same component (the rule
-    per shape is in is_hitchin_minimum)."""
+    function that the datum flows to, in the same component.
+
+    The rule per shape: the diagonal shape loses beta1 and beta3, and
+    beta2 too when c = 0 (it keeps beta2 when c > 0); the cover and
+    torsion-split shapes lose every beta; the irreducible image loses
+    beta and keeps gamma."""
     return _require_maximal_polystable(ctx, datum).minimum(ctx)
 
 
 def is_hitchin_minimum(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Whether the datum is a minimum of the energy function in its
-    component: a fixed point of the t -> 0 limit of phi -> t phi (see
-    minimum).  The limit zeroes beta1 and beta3 in the c > 0 diagonal
-    shapes and keeps beta2; it zeroes beta entirely in the c = 0
-    diagonal, torsion-split and cover shapes, and in the irreducible
-    image it zeroes beta and keeps gamma."""
+    component: a fixed point of the t -> 0 limit of phi -> t phi, whose
+    rule per shape is in minimum's docstring."""
     datum = _require_maximal_polystable(ctx, datum)
     return datum.minimum(ctx) == datum
 

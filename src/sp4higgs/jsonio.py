@@ -2,11 +2,14 @@
 
 Data files are objects tagged by "shape" and carrying "genus"; field
 elements are arrays of 8 "num/den" strings, mod-2 vectors are bitstrings
-of length 2g, and line bundle classes are {k_power, extra_degree,
-torsion} objects.  Every other key of a shape object is the name of a
-field of the shape's record, so one codec per field type encodes and
-decodes every shape.  Encoding then decoding is the identity, and output
-is deterministic (sorted keys, no run metadata).
+of length 2g, line bundle classes are {k_power, extra_degree, torsion}
+objects and section slots are {bundle, coeffs, h0_override} objects,
+without h0_override when it is None.  Every other key of a shape object
+is the name of a field of the shape's record, so one codec per field
+type encodes and decodes every shape.  This module alone writes and
+reads the bundle and slot objects; the records of higgs carry no JSON.
+Encoding then decoding is the identity, and output is deterministic
+(sorted keys, no run metadata).
 
 Decoding is strict: a missing field, a value of the wrong JSON type, a
 rational that does not match the schema's pattern or a value out of the
@@ -98,6 +101,12 @@ def _k_power(s: str) -> Fraction:
     return Fraction(int(m[1]), int(m[2]))
 
 
+def _bundle_json(bundle: LineBundleClass) -> dict:
+    return {"k_power": "%d/%d" % bundle.k_power.as_integer_ratio(),
+            "extra_degree": bundle.extra_degree,
+            "torsion": bundle.torsion.to_string()}
+
+
 def _bundle(value, name: str) -> LineBundleClass:
     _typed(dict, value, name)
     return LineBundleClass(_parsed(_k_power, str, _field(value, "k_power"), "k_power"),
@@ -105,8 +114,16 @@ def _bundle(value, name: str) -> LineBundleClass:
                            _f2(_field(value, "torsion"), "torsion"))
 
 
+def _slot_json(slot: SectionSlot) -> dict:
+    out = {"bundle": _bundle_json(slot.bundle),
+           "coeffs": [c.to_json() for c in slot.coeffs]}
+    if slot.h0_override is not None:
+        out["h0_override"] = slot.h0_override
+    return out
+
+
 # the canonical zero coefficient, as datum_to_json writes it
-_ZERO_COEFF = ["0/1"] * 8
+_ZERO_COEFF = ZERO.to_json()
 
 
 def _slot(value, name: str) -> SectionSlot:
@@ -137,8 +154,8 @@ def _slot(value, name: str) -> SectionSlot:
 
 # field type -> (encode, decode); encoders of int and bool are identities
 _CODECS = {
-    LineBundleClass: (LineBundleClass.to_json, _bundle),
-    SectionSlot: (SectionSlot.to_json, _slot),
+    LineBundleClass: (_bundle_json, _bundle),
+    SectionSlot: (_slot_json, _slot),
     F2Vector: (F2Vector.to_string, _f2),
     int: (int, _bit),  # w2, the one int field of a shape, is a mod-2 class
     bool: (bool, partial(_typed, bool)),

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import sp4higgs as sh
+from sp4higgs import higgs
 from sp4higgs.cli import _PARSER, main
-from sp4higgs.jsonio import ParseError, datum_from_json, datum_to_json
+from sp4higgs.jsonio import ParseError, _bundle_json, datum_from_json, datum_to_json
 
 from builders import diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
+from test_golden import corpus
 
 CTX3 = sh.CurveCtx(3)
 
@@ -39,10 +41,21 @@ def test_datum_json_roundtrip():
         max_sl2(CTX3),
         sh.DirectSum((max_sl2(CTX3), max_sl2(CTX3, sh.F2Vector.unit(6, 0)))),
     ]
-    for datum in data:
-        ctx, back = datum_from_json(datum_to_json(CTX3, datum))
-        assert ctx == CTX3
-        assert back == datum
+    data = [(CTX3, datum) for datum in data] + [
+        (ctx, datum) for _, ctx, datum, _ in corpus()]
+    for ctx, datum in data:
+        doc = datum_to_json(ctx, datum)
+        back = datum_from_json(doc)
+        assert back == (ctx, datum)
+        assert datum_to_json(*back) == doc
+
+
+def test_no_higgs_record_carries_json():
+    # the datum format, both directions, is jsonio's alone
+    classes = [v for v in vars(higgs).values()
+               if isinstance(v, type) and v.__module__ == higgs.__name__]
+    assert sh.SectionSlot in classes and sh.LineBundleClass in classes
+    assert [c.__name__ for c in classes if hasattr(c, "to_json")] == []
 
 
 def test_classify_command(tmp_path, capsys):
@@ -81,8 +94,8 @@ def test_stability_domain_error_exit_code(tmp_path, capsys):
         beta1=bad.beta1, beta2=bad.beta2, beta3=bad.beta3)
     doc = datum_to_json(CTX3, bad)
     # fix the slot bundles so only the range precondition fails
-    doc["beta1"]["bundle"] = sh.LineBundleClass(
-        Fraction(0), -2, CTX3.zero_torsion()).to_json()
+    doc["beta1"]["bundle"] = _bundle_json(sh.LineBundleClass(
+        Fraction(0), -2, CTX3.zero_torsion()))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "stability", "--in", str(path))
@@ -189,7 +202,7 @@ def test_verify_all_matches_golden(capsys):
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
-@pytest.mark.parametrize("cmd", ["classify", "normal-form"])
+@pytest.mark.parametrize("cmd", ["classify", "stability", "normal-form"])
 def test_example_datum_matches_its_frozen_output(capsys, cmd):
     # the files the installed console script is diffed against in CI
     path = EXAMPLES / "diagonal-g2.json"
@@ -379,7 +392,7 @@ def _with_slot(doc, slot, **fields):
 _SPLIT = datum_to_json(CTX3, torsion_split(CTX3, sh.F2Vector.unit(6, 0),
                                            sh.F2Vector.unit(6, 1)))
 _SL2 = datum_to_json(CTX3, max_sl2(CTX3))
-_K = sh.LineBundleClass.canonical(CTX3).to_json()
+_K = _bundle_json(sh.LineBundleClass.canonical(CTX3))
 _DEGREE_0 = sl2_of_degree(CTX3, 0, beta=1, gamma=2)
 # deg L = 1 > 0 with gamma = 0: an unstable rank-1 datum
 _UNSTABLE_1 = sl2_of_degree(CTX3, 1)
