@@ -48,7 +48,9 @@ class F2Vector:
     @classmethod
     def from_int(cls, value: int, length: int) -> "F2Vector":
         """The vector of ``length`` coordinates packed as ``value``."""
-        if not 0 <= value < 1 << length:
+        # bit_length, not 1 << length: a long vector of few set bits,
+        # such as the zero torsion label of a large genus, stays small
+        if value < 0 or value.bit_length() > length:
             raise ValueError("%d does not fit in %d bits" % (value, length))
         v = cls.__new__(cls)
         v._set(value, length)

@@ -8,6 +8,9 @@ without h0_override when it is None.  Every other key of a shape object
 is the name of a field of the shape's record, so one codec per field
 type encodes and decodes every shape.  This module alone writes and
 reads the bundle and slot objects; the records of higgs carry no JSON.
+The canonical zero coefficient, eight "0/1", is the one coefficient the
+slot codec writes and reads itself; every other goes through
+FieldElem.to_json and FieldElem.from_json.
 Encoding then decoding is the identity, and output is deterministic
 (sorted keys, no run metadata).
 
@@ -60,11 +63,7 @@ def _parsed(parse, kind: type, value, name: str):
     try:
         return parse(value)
     except ValueError as exc:
-        raise _unreadable(name, value, exc) from None
-
-
-def _unreadable(name: str, value, exc: ValueError) -> ParseError:
-    return ParseError("%s: cannot read %r (%s)" % (name, value, exc))
+        raise ParseError("%s: cannot read %r (%s)" % (name, value, exc)) from None
 
 
 def _field(data: dict, name: str):
@@ -114,16 +113,19 @@ def _bundle(value, name: str) -> LineBundleClass:
                            _f2(_field(value, "torsion"), "torsion"))
 
 
+# the canonical zero coefficient, most of the coefficients of data at the
+# minima of the Hitchin function; the slot codec writes each as a fresh
+# list, so editing one encoded document changes no other
+_ZERO_COEFF = ZERO.to_json()
+
+
 def _slot_json(slot: SectionSlot) -> dict:
     out = {"bundle": _bundle_json(slot.bundle),
-           "coeffs": [c.to_json() for c in slot.coeffs]}
+           "coeffs": [_ZERO_COEFF[:] if c.is_zero else c.to_json()
+                      for c in slot.coeffs]}
     if slot.h0_override is not None:
         out["h0_override"] = slot.h0_override
     return out
-
-
-# the canonical zero coefficient, as datum_to_json writes it
-_ZERO_COEFF = ZERO.to_json()
 
 
 def _slot(value, name: str) -> SectionSlot:
@@ -131,25 +133,11 @@ def _slot(value, name: str) -> SectionSlot:
     coeffs = _list(_field(value, "coeffs"), "coeffs")
     override = (_at_least(0, value["h0_override"], "h0_override")
                 if "h0_override" in value else None)
-    n = len(coeffs)
-    # a slot of canonical zeros, common in data at the minima of the
-    # Hitchin function, in one compare; the types are compared as the loop
-    # checks them, so a list subclass is still no array
-    if coeffs == [_ZERO_COEFF] * n and list(map(type, coeffs)) == [list] * n:
-        elems = (ZERO,) * n
-    else:
-        # what _parsed(FieldElem.from_json, list, c, "coefficient") does,
-        # inlined: the coefficients are most of what a datum decodes
-        elems = []
-        for c in coeffs:
-            if type(c) is not list:
-                _typed(list, c, "coefficient")
-            try:
-                elems.append(FieldElem.from_json(c))
-            except ValueError as exc:
-                raise _unreadable("coefficient", c, exc) from None
-    return SectionSlot(_bundle(_field(value, "bundle"), "bundle"),
-                       tuple(elems), override)
+    # the exact type test keeps a list subclass from passing for an array
+    elems = [ZERO if type(c) is list and c == _ZERO_COEFF
+             else _parsed(FieldElem.from_json, list, c, "coefficient")
+             for c in coeffs]
+    return SectionSlot(_bundle(_field(value, "bundle"), "bundle"), elems, override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities

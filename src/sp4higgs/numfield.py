@@ -87,9 +87,6 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 # 8 coordinates joined by commas; _RATIONAL matches no comma, so the
 # joined string matches exactly when each coordinate matches on its own
 _EIGHT = re.compile(",".join([_RATIONAL.pattern] * 8))
-# the canonical zero, joined the same way; 8 strings joined by 7 commas
-# equal it only when none of them holds a comma, so each is "0/1"
-_ZERO_JSON = ",".join(["0/1"] * 8)
 
 
 def _coerced(method):
@@ -293,9 +290,8 @@ class FieldElem:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list:
-        """The element as 8 "num/den" strings, basis order as documented."""
-        if self._n == _ZERO_N:
-            return ["0/1"] * 8
+        """The element as 8 "num/den" strings in lowest terms, basis order
+        as documented; zero is eight "0/1"."""
         d = self._d
         out = []
         for x in self._n:
@@ -308,11 +304,11 @@ class FieldElem:
         """Read a list or tuple of 8 "num/den" strings; anything else
         raises ValueError.
 
-        The 8 strings are joined by commas.  Eight "0/1", the canonical
-        zero, give ``ZERO`` at once; any other join is read in one match
-        of ``_EIGHT``, which gives the 8 numerators and 8 denominators as
-        its groups.  Only when that match fails is each string matched on
-        its own, to name the first one that is not num/den.
+        The 8 strings are joined by commas and read in one match of
+        ``_EIGHT``, which gives the 8 numerators and 8 denominators as its
+        groups.  Only when that match fails is each string matched on its
+        own, to name the first one that is not num/den.  Every element,
+        zero too, comes back new and in canonical form.
         """
         if type(data) not in (list, tuple) or len(data) != 8:
             raise ValueError("field element needs 8 coordinate strings")
@@ -320,8 +316,6 @@ class FieldElem:
             joined = ",".join(data)
         except TypeError:  # an item that is not a string
             raise ValueError("field element needs 8 coordinate strings") from None
-        if joined == _ZERO_JSON:
-            return ZERO
         m = _EIGHT.fullmatch(joined)
         if m is None:
             bad = next(s for s in data if _RATIONAL.fullmatch(s) is None)

@@ -8,6 +8,7 @@ off the characters of the two halves.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,19 @@ def test_from_int_width_guard(value):
     with pytest.raises(ValueError) as info:
         F2Vector.from_int(value, 4)
     assert str(info.value) == "%d does not fit in 4 bits" % value
+
+
+def test_a_long_zero_vector_allocates_no_wide_int():
+    # the zero torsion label of genus 10**7 is one small int, and its
+    # width check builds no (2g+1)-bit bound
+    tracemalloc.start()
+    try:
+        zero = F2Vector.zero(2 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zero.is_zero and len(zero) == 2 * 10**7
+    assert peak < 64 * 1024
 
 
 def test_vectors_are_immutable():

@@ -19,6 +19,7 @@ with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import copy
 import enum
 import hashlib
 import io
@@ -29,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import sp4higgs as sh
-from sp4higgs import CurveCtx, F2Vector, numfield
+from sp4higgs import CurveCtx, F2Vector, FieldElem, numfield
 from sp4higgs._record import Record
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
@@ -211,23 +212,49 @@ def _coefficients(node):
 
 
 def test_decode_matches_only_the_coefficients_that_are_not_zero(monkeypatch):
-    # the canonical zero "0/1" x 8 is read without the 16-group regex
-    docs = [doc for *_, doc in corpus()]
+    # the canonical zero "0/1" x 8 is read and written by the slot codec
+    # alone: neither FieldElem's codec nor the 16-group regex sees it
+    zero = ["0/1"] * 8
+    items = corpus()
+    docs = [doc for *_, doc in items]
     coefficients = [c for doc in docs for c in _coefficients(doc)]
-    dense = sum(c != ["0/1"] * 8 for c in coefficients)
+    dense = sum(c != zero for c in coefficients)
     assert 0 < dense < len(coefficients)
-    calls = []
+    calls, decoded, encoded = [], [], []
 
     class Counting:
         def fullmatch(self, s, eight=numfield._EIGHT):
             calls.append(s)
             return eight.fullmatch(s)
 
+    from_json, to_json = FieldElem.from_json, FieldElem.to_json
     monkeypatch.setattr(numfield, "_EIGHT", Counting())
+    monkeypatch.setattr(FieldElem, "from_json",
+                        lambda c: decoded.append(c) or from_json(c))
+    monkeypatch.setattr(FieldElem, "to_json",
+                        lambda a: encoded.append(a) or to_json(a))
     for doc in docs:
         datum_from_json(doc)
-    assert len(calls) == dense
-    assert ",".join(["0/1"] * 8) not in calls
+    assert len(calls) == len(decoded) == dense
+    assert ",".join(zero) not in calls
+    for _, ctx, datum, _ in items:
+        datum_to_json(ctx, datum)
+    assert len(encoded) == dense
+
+    # zeros spelled otherwise and a dense coefficient, among canonical
+    # zeros, go through FieldElem's codec; each zero re-encodes canonically
+    mixed = [zero, ["-0/5"] + zero[1:], zero, zero[:3] + ["00/1"] + zero[4:],
+             zero[:7] + ["0/01"], ["1/2", "-3/4"] + zero[2:7] + ["5/1"], zero]
+    doc = copy.deepcopy(next(d for d in docs if d["shape"] == "diagonal"
+                             and len(d["beta1"]["coeffs"]) == len(mixed)))
+    doc["beta1"]["coeffs"] = mixed
+    del decoded[:], encoded[:]
+    ctx, datum = datum_from_json(doc)
+    assert datum.beta1.coeffs == tuple(from_json(c) for c in mixed)
+    assert decoded == [c for c in _coefficients(doc) if c != zero]
+    assert datum_to_json(ctx, datum)["beta1"]["coeffs"] == (
+        [zero] * 5 + [mixed[5]] + [zero])
+    assert encoded == [a for a in map(from_json, decoded) if not a.is_zero]
 
 
 if __name__ == "__main__":

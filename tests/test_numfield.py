@@ -9,11 +9,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from sp4higgs import CurveCtx, jsonio
+from sp4higgs.jsonio import datum_to_json
 from sp4higgs.numfield import (
     DivisionByZero, FieldElem, I_UNIT, ONE, SQRT2, SQRT3, SQRT6, ZERO,
     embed_u_v, fe,
 )
 
+from builders import sl2_of_degree
 from numeric_oracle import numeric
 
 
@@ -536,7 +539,17 @@ def test_zero_encodes_to_a_fresh_list():
     out = ZERO.to_json()
     out[0] = "1/1"
     assert ZERO.to_json() == ["0/1"] * 8
-    assert FieldElem.from_json(tuple(ZERO.to_json())) is ZERO
+    # eight "0/1" read back as a new element, in canonical form
+    back = FieldElem.from_json(tuple(ZERO.to_json()))
+    assert back == ZERO and back._n == (0,) * 8 and back._d == 1
+    # datum_to_json writes each zero coefficient as a list of its own
+    ctx = CurveCtx(3)
+    datum = sl2_of_degree(ctx, 3)
+    doc = datum_to_json(ctx, datum)
+    doc["beta"]["coeffs"][0][0] = "1/1"
+    assert doc["beta"]["coeffs"][1:] == [["0/1"] * 8] * 7
+    assert jsonio._ZERO_COEFF == ["0/1"] * 8
+    assert datum_to_json(ctx, datum)["beta"]["coeffs"] == [["0/1"] * 8] * 8
 
 
 def assert_canonical(a):
