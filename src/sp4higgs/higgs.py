@@ -98,7 +98,7 @@ class CurveCtx(Record):
     genus: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int):
+        if type(self.genus) is not int:
             raise TypeError("genus %r is not an int" % (self.genus,))
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
@@ -121,7 +121,9 @@ class LineBundleClass(Record):
     k_power is an int or a Fraction, kept as a Fraction, and may be a
     half-integer (a power of the base square root of K); extra_degree is
     an int; torsion is an F2^(2g) label.  Duals negate every field
-    (torsion is its own negative).
+    (torsion is its own negative).  The degree, h0 and the root-of-K
+    tests read k_power on ints, from its numerator and denominator, and
+    make no Fraction.
     """
 
     k_power: Fraction
@@ -131,21 +133,22 @@ class LineBundleClass(Record):
     def __post_init__(self):
         kp = self.k_power
         if type(kp) is not Fraction:
-            if not isinstance(kp, (int, Fraction)):
+            if type(kp) is not int and not isinstance(kp, Fraction):
                 raise TypeError("k_power %r is not an int or Fraction" % (kp,))
             kp = Fraction(kp)
             object.__setattr__(self, "k_power", kp)
         if kp.denominator not in (1, 2):
             raise ValueError("k_power must be a half-integer")
-        if not isinstance(self.extra_degree, int):
+        # exact types: a bool is an int, but a datum file would hold it
+        # as true/false, which the decoder refuses
+        if type(self.extra_degree) is not int:
             raise TypeError("extra_degree %r is not an int" % (self.extra_degree,))
 
-    # degree = extra + k_power*(2g-2); always an integer because
-    # half-integer k_power multiplies the even number 2g-2.
+    # degree = extra + k_power*(2g-2), on ints: the denominator of
+    # k_power is 1 or 2 and divides the even number 2g-2.
     def degree(self, ctx: CurveCtx) -> int:
-        d = self.extra_degree + self.k_power * ctx.deg_k
-        assert d.denominator == 1
-        return int(d)
+        k = self.k_power
+        return self.extra_degree + k.numerator * ctx.deg_k // k.denominator
 
     def dual(self) -> "LineBundleClass":
         return LineBundleClass(-self.k_power, -self.extra_degree, self.torsion)
@@ -160,7 +163,8 @@ class LineBundleClass(Record):
         return LineBundleClass(self.k_power * n, self.extra_degree * n, torsion)
 
     def is_trivial(self) -> bool:
-        return self.k_power == 0 and self.extra_degree == 0 and self.torsion.is_zero
+        return (self.k_power.numerator == 0 and self.extra_degree == 0
+                and self.torsion.is_zero)
 
     @classmethod
     def trivial(cls, ctx: CurveCtx) -> "LineBundleClass":
@@ -203,9 +207,11 @@ def _determined_h0(ctx: CurveCtx, bundle: LineBundleClass) -> Optional[int]:
         return 0
     if d > ctx.deg_k:
         return d - ctx.genus + 1
-    if d == 0 and bundle.k_power == 0 and bundle.extra_degree == 0:
+    k = bundle.k_power
+    power = (k.numerator, k.denominator, bundle.extra_degree)
+    if power == (0, 1, 0):
         return 1 if bundle.torsion.is_zero else 0
-    if bundle.k_power == 1 and bundle.extra_degree == 0 and bundle.torsion.is_zero:
+    if power == (1, 1, 0) and bundle.torsion.is_zero:
         return ctx.genus
     return None
 
@@ -231,7 +237,7 @@ class SectionSlot(Record):
     def __post_init__(self):
         dim = self.h0_override
         if dim is not None:
-            if not isinstance(dim, int):
+            if type(dim) is not int:
                 raise TypeError("h0_override %r is not an int" % (dim,))
             if dim < 0:
                 raise ValueError("h0_override must be non-negative, not %d" % dim)
@@ -345,10 +351,19 @@ def _split_partner(ctx: CurveCtx, n: LineBundleClass, spin: F2Vector,
                          not all(s.is_zero for s in slots))
 
 
+def _check_torsion_length(ctx: CurveCtx, name: str, bundle: LineBundleClass):
+    """A shape's own bundle must carry a label in F2^(2g): the bundle
+    algebra of ``validate`` would only say "length mismatch"."""
+    if len(bundle.torsion) != ctx.two_g:
+        raise ValueError("%s torsion has length %d, expected %d"
+                         % (name, len(bundle.torsion), ctx.two_g))
+
+
 def _root_of_k_label(bundle: LineBundleClass) -> F2Vector:
     """Torsion label of the line bundle of a maximal rank-1 datum, which
     must be encoded as a square root of K."""
-    if bundle.k_power != Fraction(1, 2) or bundle.extra_degree != 0:
+    k = bundle.k_power
+    if (k.numerator, k.denominator, bundle.extra_degree) != (1, 2, 0):
         raise OutOfClassifiedRange(
             "maximal rank-1 data must be encoded with L a square root of K "
             "(k_power 1/2)")
@@ -420,6 +435,7 @@ class DiagonalShape(_Shape, Record):
         return self.N.degree(ctx) - (ctx.genus - 1)
 
     def validate(self, ctx: CurveCtx):
+        _check_torsion_length(ctx, "N", self.N)
         k = LineBundleClass.canonical(ctx)
         expect = {
             "beta1": self.N.power(2) * k,
@@ -475,7 +491,8 @@ class DiagonalShape(_Shape, Record):
     def hitchin_spin(self, ctx: CurveCtx) -> F2Vector:
         # At c = 2g-2 the bundle N is forced to be the cube of a square
         # root of K; N = (K^(1/2) * s)^3 has torsion label 3s = s.
-        if self.N.k_power != Fraction(3, 2) or self.N.extra_degree != 0:
+        k = self.N.k_power
+        if (k.numerator, k.denominator, self.N.extra_degree) != (3, 2, 0):
             raise NotPolystable(
                 "c = 2g-2 requires N to be encoded as the cube of a square "
                 "root of K (k_power 3/2); got %r" % (self.N,))
@@ -578,6 +595,7 @@ class _RankOneBase(_Shape):
     and its irreducible image.  Each subclass declares the three fields."""
 
     def validate(self, ctx: CurveCtx):
+        _check_torsion_length(ctx, "L", self.L)
         k = LineBundleClass.canonical(ctx)
         if self.beta.bundle != self.L.power(2) * k:
             raise ValueError("beta slot must live in H0(L^2 K)")

@@ -405,6 +405,10 @@ _N_AS_DEGREE = sh.DiagonalShape(
     beta2=slot(CTX3, _N6.power(-2) * _K1.power(3), 1),
     beta3=slot(CTX3, _K1.power(2)))
 
+# a g = 2 diagonal datum whose N carries a label of length 6
+_DIAG2 = datum_to_json(sh.CurveCtx(2), diagonal_shape(sh.CurveCtx(2), 1))
+_N_LABEL_6 = dict(_DIAG2, N=dict(_DIAG2["N"], torsion="000000"))
+
 _ZERO_COEFF = ["0/1"] * 8
 _BAD_COEFF = ["0/1"] * 7 + ["1/0"]
 
@@ -415,6 +419,16 @@ DATUM_PATHS = {
     "torsion-label-length": (
         "classify", dict(_SPLIT, t1="0000"), 1,
         {"error": "ValueError", "clause": "torsion labels must have length 2g"}),
+    # a shape's own bundle: the clause names it, not a "length mismatch"
+    "diagonal-n-label-length": (
+        "normal-form", _N_LABEL_6, 1,
+        {"error": "ValueError", "clause": "N torsion has length 6, expected 4"}),
+    "diagonal-n-label-length-classify": (
+        "classify", _N_LABEL_6, 1,
+        {"error": "ValueError", "clause": "N torsion has length 6, expected 4"}),
+    "sl2r-l-label-length": (
+        "stability", dict(_SL2, L=dict(_SL2["L"], torsion="0000")), 1,
+        {"error": "ValueError", "clause": "L torsion has length 4, expected 6"}),
     "torsion-split-slot-bundle": (
         "classify", _with_slot(_SPLIT, "beta1", bundle=_K), 1,
         {"error": "ValueError", "clause": "beta1 slot must live in H0(K^2)"}),

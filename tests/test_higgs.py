@@ -128,6 +128,96 @@ def test_h0_override_must_agree_with_a_determined_h0():
         SectionSlot(half, (1,)).dimension(CTX3)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 10**6])
+def test_degree_and_h0_match_the_fraction_formula(genus):
+    ctx = CurveCtx(genus)
+    for n in range(-7, 8):
+        k = Fraction(n, 2)
+        for extra in range(-2, 3):
+            for torsion in (ctx.zero_torsion(), e(ctx, 0)):
+                bundle = LineBundleClass(k, extra, torsion)
+                d = extra + k * ctx.deg_k
+                assert type(bundle.degree(ctx)) is int
+                assert bundle.degree(ctx) == d
+                assert bundle.is_trivial() == (k == 0 and extra == 0
+                                               and torsion.is_zero)
+                if d < 0:
+                    want = 0
+                elif d > ctx.deg_k:
+                    want = d - genus + 1
+                elif k == 0 and extra == 0:
+                    want = 1 if torsion.is_zero else 0
+                elif k == 1 and extra == 0 and torsion.is_zero:
+                    want = genus
+                else:
+                    with pytest.raises(RequiresExplicitH0):
+                        h0(ctx, bundle)
+                    continue
+                assert h0(ctx, bundle) == want
+
+
+# Fraction's constructor, arithmetic, conversions and comparisons
+_FRACTION_OPS = [
+    name for name in (
+        "add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv",
+        "floordiv", "rfloordiv", "mod", "rmod", "divmod", "rdivmod", "pow",
+        "rpow", "pos", "neg", "abs", "int", "trunc", "floor", "ceil", "round",
+        "bool", "eq", "lt", "gt", "le", "ge")
+    if "__%s__" % name in Fraction.__dict__]
+
+
+def _count_fraction_ops(monkeypatch) -> list:
+    """Patch Fraction so that each construction or operation appends its
+    name to the returned list."""
+    ops = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            ops.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(counted("new", Fraction.__new__)))
+    for name in _FRACTION_OPS:
+        dunder = "__%s__" % name
+        monkeypatch.setattr(Fraction, dunder, counted(name, getattr(Fraction, dunder)))
+    return ops
+
+
+def test_bundle_invariants_make_no_fraction(monkeypatch):
+    hitchin = diagonal_shape(CTX3, CTX3.deg_k, torsion=e(CTX3, 2))
+    rank1 = max_sl2(CTX3, e(CTX3, 1))
+    image = irr_embed(CTX3, rank1)
+    bundles = [hitchin.N, rank1.L, LineBundleClass.trivial(CTX3),
+               LineBundleClass.two_torsion(e(CTX3, 0)),
+               LineBundleClass.canonical(CTX3), LineBundleClass.canonical(CTX3, -2),
+               LineBundleClass(Fraction(-3, 2), 2, CTX3.zero_torsion())]
+    bundles += [s.bundle for s in (hitchin.beta1, hitchin.beta2, hitchin.beta3,
+                                   rank1.beta, rank1.gamma)]
+    # N a square root of K, not a cube: no spin label
+    not_a_cube = DiagonalShape(rank1.L, hitchin.beta1, hitchin.beta2, hitchin.beta3)
+    ops = _count_fraction_ops(monkeypatch)
+    assert Fraction(1, 2) < 1  # the counter sees a construction and a compare
+    assert ops == ["new", "lt"]
+    del ops[:]
+    for bundle in bundles:
+        bundle.degree(CTX3)
+        bundle.is_trivial()
+        try:
+            h0(CTX3, bundle)
+        except RequiresExplicitH0:
+            pass
+    assert sh.higgs._root_of_k_label(rank1.L) == e(CTX3, 1)
+    assert hitchin.hitchin_spin(CTX3) == e(CTX3, 2)
+    assert image.hitchin_spin(CTX3) == e(CTX3, 1)
+    with pytest.raises(OutOfClassifiedRange):
+        sh.higgs._root_of_k_label(hitchin.N)
+    with pytest.raises(NotPolystable):
+        not_a_cube.hitchin_spin(CTX3)
+    assert ops == []
+
+
 def test_contradicting_override_cannot_flip_stability():
     # deg L = g, so the rank-1 datum is stable only if gamma != 0, but
     # gamma lives in a bundle of degree -2 and has no sections

@@ -243,26 +243,29 @@ def test_reduction_verdict_mirrors_emptiness():
 
 # -- what constructors accept -------------------------------------------------------
 
+# int fields take the exact type int: a bool is an int, but datum_to_json
+# would write it as true/false, which datum_from_json refuses
 
-@pytest.mark.parametrize("genus", [2.5, 3.0, Fraction(3), "3", None])
+
+@pytest.mark.parametrize("genus", [2.5, 3.0, Fraction(3), "3", None, True, False])
 def test_genus_must_be_an_int(genus):
     with pytest.raises(TypeError, match="is not an int"):
         sh.CurveCtx(genus)
 
 
-@pytest.mark.parametrize("k_power", [0.5, 1.0, "1/2", Decimal("0.5"), None])
+@pytest.mark.parametrize("k_power", [0.5, 1.0, "1/2", Decimal("0.5"), None, True, False])
 def test_k_power_must_be_an_int_or_fraction(k_power):
     with pytest.raises(TypeError, match="is not an int or Fraction"):
         sh.LineBundleClass(k_power, 0, F("0000"))
 
 
-@pytest.mark.parametrize("extra_degree", [3.0, 0.5, Fraction(3), "3", None])
+@pytest.mark.parametrize("extra_degree", [3.0, 0.5, Fraction(3), "3", None, True, False])
 def test_extra_degree_must_be_an_int(extra_degree):
     with pytest.raises(TypeError, match="^extra_degree .* is not an int$"):
         sh.LineBundleClass(0, extra_degree, F("0000"))
 
 
-@pytest.mark.parametrize("h0_override", [2.0, Fraction(2), "2", Decimal(2)])
+@pytest.mark.parametrize("h0_override", [2.0, Fraction(2), "2", Decimal(2), True, False])
 def test_h0_override_must_be_an_int_or_none(h0_override):
     with pytest.raises(TypeError, match="^h0_override .* is not an int$"):
         sh.SectionSlot(BUNDLE, (), h0_override=h0_override)
