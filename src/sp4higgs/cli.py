@@ -9,13 +9,20 @@ JSON object, with sorted keys and no run metadata, so runs on identical
 inputs are byte-stable.  Exit codes: 0 success, 1 domain failure (a
 library domain error, or WrongShape for normal-form on a non-diagonal
 datum), 2 usage or parse failure.
+
+A datum request written ``CMD --in PATH``, with PATH not starting with
+"-", skips argparse: ``_parse`` builds the namespace the command's
+subparser would return.  Every other argv is parsed by argparse.  The
+printed object is written by ``_json``, which gives the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` for the types a payload
+holds, without json's pure-Python indented encoder.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import verify
 from .f2 import F2Vector
@@ -163,30 +170,59 @@ def _build_parser():
     p.add_argument("--c", type=int, required=True)
     p.set_defaults(func=_cmd_fiber)
 
-    # sub.choices is argparse's own map from command name to subparser
-    return parser, sub.choices
+    return parser
 
 
 # built once per process: argparse reads stdout, stderr and the terminal
 # width only when it prints, and a parse makes a fresh namespace on each
-# call, so one tree serves every call of main.  Only top-level help and
-# usage errors go through the whole tree; see _parse.
-_PARSER, _COMMANDS = _build_parser()
+# call, so one tree serves every call of main.
+_PARSER = _build_parser()
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """Parse a command's arguments with its own subparser alone, the call
-    the tree's subparsers action would make after the top-level pass.  An
-    argv that is not a command followed by arguments its subparser takes
-    (an empty one, top-level help, an unknown command, leftover
-    arguments) is parsed by the whole tree, so every usage error and help
-    text is the tree's own."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-        if not extra:
-            return args
+    """``CMD --in PATH``, for a datum command and a path not starting with
+    "-", is not parsed at all: its namespace is built here, the one the
+    command's subparser returns for that argv.  Every other argv is parsed
+    by the whole tree, so every usage error and help text is the tree's
+    own."""
+    if len(argv) == 3 and argv[1] == "--in" and argv[0] in _DATUM_COMMANDS:
+        path = argv[2]
+        if type(path) is str and not path.startswith("-"):
+            return argparse.Namespace(func=_cmd_datum, infile=path,
+                                      payload=_DATUM_COMMANDS[argv[0]])
     return _PARSER.parse_args(argv)
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    the types a payload holds: str-keyed dicts, lists, tuples, str, int,
+    bool and None; any other type raises TypeError.  json's own encoder
+    runs in pure Python whenever ``indent`` is set; this one is faster,
+    not least as it quotes a str member in place, with no recursive call."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_quote(key) + ": " + (_quote(value) if type(value) is str
+                                      else _json(value, inner))
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_quote(value) if type(value) is str else _json(value, inner)
+                 for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is int:
+        return int.__repr__(obj)  # a ValueError past the int digit limit
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
 def main(argv=None) -> int:
@@ -197,13 +233,13 @@ def main(argv=None) -> int:
     try:
         code, payload = args.func(args)
         # encoded inside the try: an int too long to print is a ValueError
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = _json(payload)
     except ValueError as exc:
         # domain errors and ParseError by name, any other as "ValueError"
         named = isinstance(exc, (*_DOMAIN_ERRORS, ParseError))
         code = 2 if isinstance(exc, ParseError) else 1
-        text = json.dumps({"error": type(exc).__name__ if named else "ValueError",
-                           "clause": str(exc)}, sort_keys=True, indent=2)
+        text = _json({"error": type(exc).__name__ if named else "ValueError",
+                      "clause": str(exc)})
     print(text)
     return code
 

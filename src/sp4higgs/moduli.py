@@ -39,7 +39,6 @@ __all__ = [
     "count_components_sp2n",
     "fiber_geometry",
     "quotient_roundtrip",
-    "f2_pairing",
     "f2_sw_map",
     "f2_image_scan",
     "sp2n_reduction_witness",
@@ -259,15 +258,6 @@ def _same_orbit(z, w, z_prime, w_prime) -> bool:
 
 
 # -- mod-2 invariant arithmetic -----------------------------------------------------
-
-
-def f2_pairing(a, b, ap, bp) -> int:
-    """sum a_i b'_i + a'_i b_i over F2, on four genus-length halves."""
-    if not (len(a) == len(b) == len(ap) == len(bp)):
-        raise ValueError("halves must share one length")
-    x = F2Vector(tuple(a) + tuple(b))
-    y = F2Vector(tuple(ap) + tuple(bp))
-    return x.pairing(y)
 
 
 def f2_sw_map(x: F2Vector, y: F2Vector) -> Tuple[F2Vector, int]:

@@ -9,10 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sp4higgs as sh
-from sp4higgs import higgs
-from sp4higgs.cli import _PARSER, main
+from sp4higgs import cli, higgs
+from sp4higgs.cli import _PARSER, _json, main
 from sp4higgs.jsonio import ParseError, _bundle_json, datum_from_json, datum_to_json
 
 from builders import diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
@@ -210,17 +211,23 @@ def test_example_datum_matches_its_frozen_output(capsys, cmd):
     assert run_cli(capsys, cmd, "--in", str(path)) == (0, frozen)
 
 
-# argv templates, {F} the example datum
+# argv templates, {F} the example datum; they run in a directory that
+# holds copies of it named "-", "-1", "-x" and "a b.json"
 PARSES = [
-    # a command and what its own subparser parses or rejects
+    # a command and arguments it takes or rejects
     ["classify", "--in", "{F}"], ["classify", "--in={F}"], ["classify", "--i", "{F}"],
     ["classify", "--in", "missing.json", "--in", "{F}"],  # the last --in wins
     ["classify", "-h"], ["classify"], ["classify", "--in"],
     ["classify", "--", "--in", "{F}"],
+    # the edge of the unparsed CMD --in PATH: paths empty, with a space,
+    # or starting with "-"
+    ["classify", "--in", ""], ["classify", "--in", "a b.json"],
+    ["stability", "--in", "-"], ["normal-form", "--in", "-1"],
+    ["classify", "--in", "-x.json"], ["classify", "--in=-x"],
     ["count", "--genus", "2"], ["verify", "--scope", "lie"],
     ["f2-scan", "--genus", "2"], ["fiber", "--genus", "4", "--c", "1"],
-    # what the whole tree parses: top-level help, arguments left over
-    # after the command's own, no command or an unknown one
+    # top-level help, arguments left over after the command's own, no
+    # command or an unknown one
     ["--help"], ["classify", "--in", "{F}", "extra"],
     ["classify", "--in", "{F}", "--bogus"], ["--", "classify", "--in", "{F}"],
     ["nosuch"], ["clas", "--in", "{F}"], [],
@@ -229,19 +236,27 @@ PARSES = [
 
 def _whole_tree(argv) -> int:
     """The reference for main on the argvs of PARSES, whose commands raise
-    no ValueError: the whole tree parses argv, then the command runs."""
+    no ValueError but ParseError: the whole tree parses argv, the command
+    runs, and json.dumps prints its payload or error object."""
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    code, payload = args.func(args)
+    try:
+        code, payload = args.func(args)
+    except ParseError as exc:
+        code, payload = 2, {"error": "ParseError", "clause": str(exc)}
     print(json.dumps(payload, sort_keys=True, indent=2))
     return code
 
 
 @pytest.mark.parametrize("template", PARSES, ids=" ".join)
-def test_parse_matches_the_whole_tree(capsys, template):
-    argv = [s.format(F=EXAMPLES / "diagonal-g2.json") for s in template]
+def test_parse_matches_the_whole_tree(tmp_path, monkeypatch, capsys, template):
+    example = EXAMPLES / "diagonal-g2.json"
+    for name in ("-", "-1", "-x", "a b.json"):
+        (tmp_path / name).write_bytes(example.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    argv = [s.format(F=example) for s in template]
     results = []
     for run in (main, _whole_tree):
         code = run(argv)
@@ -250,8 +265,9 @@ def test_parse_matches_the_whole_tree(capsys, template):
     assert results[0] == results[1]
 
 
-def test_a_datum_request_is_parsed_once(monkeypatch, capsys):
-    # the whole tree parses twice: once itself, once in its subparsers action
+def test_only_cmd_in_path_skips_the_parse(monkeypatch, capsys):
+    # CMD --in PATH is not parsed; any other datum argv makes the parses
+    # of the whole tree
     parsers = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -263,7 +279,85 @@ def test_a_datum_request_is_parsed_once(monkeypatch, capsys):
     path = EXAMPLES / "diagonal-g2.json"
     frozen = (EXAMPLES / "diagonal-g2.classify.json").read_text(encoding="utf-8")
     assert run_cli(capsys, "classify", "--in", str(path)) == (0, frozen)
-    assert parsers == ["sp4higgs classify"]
+    assert parsers == []
+    _PARSER.parse_args(["classify", "--in=%s" % path])
+    whole_tree = parsers[:]
+    del parsers[:]
+    assert run_cli(capsys, "classify", "--in=%s" % path) == (0, frozen)
+    assert parsers == whole_tree and whole_tree
+
+
+def test_the_writer_matches_json_dumps_on_every_printed_object(tmp_path, monkeypatch,
+                                                                capsys):
+    # every object main prints: the datum commands' payloads and error
+    # objects over the golden corpus, and the other commands' payloads
+    printed_objects = []
+
+    def recording(obj, *indent):
+        if not indent:  # main's call, not the writer's own recursion
+            printed_objects.append(obj)
+        return _json(obj, *indent)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    path = tmp_path / "datum.json"
+    requests = [["verify", "--scope", "all"], ["count", "--genus", "3"],
+                ["count", "--genus", "2", "--sp2n", "3"], ["f2-scan", "--genus", "3"],
+                ["fiber", "--genus", "4", "--c", "1"]]
+    for _, _, _, doc in corpus():
+        path.write_text(json.dumps(doc))
+        requests += [[cmd, "--in", str(path)] for cmd in cli._DATUM_COMMANDS]
+    for argv in requests:
+        main(argv)
+    out = capsys.readouterr().out
+    assert len(printed_objects) == len(requests) == 5 + 3 * 297
+    assert any("error" in obj for obj in printed_objects)
+    assert all(_json(obj) + "\n" == printed(obj) for obj in printed_objects)
+    assert out == "".join(map(printed, printed_objects))
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ud800\U0001f600')), max_size=8)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10 ** 60, 10 ** 60),
+              _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(obj=_JSON)
+@example(obj={})
+@example(obj={"": [], "a": (), "b": {}, "c": [None, True, False, -1, 0, "x"]})
+def test_the_writer_matches_json_dumps(obj):
+    assert _json(obj) + "\n" == printed(obj)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_the_writer_raises_value_error_past_the_int_digit_limit():
+    obj = {"a": [1, {"b": 10 ** 700}]}
+    errors = []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for write in (_json, printed):
+            with pytest.raises(ValueError) as exc:
+                write(obj)
+            errors.append(str(exc.value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("Exceeds the limit (640 digits)")
+
+
+@pytest.mark.parametrize("obj, kind", [
+    (1.5, "float"), ([0, {"a": 0.0}], "float"), ({"a": {1, 2}}, "set")])
+def test_the_writer_rejects_other_types(obj, kind):
+    with pytest.raises(TypeError) as exc:
+        _json(obj)
+    assert str(exc.value) == "Object of type %s is not JSON serializable" % kind
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -10,8 +10,8 @@ from sp4higgs import moduli
 from sp4higgs import (
     CurveCtx, F2Vector, Hitchin, OutOfClassifiedRange, SW, ScanBudgetExceeded,
     Stability, Subgroup, ZeroSW, classify, count_components,
-    count_components_sp2n, f2_image_scan, f2_pairing, f2_sw_map,
-    fiber_geometry, irr_embed, quotient_roundtrip, reduction_verdict,
+    count_components_sp2n, f2_image_scan, f2_sw_map, fiber_geometry,
+    irr_embed, quotient_roundtrip, reduction_verdict,
     sp2n_reduction_witness, stability_sp4, sw_invariants, toledo,
 )
 
@@ -215,11 +215,6 @@ def test_quotient_roundtrip_reads_the_normalized_representative(monkeypatch):
 # -- mod-2 arithmetic -----------------------------------------------------------------
 
 
-def test_pairing_examples():
-    assert f2_pairing((1,), (0,), (0,), (1,)) == 1
-    assert f2_pairing((1,), (1,), (1,), (1,)) == 0
-
-
 def test_sw_map_examples():
     g1 = F2Vector((1, 0))
     assert f2_sw_map(g1, g1) == (F2Vector((0, 0)), 0)
@@ -363,8 +358,6 @@ def test_witness_needs_n_at_least_3():
 
 # (call, exact ValueError message) of the argument guards
 GUARDS = {
-    "f2-pairing-halves": (lambda: f2_pairing((1,), (0,), (0, 1), (1,)),
-                          "halves must share one length"),
     "scan-genus-0": (lambda: f2_image_scan(0), "genus must be at least 1"),
     "pair-realizing-0-1": (lambda: moduli._pair_realizing(F2Vector.zero(4), 1),
                            "(0, 1) is not realized by any pair"),
