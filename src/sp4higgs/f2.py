@@ -18,7 +18,9 @@ from typing import Iterator
 
 __all__ = ["F2Vector"]
 
-_BITS = {0: 0, 1: 1, "0": 0, "1": 1}
+# keyed by exact type too: 1.0, True and Fraction(1) hash like 1, but
+# are not coordinates
+_BITS = {(int, 0): 0, (int, 1): 1, (str, "0"): 0, (str, "1"): 1}
 
 
 class F2Vector:
@@ -30,7 +32,7 @@ class F2Vector:
         value = n = 0
         for b in bits:
             try:
-                value = value << 1 | _BITS[b]
+                value = value << 1 | _BITS[type(b), b]
             except (KeyError, TypeError):
                 raise ValueError("coordinate %r is not 0 or 1" % (b,)) from None
             n += 1

@@ -162,14 +162,6 @@ class LineBundleClass(Record):
         torsion = self.torsion if n % 2 else F2Vector.zero(len(self.torsion))
         return LineBundleClass(self.k_power * n, self.extra_degree * n, torsion)
 
-    def is_trivial(self) -> bool:
-        return (self.k_power.numerator == 0 and self.extra_degree == 0
-                and self.torsion.is_zero)
-
-    @classmethod
-    def trivial(cls, ctx: CurveCtx) -> "LineBundleClass":
-        return cls(Fraction(0), 0, ctx.zero_torsion())
-
     @classmethod
     def canonical(cls, ctx: CurveCtx, power=1) -> "LineBundleClass":
         return cls(Fraction(power), 0, ctx.zero_torsion())
@@ -179,10 +171,6 @@ class LineBundleClass(Record):
         """A square root of K; the torsion label says which one."""
         return cls(Fraction(1, 2), 0,
                    torsion if torsion is not None else ctx.zero_torsion())
-
-    @classmethod
-    def two_torsion(cls, torsion: F2Vector) -> "LineBundleClass":
-        return cls(Fraction(0), 0, torsion)
 
 
 def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:

@@ -38,30 +38,28 @@ and checks rho13 and its differential against generic products with
 H_SYM3.
 
 Conventions are frozen once: the complexified symplectic algebra is
-tested against the form ``J13`` in every frame along the conjugation
+the algebra of the form ``J13`` in every frame along the conjugation
 chain, which is legitimate because ``T4`` and ``HTILDE`` both preserve
-``J13`` up to a nonzero scalar (-2i and -1 respectively; checked in the
-test suite).
+``J13`` up to a nonzero scalar (-2i and -1 respectively; ``verify``'s
+``t4-conformal`` and ``htilde-conformal`` checks), and the test suite
+proves that ``rho13_star`` and ``phi_star`` land in sp(4, C) for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import neg
-from typing import Optional, Tuple
 
 from ._record import Record
 from .numfield import FieldElem, I_UNIT, ONE, ZERO, _common, fe
 from .matalg import (
-    H_SYM3_INV, HTILDE, I2, J0, J13, T2, T4, SqMatrix, _cayley_conjugate,
+    H_SYM3_INV, HTILDE, I2, J0, T2, T4, SqMatrix, _cayley_conjugate,
     _flat, _monomial_conjugate, _monomial_frame, _reduced, _ring,
     _unipotent_conjugate, is_symplectic, kron,
 )
 
 __all__ = [
-    "NotInAlgebra",
     "SingularNormalization",
-    "CartanSplit",
     "NormalizerReport",
     "sl2",
     "rho1",
@@ -75,17 +73,10 @@ __all__ = [
     "m_field_matrix",
     "s_matrix",
     "s_conjugate",
-    "cartan_split",
-    "m_delta_membership",
-    "m_delta_element",
     "normalizer_witness_check",
     "HT", "HT_INV", "T2_DET1", "SWAP",
     "GOLDEN_E_MINUS_F", "GOLDEN_E_PLUS_F", "GOLDEN_H0",
 ]
-
-
-class NotInAlgebra(ValueError):
-    """Input matrix is not in the complexified symplectic algebra."""
 
 
 class SingularNormalization(ValueError):
@@ -197,6 +188,11 @@ def rho_p(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     _check_det(b, allow_minus=False)
     zero2 = SqMatrix.zeros(2)
     return _from_blocks(a, zero2, zero2, b)
+
+
+def _from_blocks(b00, b01, b10, b11) -> SqMatrix:
+    return SqMatrix([b00[r] + b01[r] for r in range(2)]
+                    + [b10[r] + b11[r] for r in range(2)])
 
 
 def rho_delta(a: SqMatrix) -> SqMatrix:
@@ -326,78 +322,6 @@ def s_conjugate(beta, gamma) -> SqMatrix:
     """
     # S = I + N with N^2 = 0, so S^-1 = I - N: row and column operations
     return _unipotent_conjugate(m_field_matrix(beta, gamma), s_matrix(beta, gamma))
-
-
-# -- Cartan decomposition in the post-T4 frame --------------------------------
-
-
-class CartanSplit(Record):
-    """Splitting X = h_part + m_part in the frame where the compact part
-    is block-diagonal: h_part = blockdiag(Z, -Z^t) and m_part is
-    block-off-diagonal with symmetric blocks."""
-
-    h_part: SqMatrix
-    m_part: SqMatrix
-
-    @property
-    def z_block(self) -> SqMatrix:
-        return self.h_part.block(0, 0)
-
-
-def in_sp4c(x: SqMatrix) -> bool:
-    """Membership in the complexified symplectic algebra, tested against
-    the frozen form J13 (valid in every frame along the T4 / HTILDE
-    conjugation chain, which rescale J13 by -2i and -1)."""
-    return (x.T * J13 + J13 * x).is_zero
-
-
-def cartan_split(x: SqMatrix) -> CartanSplit:
-    """Unique split of an algebra element into compact and m parts.
-
-    Membership forces the lower-right block to be minus the transpose of
-    the upper-left one and the off-diagonal blocks to be symmetric, so
-    the split is the block projection.
-    """
-    _check_dim(x, 4)
-    if not in_sp4c(x):
-        raise NotInAlgebra("matrix fails X^t J + J X = 0 for the frozen form")
-    z = x.block(0, 0)
-    beta = x.block(0, 1)
-    gamma = x.block(1, 0)
-    zero2 = SqMatrix.zeros(2)
-    h_part = _from_blocks(z, zero2, zero2, -z.T)
-    m_part = _from_blocks(zero2, beta, gamma, zero2)
-    return CartanSplit(h_part=h_part, m_part=m_part)
-
-
-def _from_blocks(b00, b01, b10, b11) -> SqMatrix:
-    return SqMatrix([b00[r] + b01[r] for r in range(2)]
-                    + [b10[r] + b11[r] for r in range(2)])
-
-
-def m_delta_membership(x: SqMatrix) -> Optional[Tuple[FieldElem, FieldElem]]:
-    """(beta~, gamma~) if x = [[0, beta~ I], [gamma~ I, 0]], else None."""
-    _check_dim(x, 4)
-    zero2 = SqMatrix.zeros(2)
-    if x.block(0, 0) != zero2 or x.block(1, 1) != zero2:
-        return None
-    b, g = x.block(0, 1), x.block(1, 0)
-    bt, gt = b[0][0], g[0][0]
-    if b != SqMatrix.diag(bt, bt) or g != SqMatrix.diag(gt, gt):
-        return None
-    return (bt, gt)
-
-
-def m_delta_element(a, b) -> SqMatrix:
-    """Post-T4 form of the diagonal-subalgebra m-part with coordinates
-    (a, b): off-diagonal scalar blocks beta~ = 2(a + ib) and
-    gamma~ = 2(a - ib).  The factor 2 is part of the frozen convention
-    relating the two coordinate systems."""
-    a, b = fe(a), fe(b)
-    bt = 2 * (a + I_UNIT * b)
-    gt = 2 * (a - I_UNIT * b)
-    zero2 = SqMatrix.zeros(2)
-    return _from_blocks(zero2, SqMatrix.diag(bt, bt), SqMatrix.diag(gt, gt), zero2)
 
 
 # -- normalizer facts ---------------------------------------------------------

@@ -122,16 +122,6 @@ class SqMatrix:
         return tuple(_canonical(ints[k:k + 8], d)
                      for k in range(o, o + 8 * n, 8))
 
-    def block(self, i: int, j: int) -> "SqMatrix":
-        """2x2 block (i, j) of a 4x4 matrix, blocks indexed 0/1."""
-        if self.dim != 4:
-            raise ValueError("block extraction needs a 4x4 matrix")
-        if i not in (0, 1) or j not in (0, 1):
-            raise IndexError("block index (%r, %r) is outside {0, 1}" % (i, j))
-        o = 64 * i + 16 * j
-        ints = self._n
-        return _reduced(ints[o:o + 16] + ints[o + 32:o + 48], self._d)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":

@@ -158,10 +158,6 @@ class FieldElem:
         return self._n == _ZERO_N
 
     @property
-    def is_real(self) -> bool:
-        return not any(self._n[4:])
-
-    @property
     def is_rational(self) -> bool:
         return not any(self._n[1:])
 
@@ -213,11 +209,6 @@ class FieldElem:
             if n:
                 base = base * base
         return ONE if result is None else result
-
-    def conj(self) -> "FieldElem":
-        """Complex conjugation: negates the four i-coordinates."""
-        n = self._n
-        return _raw(n[:4] + tuple(map(neg, n[4:])), self._d)
 
     def inv(self) -> "FieldElem":
         """Exact multiplicative inverse; raises DivisionByZero on 0.

@@ -9,6 +9,7 @@ off the characters of the two halves.
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -97,7 +98,8 @@ def test_non_binary_string_is_rejected(s):
 
 
 @pytest.mark.parametrize("bits", ["21", [3, -1], [1, 2], (0, 1, 0, -1), "0a",
-                                  ["01", "1"], [0.5, 1], [None, 0], [[1], 0]])
+                                  ["01", "1"], [0.5, 1], [None, 0], [[1], 0],
+                                  [1.0, 0.0], [True, False], [Fraction(1), 0]])
 def test_non_binary_coordinates_are_rejected(bits):
     with pytest.raises(ValueError, match="is not 0 or 1"):
         F2Vector(bits)

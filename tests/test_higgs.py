@@ -54,7 +54,7 @@ def test_dual_negates_everything():
     n = LineBundleClass(Fraction(1, 2), 3, e(CTX3, 1))
     nd = n.dual()
     assert nd.degree(CTX3) == -n.degree(CTX3)
-    assert (n * nd).is_trivial()
+    assert n * nd == LineBundleClass(0, 0, CTX3.zero_torsion())
 
 
 def test_genus_validation():
@@ -69,8 +69,8 @@ def test_h0_table():
     k = LineBundleClass.canonical(CTX3)
     assert h0(CTX3, k.power(2)) == 6  # 3g - 3
     assert h0(CTX3, k) == 3  # g
-    assert h0(CTX3, LineBundleClass.trivial(CTX3)) == 1
-    assert h0(CTX3, LineBundleClass.two_torsion(e(CTX3, 0))) == 0
+    assert h0(CTX3, LineBundleClass(0, 0, CTX3.zero_torsion())) == 1
+    assert h0(CTX3, LineBundleClass(0, 0, e(CTX3, 0))) == 0
     assert h0(CTX3, LineBundleClass(Fraction(0), -1, CTX3.zero_torsion())) == 0
 
 
@@ -139,8 +139,6 @@ def test_degree_and_h0_match_the_fraction_formula(genus):
                 d = extra + k * ctx.deg_k
                 assert type(bundle.degree(ctx)) is int
                 assert bundle.degree(ctx) == d
-                assert bundle.is_trivial() == (k == 0 and extra == 0
-                                               and torsion.is_zero)
                 if d < 0:
                     want = 0
                 elif d > ctx.deg_k:
@@ -189,8 +187,8 @@ def test_bundle_invariants_make_no_fraction(monkeypatch):
     hitchin = diagonal_shape(CTX3, CTX3.deg_k, torsion=e(CTX3, 2))
     rank1 = max_sl2(CTX3, e(CTX3, 1))
     image = irr_embed(CTX3, rank1)
-    bundles = [hitchin.N, rank1.L, LineBundleClass.trivial(CTX3),
-               LineBundleClass.two_torsion(e(CTX3, 0)),
+    bundles = [hitchin.N, rank1.L, LineBundleClass(0, 0, CTX3.zero_torsion()),
+               LineBundleClass(0, 0, e(CTX3, 0)),
                LineBundleClass.canonical(CTX3), LineBundleClass.canonical(CTX3, -2),
                LineBundleClass(Fraction(-3, 2), 2, CTX3.zero_torsion())]
     bundles += [s.bundle for s in (hitchin.beta1, hitchin.beta2, hitchin.beta3,
@@ -203,7 +201,6 @@ def test_bundle_invariants_make_no_fraction(monkeypatch):
     del ops[:]
     for bundle in bundles:
         bundle.degree(CTX3)
-        bundle.is_trivial()
         try:
             h0(CTX3, bundle)
         except RequiresExplicitH0:

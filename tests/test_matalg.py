@@ -157,23 +157,17 @@ def test_h_sym3_relates_the_forms():
     assert H_SYM3 == H_SYM3.T
 
 
+def test_repr_lists_the_rows():
+    assert repr(SqMatrix([[0, 2], [3, 0]])) == (
+        "SqMatrix(\n"
+        "  [FieldElem(0), FieldElem(2)],\n"
+        "  [FieldElem(3), FieldElem(0)])")
+
+
 def test_matrix_json_roundtrip():
     rng = random.Random(9)
     m = kron(rand2(rng), rand2(rng))
     assert SqMatrix.from_json(m.to_json()) == m
-
-
-def test_block_access():
-    m = kron(J2, I2)
-    assert m.block(0, 1) == I2
-    assert m.block(1, 0) == -I2
-
-
-@pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (1, 2), (-1, 1), (1, -1)])
-def test_block_rejects_indices_outside_0_1(i, j):
-    message = r"^block index \(%d, %d\) is outside \{0, 1\}$" % (i, j)
-    with pytest.raises(IndexError, match=message):
-        I4.block(i, j)
 
 
 # -- against a per-entry FieldElem reference -----------------------------------
@@ -261,11 +255,6 @@ def test_operations_match_reference(n):
         assert a.trace() == sum((ra[i][i] for i in range(n)), ZERO)
         assert a.det() == ref_det(ra)
         assert a.inv().rows == ref_inv(ra)
-        if n == 4:
-            for i in range(2):
-                for j in range(2):
-                    assert a.block(i, j).rows == tuple(
-                        row[2 * j:2 * j + 2] for row in ra[2 * i:2 * i + 2])
         for m in (a, b, a * b, a + b, a - b, -a, a.scale(c), a.T, a.inv(),
                   a - a, a.scale(0)):
             assert_canonical(m)
@@ -535,8 +524,6 @@ GUARDS = {
                    "SqMatrix must be square of dimension 2 or 4"),
     "3x3": (lambda: SqMatrix.identity(3), ValueError,
             "SqMatrix must be square of dimension 2 or 4"),
-    "block-of-2x2": (lambda: I2.block(0, 0), ValueError,
-                     "block extraction needs a 4x4 matrix"),
     "dimension-mismatch": (lambda: I2 + I4, ValueError, "dimension mismatch: 2 vs 4"),
     "json-dim": (lambda: SqMatrix.from_json(dict(I2.to_json(), dim=4)), ValueError,
                  "matrix dim field disagrees with entry grid"),

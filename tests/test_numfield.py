@@ -72,22 +72,17 @@ def test_field_axioms_random():
             assert a * a.inv() == ONE
 
 
-def test_conjugation_properties():
-    rng = random.Random(8)
-    for _ in range(25):
-        a, b = rand_elem(rng), rand_elem(rng)
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
-
-
 def test_real_subfield_closed():
+    def is_real(x):
+        return not any(x.coeffs[4:])
+
     rng = random.Random(9)
     for _ in range(25):
         a = rand_elem(rng, complex_part=False)
         b = rand_elem(rng, complex_part=False)
-        assert (a * b).is_real and (a + b).is_real
+        assert is_real(a * b) and is_real(a + b)
         if not a.is_zero:
-            assert a.inv().is_real
+            assert is_real(a.inv())
 
 
 def test_powers():
@@ -333,7 +328,6 @@ def test_ring_operations_match_reference(style):
         assert (a - b).coeffs == ref_add(x, ref_neg(y))
         assert (-a).coeffs == ref_neg(x)
         assert (a * b).coeffs == ref_mul(x, y)
-        assert a.conj().coeffs == ref_conj(x)
 
 
 @pytest.mark.parametrize("style", list(REF_STYLES))
@@ -565,7 +559,7 @@ def assert_canonical(a):
 def test_results_are_in_canonical_form(style):
     for x, y in ref_pairs(style, 20261025, n=30):
         a, b = FieldElem(x), FieldElem(y)
-        results = [a, b, a + b, a - b, -a, a * b, a.conj(), a * 6, a + 1,
+        results = [a, b, a + b, a - b, -a, a * b, a * 6, a + 1,
                    a - a, a * ZERO, FieldElem.from_json(a.to_json())]
         if not a.is_zero:
             results += [a.inv(), b / a]

@@ -17,7 +17,6 @@ import pytest
 
 import sp4higgs as sh
 from sp4higgs import f2, higgs, liegroup, matalg, moduli, numfield, verify
-from sp4higgs.matalg import SqMatrix
 
 F = sh.F2Vector
 BUNDLE = sh.LineBundleClass(Fraction(1, 2), 1, F("0110"))
@@ -78,13 +77,6 @@ RECORDS = [
      "grouped_zariski_dense=1)"),
     (moduli.FiberGeometry, {"c": 1, "r": 11, "s": 6, "base_dim": 4, "extra": 9},
      "FiberGeometry(c=1, r=11, s=6, base_dim=4, extra=9)"),
-    (liegroup.CartanSplit,
-     {"h_part": SqMatrix.diag(1, -1), "m_part": SqMatrix([[0, 2], [3, 0]])},
-     "CartanSplit(h_part=SqMatrix(\n"
-     "  [FieldElem(1), FieldElem(0)],\n"
-     "  [FieldElem(0), FieldElem(-1)]), m_part=SqMatrix(\n"
-     "  [FieldElem(0), FieldElem(2)],\n"
-     "  [FieldElem(3), FieldElem(0)]))"),
     (liegroup.NormalizerReport,
      {"det_value": sh.ONE, "det_ok": True, "normalizes_ok": True,
       "symplectic_for_j0": False, "passed": True},
@@ -121,8 +113,8 @@ def _hash_or_error(obj):
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == 23
-    assert len({cls for cls, _, _ in RECORDS}) == 23
+    assert len(RECORDS) == 22
+    assert len({cls for cls, _, _ in RECORDS}) == 22
 
 
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=_ids(RECORDS))
