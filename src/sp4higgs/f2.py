@@ -10,6 +10,10 @@ binary, padded to n digits, is the bitstring.  Addition is xor, and
 swapping the halves of x turns the pairing into a dot product:
 <x, y> = popcount(swap(x) & y) mod 2.  This module is the only one that
 knows the layout.
+
+``F2Vector(value, length)``, the packed int and its length, is the one
+constructor: ``zero``, ``unit``, ``from_string``, ``all_vectors`` and
+``+`` each build through it.
 """
 
 from __future__ import annotations
@@ -18,27 +22,21 @@ from typing import Iterator
 
 __all__ = ["F2Vector"]
 
-# keyed by exact type too: 1.0, True and Fraction(1) hash like 1, but
-# are not coordinates
-_BITS = {(int, 0): 0, (int, 1): 1, (str, "0"): 0, (str, "1"): 1}
-
 
 class F2Vector:
     __slots__ = ("value", "length")
 
-    def __init__(self, bits):
-        """The vector of coordinates ``bits``, each 0 or 1 as an int or a
-        one-character string; any other coordinate raises ValueError."""
-        value = n = 0
-        for b in bits:
-            try:
-                value = value << 1 | _BITS[type(b), b]
-            except (KeyError, TypeError):
-                raise ValueError("coordinate %r is not 0 or 1" % (b,)) from None
-            n += 1
-        self._set(value, n)
-
-    def _set(self, value: int, length: int) -> None:
+    def __init__(self, value: int, length: int):
+        """The vector of ``length`` coordinates packed as ``value``; both
+        are exact ints (a bool or a float raises TypeError)."""
+        if type(value) is not int:
+            raise TypeError("value %r is not an int" % (value,))
+        if type(length) is not int:
+            raise TypeError("length %r is not an int" % (length,))
+        # bit_length, not 1 << length: a long vector of few set bits,
+        # such as the zero torsion label of a large genus, stays small
+        if value < 0 or value.bit_length() > length:
+            raise ValueError("%d does not fit in %d bits" % (value, length))
         if length % 2 != 0:
             raise ValueError("length must be even (2g coordinates)")
         object.__setattr__(self, "value", value)
@@ -48,37 +46,26 @@ class F2Vector:
         raise AttributeError("F2Vector is immutable")
 
     @classmethod
-    def from_int(cls, value: int, length: int) -> "F2Vector":
-        """The vector of ``length`` coordinates packed as ``value``."""
-        # bit_length, not 1 << length: a long vector of few set bits,
-        # such as the zero torsion label of a large genus, stays small
-        if value < 0 or value.bit_length() > length:
-            raise ValueError("%d does not fit in %d bits" % (value, length))
-        v = cls.__new__(cls)
-        v._set(value, length)
-        return v
-
-    @classmethod
     def zero(cls, two_g: int) -> "F2Vector":
-        return cls.from_int(0, two_g)
+        return cls(0, two_g)
 
     @classmethod
     def unit(cls, two_g: int, k: int) -> "F2Vector":
         if not 0 <= k < two_g:
             raise IndexError("coordinate %d out of range" % k)
-        return cls.from_int(1 << (two_g - 1 - k), two_g)
+        return cls(1 << (two_g - 1 - k), two_g)
 
     @classmethod
     def from_string(cls, s: str) -> "F2Vector":
         if not set(s) <= {"0", "1"}:
             raise ValueError("bitstring must contain only 0 and 1")
-        return cls.from_int(int(s, 2) if s else 0, len(s))
+        return cls(int(s, 2) if s else 0, len(s))
 
     @classmethod
     def all_vectors(cls, two_g: int) -> Iterator["F2Vector"]:
         """Every vector of length ``two_g``, in itertools.product order."""
         for value in range(1 << two_g):
-            yield cls.from_int(value, two_g)
+            yield cls(value, two_g)
 
     def __len__(self) -> int:
         return self.length
@@ -97,7 +84,7 @@ class F2Vector:
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         self._check_length(other)
-        return F2Vector.from_int(self.value ^ other.value, self.length)
+        return F2Vector(self.value ^ other.value, self.length)
 
     def pairing(self, other: "F2Vector") -> int:
         """sum a_i b'_i + a'_i b_i over F2."""

@@ -23,7 +23,7 @@ from typing import Optional, Tuple, Union
 
 from ._record import Record
 from .f2 import F2Vector
-from .numfield import FieldElem, ZERO, fe
+from .numfield import FieldElem, ONE, ZERO, fe
 
 __all__ = [
     "RequiresExplicitH0",
@@ -47,7 +47,6 @@ __all__ = [
     "SWInvariants",
     "h0",
     "milnor_wood",
-    "rank",
     "toledo",
     "is_maximal",
     "stability_sp4",
@@ -115,6 +114,13 @@ class CurveCtx(Record):
         return F2Vector.zero(self.two_g)
 
 
+def _require_label(name: str, label) -> None:
+    """A mod-2 label must be an F2Vector: a bitstring would add by
+    concatenation."""
+    if type(label) is not F2Vector:
+        raise TypeError("%s %r is not an F2Vector" % (name, label))
+
+
 class LineBundleClass(Record):
     """Formal line bundle class: K^k_power * O(extra_degree) * torsion.
 
@@ -143,6 +149,7 @@ class LineBundleClass(Record):
         # as true/false, which the decoder refuses
         if type(self.extra_degree) is not int:
             raise TypeError("extra_degree %r is not an int" % (self.extra_degree,))
+        _require_label("torsion", self.torsion)
 
     # degree = extra + k_power*(2g-2), on ints: the denominator of
     # k_power is 1 or 2 and divides the even number 2g-2.
@@ -258,18 +265,16 @@ class SectionSlot(Record):
                            self.h0_override)
 
     @classmethod
-    def zero(cls, ctx: CurveCtx, bundle: LineBundleClass,
-             h0_override: Optional[int] = None) -> "SectionSlot":
-        dim = h0_override if h0_override is not None else h0(ctx, bundle)
-        return cls(bundle, (ZERO,) * dim, h0_override)
+    def zero(cls, ctx: CurveCtx, bundle: LineBundleClass) -> "SectionSlot":
+        return cls(bundle, (ZERO,) * h0(ctx, bundle))
 
     @classmethod
-    def constant(cls, ctx: CurveCtx, bundle: LineBundleClass, value=1) -> "SectionSlot":
-        """A section of a one-dimensional section space (e.g. the unit
-        section of the trivial bundle)."""
+    def constant(cls, ctx: CurveCtx, bundle: LineBundleClass) -> "SectionSlot":
+        """The unit section of a one-dimensional section space (e.g. of
+        the trivial bundle)."""
         if h0(ctx, bundle) != 1:
             raise ValueError("constant slots need a 1-dimensional section space")
-        return cls(bundle, (fe(value),))
+        return cls(bundle, (ONE,))
 
 
 # -- verdict records ----------------------------------------------------------
@@ -499,6 +504,7 @@ class CoverOrthShape(_Shape, Record):
     beta_present: bool = False
 
     def __post_init__(self):
+        _require_label("w1", self.w1)
         if self.w1.is_zero:
             raise ValueError("connected-cover shape needs nonzero w1")
         if self.w2 not in (0, 1):
@@ -541,6 +547,10 @@ class TorsionSplitShape(_Shape, Record):
     t2: F2Vector
     beta1: SectionSlot
     beta2: SectionSlot
+
+    def __post_init__(self):
+        _require_label("t1", self.t1)
+        _require_label("t2", self.t2)
 
     def validate(self, ctx: CurveCtx):
         if len(self.t1) != ctx.two_g or len(self.t2) != ctx.two_g:
@@ -714,10 +724,6 @@ HiggsDatum = Union[DiagonalShape, CoverOrthShape, TorsionSplitShape,
 
 
 # -- basic invariants ---------------------------------------------------------
-
-
-def rank(datum: HiggsDatum) -> int:
-    return datum.rank
 
 
 def toledo(ctx: CurveCtx, datum: HiggsDatum) -> int:

@@ -170,7 +170,8 @@ class SqMatrix:
                 _mul_into(out, 8 * o, x, y)
         return _reduced(out, self._d * c._d)
 
-    def transpose(self) -> "SqMatrix":
+    @property
+    def T(self) -> "SqMatrix":
         n, ints = self.dim, self._n
         out = []
         for j in range(n):
@@ -178,10 +179,6 @@ class SqMatrix:
                 o = 8 * (n * i + j)
                 out.extend(ints[o:o + 8])
         return _new(tuple(out), self._d)
-
-    @property
-    def T(self) -> "SqMatrix":
-        return self.transpose()
 
     def trace(self) -> FieldElem:
         n, ints = self.dim, self._n
@@ -233,20 +230,6 @@ class SqMatrix:
     def _samedim(self, other: "SqMatrix"):
         if len(self._n) != len(other._n):
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "entries": [[a.to_json() for a in row] for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, data) -> "SqMatrix":
-        m = cls(tuple(tuple(FieldElem.from_json(e) for e in row)
-                      for row in data["entries"]))
-        if m.dim != data["dim"]:
-            raise ValueError("matrix dim field disagrees with entry grid")
-        return m
 
 
 # the dimension of a matrix from the number of its ints

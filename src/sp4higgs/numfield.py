@@ -140,13 +140,6 @@ class FieldElem:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_rational(cls, q) -> "FieldElem":
-        if type(q) is not int:
-            q = Fraction(q)
-            return _raw((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
-        return _raw((q, 0, 0, 0, 0, 0, 0, 0), 1)
-
-    @classmethod
     def from_parts(cls, one=0, sqrt2=0, sqrt3=0, sqrt6=0,
                    i=0, i_sqrt2=0, i_sqrt3=0, i_sqrt6=0) -> "FieldElem":
         return cls((one, sqrt2, sqrt3, sqrt6, i, i_sqrt2, i_sqrt3, i_sqrt6))
@@ -513,7 +506,8 @@ def _operand(x):
     """x, not a FieldElem, as a FieldElem if it is an int or Fraction,
     else NotImplemented, so that the other operand's method can run."""
     if isinstance(x, (int, Fraction)):
-        return FieldElem.from_rational(x)
+        # an int is its own numerator over 1, and a Fraction is in lowest terms
+        return _raw((x.numerator, 0, 0, 0, 0, 0, 0, 0), x.denominator)
     return NotImplemented
 
 
@@ -527,8 +521,8 @@ def fe(x: Scalar) -> FieldElem:
     return y
 
 
-ZERO = FieldElem.from_rational(0)
-ONE = FieldElem.from_rational(1)
+ZERO = fe(0)
+ONE = fe(1)
 SQRT2 = FieldElem.from_parts(sqrt2=1)
 SQRT3 = FieldElem.from_parts(sqrt3=1)
 SQRT6 = FieldElem.from_parts(sqrt6=1)

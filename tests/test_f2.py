@@ -30,6 +30,11 @@ def strings(n):
     return ["".join(p) for p in itertools.product("01", repeat=n)]
 
 
+def packed(s):
+    """The int whose bit n-1-k is character k of the bitstring s."""
+    return sum(1 << (len(s) - 1 - k) for k, c in enumerate(s) if c == "1")
+
+
 def check_pair(s, t):
     x, y = F2Vector.from_string(s), F2Vector.from_string(t)
     assert (x + y).to_string() == ref_add(s, t)
@@ -51,7 +56,7 @@ def test_add_and_pairing_match_reference_on_random_length_10():
 
 def test_constructor_from_bits_matches_from_string():
     for s in strings(4) + ["1011001110"]:
-        v = F2Vector(int(c) for c in s)
+        v = F2Vector(packed(s), len(s))
         assert v == F2Vector.from_string(s)
         assert v.to_string() == s
         assert len(v) == len(s) and v.genus == len(s) // 2
@@ -86,8 +91,8 @@ def test_string_round_trip():
 def test_odd_length_is_rejected(s):
     with pytest.raises(ValueError):
         F2Vector.from_string(s)
-    with pytest.raises(ValueError):
-        F2Vector(int(c) for c in s)
+    with pytest.raises(ValueError, match="^length must be even"):
+        F2Vector(packed(s), len(s))
 
 
 @pytest.mark.parametrize("s", ["2", "0a", " 1", "1 ", "+1", "-1", "_1",
@@ -97,18 +102,29 @@ def test_non_binary_string_is_rejected(s):
         F2Vector.from_string(s)
 
 
+# the coordinate sequences a bit-list constructor once read: the packed
+# constructor takes no sequence, of binary coordinates or not
 @pytest.mark.parametrize("bits", ["21", [3, -1], [1, 2], (0, 1, 0, -1), "0a",
                                   ["01", "1"], [0.5, 1], [None, 0], [[1], 0],
                                   [1.0, 0.0], [True, False], [Fraction(1), 0]])
 def test_non_binary_coordinates_are_rejected(bits):
-    with pytest.raises(ValueError, match="is not 0 or 1"):
-        F2Vector(bits)
+    with pytest.raises(TypeError, match="^value .* is not an int$"):
+        F2Vector(bits, len(bits))
+
+
+@pytest.mark.parametrize("value, length", [(True, 2), (False, 2), (1.0, 2), (Fraction(1), 2),
+                                           ("1", 2), (1, 2.0), (1, True), (1, Fraction(2)),
+                                           (1, "2"), (1, None)])
+def test_value_and_length_must_be_exact_ints(value, length):
+    name = "value" if type(value) is not int else "length"
+    with pytest.raises(TypeError, match="^%s .* is not an int$" % name):
+        F2Vector(value, length)
 
 
 def test_binary_ints_and_strings_are_accepted():
-    assert F2Vector((0, 1, 0, 1)) == F2Vector("0101") == F2Vector.from_string("0101")
-    assert F2Vector(["1", 0, 1, "0"]).to_string() == "1010"
-    assert F2Vector(iter(())) == F2Vector.from_string("")
+    assert F2Vector(0b0101, 4) == F2Vector.from_string("0101")
+    assert F2Vector(0b1010, 4).to_string() == "1010"
+    assert F2Vector(0, 0) == F2Vector.from_string("")
 
 
 def test_length_mismatch_raises():
@@ -121,7 +137,7 @@ def test_length_mismatch_raises():
 
 def test_equality_and_hash_are_consistent():
     vectors = [F2Vector.from_string(s) for n in (0, 2, 4) for s in strings(n)]
-    copies = [F2Vector(int(c) for c in v.to_string()) for v in vectors]
+    copies = [F2Vector(packed(v.to_string()), len(v)) for v in vectors]
     for v, w in zip(vectors, copies):
         assert v == w and hash(v) == hash(w)
     assert len(set(vectors) | set(copies)) == len(vectors)
@@ -134,15 +150,15 @@ def test_equality_and_hash_are_consistent():
 
 
 def test_repr_is_unchanged():
-    assert repr(F2Vector((0, 1, 0, 1))) == "F2Vector(0101)"
+    assert repr(F2Vector(0b0101, 4)) == "F2Vector(0101)"
     assert repr(F2Vector.from_string("")) == "F2Vector()"
     assert repr(F2Vector.unit(6, 5)) == "F2Vector(000001)"
 
 
 @pytest.mark.parametrize("value", [16, -1])
-def test_from_int_width_guard(value):
+def test_constructor_width_guard(value):
     with pytest.raises(ValueError) as info:
-        F2Vector.from_int(value, 4)
+        F2Vector(value, 4)
     assert str(info.value) == "%d does not fit in 4 bits" % value
 
 

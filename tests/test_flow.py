@@ -28,7 +28,7 @@ CHECKERS = (sh.gdelta_reduction_check, sh.gp_reduction_check,
 def _classifiable_rank2():
     out = []
     for ident, ctx, datum, _ in corpus():
-        if sh.rank(datum) != 2:
+        if datum.rank != 2:
             continue
         try:
             label = sh.classify(ctx, datum)
@@ -46,7 +46,7 @@ def _spins(ctx):
     if ctx.genus == 2:
         return list(F2Vector.all_vectors(ctx.two_g))
     rng = random.Random(ctx.genus)
-    return [F2Vector.from_int(rng.getrandbits(ctx.two_g), ctx.two_g)
+    return [F2Vector(rng.getrandbits(ctx.two_g), ctx.two_g)
             for _ in range(8)]
 
 

@@ -169,7 +169,7 @@ def record(ident, ctx, datum, doc, workdir):
     return {
         "id": ident,
         "datum": _digest(canonical),
-        "rank": _call(sh.rank, datum),
+        "rank": _call(lambda: datum.rank),
         "toledo": _call(sh.toledo, ctx, datum),
         "stability_report": _call(sh.stability_report, ctx, datum),
         "sw_invariants": _call(sh.sw_invariants, ctx, datum),

@@ -43,7 +43,7 @@ def test_degree_arithmetic():
 
 def test_half_canonical_keeps_the_label_it_is_given():
     # an empty label is kept, not replaced by the zero label of length 2g
-    empty = F2Vector(())
+    empty = F2Vector(0, 0)
     assert LineBundleClass.half_canonical(CTX2, empty).torsion is empty
     label = e(CTX2, 1)
     assert LineBundleClass.half_canonical(CTX2, label).torsion is label
@@ -103,9 +103,7 @@ def test_section_slot_rejects_negative_h0_override():
     k = LineBundleClass.canonical(CTX3)
     with pytest.raises(ValueError, match="h0_override"):
         SectionSlot(k, (), h0_override=-1)
-    with pytest.raises(ValueError, match="h0_override"):
-        SectionSlot.zero(CTX3, k, h0_override=-1)
-    assert SectionSlot.zero(CTX3, k, h0_override=0).coeffs == ()
+    assert SectionSlot(k, (), h0_override=0).coeffs == ()
 
 
 def test_h0_override_must_agree_with_a_determined_h0():
@@ -392,8 +390,9 @@ def test_c_outside_range_is_caught_by_stability(rule, c):
 def test_sw_invariants_additive_w1():
     rng = random.Random(13)
     for _ in range(20):
-        t1 = F2Vector(rng.getrandbits(1) for _ in range(CTX3.two_g))
-        t2 = F2Vector(rng.getrandbits(1) for _ in range(CTX3.two_g))
+        t1, t2 = (F2Vector.from_string("".join(str(rng.getrandbits(1))
+                                              for _ in range(CTX3.two_g)))
+                  for _ in range(2))
         a, b = max_sl2(CTX3, t1), max_sl2(CTX3, t2)
         s = direct_sum(CTX3, a, b)
         inv = sw_invariants(CTX3, s)

@@ -164,12 +164,6 @@ def test_repr_lists_the_rows():
         "  [FieldElem(3), FieldElem(0)])")
 
 
-def test_matrix_json_roundtrip():
-    rng = random.Random(9)
-    m = kron(rand2(rng), rand2(rng))
-    assert SqMatrix.from_json(m.to_json()) == m
-
-
 # -- against a per-entry FieldElem reference -----------------------------------
 
 # The reference works entry by entry on grids of FieldElems (``m.rows``)
@@ -459,8 +453,7 @@ def test_equal_matrices_hash_alike(n):
         a, b = dense_matrix(rng, n), dense_matrix(rng, n)
         c = dense_elem(rng)
         same = (a.scale(c).scale(c.inv()), (a + a).scale(Fraction(1, 2)),
-                a - b + b, SqMatrix(a.rows), SqMatrix.from_json(a.to_json()),
-                (a * b) * b.inv())
+                a - b + b, SqMatrix(a.rows), (a * b) * b.inv())
         for m in same:
             assert m == a and hash(m) == hash(a)
         assert (a == b) == (a.rows == b.rows)
@@ -494,8 +487,13 @@ def test_field_element_times_matrix_scales():
 GOLDEN_PATH = Path(__file__).with_name("matalg_golden.json")
 
 
+def matrix_json(m: SqMatrix) -> dict:
+    """The {dim, entries} object of ``m``, entries by FieldElem.to_json."""
+    return {"dim": m.dim, "entries": [[a.to_json() for a in row] for row in m.rows]}
+
+
 def golden_outputs() -> dict:
-    """to_json of HT, HT_INV and of phi, phi^-1, phi_star and s_conjugate
+    """The JSON of HT, HT_INV and of phi, phi^-1, phi_star and s_conjugate
     on five fixed dense inputs."""
     rng = random.Random("matalg-golden")
     samples = []
@@ -505,12 +503,12 @@ def golden_outputs() -> dict:
         beta, gamma = dense_elem(rng, 3), dense_elem(rng, 3)
         g = phi(sl2(a, b, c, (1 + b * c) / a))
         samples.append({
-            "phi": g.to_json(),
-            "phi_inv": g.inv().to_json(),
-            "phi_star": phi_star(SqMatrix([[p, q], [r, -p]])).to_json(),
-            "s_conjugate": s_conjugate(beta, gamma).to_json(),
+            "phi": matrix_json(g),
+            "phi_inv": matrix_json(g.inv()),
+            "phi_star": matrix_json(phi_star(SqMatrix([[p, q], [r, -p]]))),
+            "s_conjugate": matrix_json(s_conjugate(beta, gamma)),
         })
-    return {"HT": HT.to_json(), "HT_INV": HT_INV.to_json(), "samples": samples}
+    return {"HT": matrix_json(HT), "HT_INV": matrix_json(HT_INV), "samples": samples}
 
 
 def test_matrix_json_is_frozen():
@@ -525,8 +523,6 @@ GUARDS = {
     "3x3": (lambda: SqMatrix.identity(3), ValueError,
             "SqMatrix must be square of dimension 2 or 4"),
     "dimension-mismatch": (lambda: I2 + I4, ValueError, "dimension mismatch: 2 vs 4"),
-    "json-dim": (lambda: SqMatrix.from_json(dict(I2.to_json(), dim=4)), ValueError,
-                 "matrix dim field disagrees with entry grid"),
     "kron-4x4": (lambda: kron(I4, I2), ValueError,
                  "kron is defined here for 2x2 factors only"),
     "zero-form": (lambda: preserves_symplectic_up_to_scalar(I4, SqMatrix.zeros(4)),

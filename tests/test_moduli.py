@@ -216,9 +216,9 @@ def test_quotient_roundtrip_reads_the_normalized_representative(monkeypatch):
 
 
 def test_sw_map_examples():
-    g1 = F2Vector((1, 0))
-    assert f2_sw_map(g1, g1) == (F2Vector((0, 0)), 0)
-    x = F2Vector((1, 0, 1, 1))
+    g1 = F2Vector.from_string("10")
+    assert f2_sw_map(g1, g1) == (F2Vector.from_string("00"), 0)
+    x = F2Vector.from_string("1011")
     zero = F2Vector.zero(4)
     assert f2_sw_map(x, zero) == (x, 0)
 

@@ -18,7 +18,7 @@ import pytest
 import sp4higgs as sh
 from sp4higgs import f2, higgs, liegroup, matalg, moduli, numfield, verify
 
-F = sh.F2Vector
+F = sh.F2Vector.from_string
 BUNDLE = sh.LineBundleClass(Fraction(1, 2), 1, F("0110"))
 SLOT = sh.SectionSlot(BUNDLE, (sh.I_UNIT,), 1)
 COVER = sh.CoverOrthShape(F("1000"), 1, True)
@@ -255,6 +255,23 @@ def test_k_power_must_be_an_int_or_fraction(k_power):
 def test_extra_degree_must_be_an_int(extra_degree):
     with pytest.raises(TypeError, match="^extra_degree .* is not an int$"):
         sh.LineBundleClass(0, extra_degree, F("0000"))
+
+
+# a label is an F2Vector: a bitstring would add by concatenation, so
+# LineBundleClass(1/2, 0, "0100") squared had the length-8 torsion "01000100"
+LABELS = {
+    "torsion": lambda label: sh.LineBundleClass(Fraction(1, 2), 0, label),
+    "w1": lambda label: sh.CoverOrthShape(label, 0),
+    "t1": lambda label: sh.TorsionSplitShape(label, F("1000"), SLOT, SLOT),
+    "t2": lambda label: sh.TorsionSplitShape(F("1000"), label, SLOT, SLOT),
+}
+
+
+@pytest.mark.parametrize("label", ["0100", "1000", 4, (0, 1, 0, 0), None])
+@pytest.mark.parametrize("field", list(LABELS))
+def test_labels_must_be_f2_vectors(field, label):
+    with pytest.raises(TypeError, match="^%s .* is not an F2Vector$" % field):
+        LABELS[field](label)
 
 
 @pytest.mark.parametrize("h0_override", [2.0, Fraction(2), "2", Decimal(2), True, False])
