@@ -8,7 +8,26 @@ getter per class and shares the other methods, so building the classes
 costs little of ``import sp4higgs``.
 """
 
+import builtins
+import sys
+
 _setattr = object.__setattr__
+
+
+def _type_test(module: str, field: str, annotation: str, scope: dict) -> str:
+    """The ``__init__`` line that tests ``field`` against the class its
+    annotation names, with that class bound as ``_<name>`` in ``scope``;
+    "" for a generic annotation."""
+    name = annotation[9:-1] if annotation.startswith("Optional[") else annotation
+    if not name.isidentifier():
+        return ""
+    found = vars(sys.modules[module]).get(name, getattr(builtins, name, None))
+    if not isinstance(found, type):
+        raise NameError("field %s: annotation %r names no class" % (field, annotation))
+    scope["_" + name] = found
+    return "    if %stype(%s) is not _%s: raise TypeError(%r %% (%s,))\n" % (
+        "%s is not None and " % field if name != annotation else "", field, name,
+        "%s %%r is not of type %s" % (field, name), field)
 
 
 class Record:
@@ -16,10 +35,21 @@ class Record:
 
     A subclass declares its fields once, as class annotations in order;
     a class attribute of the same name is that field's default.  The
-    class gets an ``__init__`` taking the fields by position or keyword,
-    which ends by calling ``__post_init__`` where the class has one (to
-    check fields, or to normalize them through ``object.__setattr__``).
-    ``_fields`` is the tuple of field names.
+    class gets an ``__init__`` taking the fields by position or keyword.
+
+    The annotation is the field's one type rule.  A field annotated with
+    a class name, or with ``Optional[<class name>]``, takes exactly that
+    class (``type(value) is T``, so a bool is no int), and None too
+    where the annotation is Optional; any other value raises
+    ``TypeError("<field> <repr> is not of type <T>")``.  The name is
+    resolved when the class is created, in the defining module and then
+    in builtins, and a name that resolves to no class (to nothing, or to
+    an alias such as a Union) raises NameError there.  Generic
+    annotations (``Tuple[...]``, ``FrozenSet[...]``, as in a sum's
+    ``Tuple["HiggsDatum", ...]``) are not checked.  The type tests run
+    first; the ``__init__`` ends by calling ``__post_init__`` where the
+    class has one (to check values, or to normalize them through
+    ``object.__setattr__``).  ``_fields`` is the tuple of field names.
 
     Records are equal when they are of the same class and their field
     tuples are equal, a record hashes as its field tuple, its repr is
@@ -32,16 +62,19 @@ class Record:
         # the class's own namespace: on Python 3.10, cls.__annotations__
         # of a class that declares none is a base class's
         own = cls.__dict__
-        names = tuple(own.get("__annotations__", ()))
+        hints = own.get("__annotations__", {})
+        names = tuple(hints)
         params = ", ".join("%s=_own[%r]" % (n, n) if n in own else n for n in names)
-        body = "".join("    _setattr(self, %r, %s)\n" % (n, n) for n in names)
+        scope = {"_setattr": _setattr, "_own": own}
+        body = "".join(_type_test(cls.__module__, n, hints[n], scope) for n in names)
+        body += "".join("    _setattr(self, %r, %s)\n" % (n, n) for n in names)
         if hasattr(cls, "__post_init__"):
             body += "    self.__post_init__()\n"
         namespace = {}
         exec("def __init__(self, %s):\n%s"
              "def _values(self):\n    return (%s)\n"
              % (params, body, "".join("self.%s, " % n for n in names)),
-             {"_setattr": _setattr, "_own": own}, namespace)
+             scope, namespace)
         init = namespace["__init__"]
         init.__qualname__ = cls.__qualname__ + ".__init__"
         cls.__init__ = init

@@ -7,8 +7,8 @@ payload) without printing; ``main`` alone turns errors into {"error",
 "clause"} objects naming the violated precondition and prints the one
 JSON object, with sorted keys and no run metadata, so runs on identical
 inputs are byte-stable.  Exit codes: 0 success, 1 domain failure (a
-library domain error, or WrongShape for normal-form on a non-diagonal
-datum), 2 usage or parse failure.
+library domain error, such as WrongShape for normal-form on a
+non-diagonal datum), 2 usage or parse failure.
 
 A datum request written ``CMD --in PATH``, with PATH not starting with
 "-", skips argparse: ``_parse`` builds the namespace the command's
@@ -27,8 +27,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import verify
 from .f2 import F2Vector
 from .higgs import (
-    CurveCtx, DiagonalShape, NotMaximal, NotPolystable, OutOfClassifiedRange,
-    RequiresExplicitH0, iso_normal_form, stability_report,
+    CurveCtx, NotMaximal, NotPolystable, OutOfClassifiedRange,
+    RequiresExplicitH0, WrongShape, iso_normal_form, stability_report,
 )
 from .jsonio import ParseError, datum_to_json, load_datum
 from .moduli import (
@@ -37,10 +37,6 @@ from .moduli import (
 )
 
 __all__ = ["main"]
-
-
-class WrongShape(ValueError):
-    """A command was given a datum of a shape it does not take."""
 
 
 _DOMAIN_ERRORS = (NotMaximal, NotPolystable, OutOfClassifiedRange,
@@ -83,8 +79,6 @@ def _stability(ctx, datum) -> dict:
 
 def _normal_form(ctx, datum) -> dict:
     """canonical scaling-orbit representative of a diagonal datum"""
-    if not isinstance(datum, DiagonalShape):
-        raise WrongShape("normal-form expects a diagonal-shape datum")
     return datum_to_json(ctx, iso_normal_form(ctx, datum))
 
 

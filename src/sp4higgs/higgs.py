@@ -30,6 +30,7 @@ __all__ = [
     "OutOfClassifiedRange",
     "NotMaximal",
     "NotPolystable",
+    "WrongShape",
     "CurveCtx",
     "LineBundleClass",
     "SectionSlot",
@@ -89,6 +90,10 @@ class NotPolystable(ValueError):
     """Operation requires a polystable datum."""
 
 
+class WrongShape(ValueError):
+    """A rule was given a datum of a shape it does not take."""
+
+
 class CurveCtx(Record):
     """A genus-g curve, g an int >= 2.  2-torsion labels and spin-structure
     labels are F2 vectors of length 2g, relative to a distinguished base
@@ -97,8 +102,6 @@ class CurveCtx(Record):
     genus: int
 
     def __post_init__(self):
-        if type(self.genus) is not int:
-            raise TypeError("genus %r is not an int" % (self.genus,))
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
 
@@ -114,22 +117,14 @@ class CurveCtx(Record):
         return F2Vector.zero(self.two_g)
 
 
-def _require_label(name: str, label) -> None:
-    """A mod-2 label must be an F2Vector: a bitstring would add by
-    concatenation."""
-    if type(label) is not F2Vector:
-        raise TypeError("%s %r is not an F2Vector" % (name, label))
-
-
 class LineBundleClass(Record):
     """Formal line bundle class: K^k_power * O(extra_degree) * torsion.
 
-    k_power is an int or a Fraction, kept as a Fraction, and may be a
-    half-integer (a power of the base square root of K); extra_degree is
-    an int; torsion is an F2^(2g) label.  Duals negate every field
-    (torsion is its own negative).  The degree, h0 and the root-of-K
-    tests read k_power on ints, from its numerator and denominator, and
-    make no Fraction.
+    k_power is a Fraction and may be a half-integer (a power of the base
+    square root of K); extra_degree is an int; torsion is an F2^(2g)
+    label.  Duals negate every field (torsion is its own negative).  The
+    degree, h0 and the root-of-K tests read k_power on ints, from its
+    numerator and denominator, and make no Fraction.
     """
 
     k_power: Fraction
@@ -137,19 +132,8 @@ class LineBundleClass(Record):
     torsion: F2Vector
 
     def __post_init__(self):
-        kp = self.k_power
-        if type(kp) is not Fraction:
-            if type(kp) is not int and not isinstance(kp, Fraction):
-                raise TypeError("k_power %r is not an int or Fraction" % (kp,))
-            kp = Fraction(kp)
-            object.__setattr__(self, "k_power", kp)
-        if kp.denominator not in (1, 2):
+        if self.k_power.denominator not in (1, 2):
             raise ValueError("k_power must be a half-integer")
-        # exact types: a bool is an int, but a datum file would hold it
-        # as true/false, which the decoder refuses
-        if type(self.extra_degree) is not int:
-            raise TypeError("extra_degree %r is not an int" % (self.extra_degree,))
-        _require_label("torsion", self.torsion)
 
     # degree = extra + k_power*(2g-2), on ints: the denominator of
     # k_power is 1 or 2 and divides the even number 2g-2.
@@ -231,11 +215,8 @@ class SectionSlot(Record):
 
     def __post_init__(self):
         dim = self.h0_override
-        if dim is not None:
-            if type(dim) is not int:
-                raise TypeError("h0_override %r is not an int" % (dim,))
-            if dim < 0:
-                raise ValueError("h0_override must be non-negative, not %d" % dim)
+        if dim is not None and dim < 0:
+            raise ValueError("h0_override must be non-negative, not %d" % dim)
         object.__setattr__(self, "coeffs", tuple(map(fe, self.coeffs)))
 
     @property
@@ -370,23 +351,21 @@ class _Shape:
     """The rules every shape answers.
 
     ``rank``, ``toledo`` and ``stability`` hold for any datum; a rank-2
-    shape has degree 2g-2 unless it says otherwise.
-    ``cayley``, ``sw``, the reduction rules ``gdelta``/``sl2xsl2``/``gp``,
-    ``minimum`` and ``hitchin_spin`` assume a maximal polystable datum in
-    canonical form (see _require_maximal_polystable).  A rank-2 shape
-    reads ``sw`` off its Cayley partner at the base root.  ``minimum`` is
-    the limit of the C* action (the rule per shape is in the module-level
-    ``minimum``).  A shape without a rule raises TypeError; only the
-    shapes that reach c = 2g-2 define ``hitchin_spin``.
+    shape has degree 2g-2 unless it says otherwise.  ``sw`` and
+    ``hitchin_spin`` assume a maximal polystable datum in canonical form
+    (see _require_maximal_polystable), and a rank-2 shape reads ``sw`` off
+    its Cayley partner at the base root.  ``cayley``, the reduction rules
+    ``gdelta``/``sl2xsl2``/``gp`` and ``minimum``, the limit of the C*
+    action (the rule per shape is in the module-level ``minimum``), are
+    the rank-2 shapes' own, reached through _rank2, which rejects any
+    other rank.  Only the shapes that reach c = 2g-2 define
+    ``hitchin_spin``.
     """
 
     rank = 2
 
     def toledo(self, ctx: CurveCtx) -> int:
         return ctx.deg_k
-
-    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
-        raise TypeError("no Cayley partner for %r" % (self,))
 
     def sw(self, ctx: CurveCtx) -> SWInvariants:
         case = self.cayley(ctx, ctx.zero_torsion()).case
@@ -400,16 +379,8 @@ class _Shape:
         return SWInvariants(ctx.deg_k, w1, case.m1.pairing(case.m2),
                             c=0 if w1.is_zero else None)
 
-    def gdelta(self, ctx: CurveCtx) -> bool:
-        raise TypeError("unsupported datum for the reduction check: %r" % (self,))
-
-    sl2xsl2 = gdelta
-
     def gp(self, ctx: CurveCtx) -> bool:
         return self.sl2xsl2(ctx)
-
-    def minimum(self, ctx: CurveCtx) -> "HiggsDatum":
-        raise TypeError("unsupported datum for the minimum test: %r" % (self,))
 
 
 class DiagonalShape(_Shape, Record):
@@ -504,7 +475,6 @@ class CoverOrthShape(_Shape, Record):
     beta_present: bool = False
 
     def __post_init__(self):
-        _require_label("w1", self.w1)
         if self.w1.is_zero:
             raise ValueError("connected-cover shape needs nonzero w1")
         if self.w2 not in (0, 1):
@@ -547,10 +517,6 @@ class TorsionSplitShape(_Shape, Record):
     t2: F2Vector
     beta1: SectionSlot
     beta2: SectionSlot
-
-    def __post_init__(self):
-        _require_label("t1", self.t1)
-        _require_label("t2", self.t2)
 
     def validate(self, ctx: CurveCtx):
         if len(self.t1) != ctx.two_g or len(self.t2) != ctx.two_g:
@@ -780,6 +746,17 @@ def _require_maximal_polystable(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
     return _resolved(ctx, datum)
 
 
+def _rank2(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
+    """The canonical form of a maximal polystable datum, checked to be of
+    rank 2: the Cayley partner, the reduction checkers and the minimum
+    are rules of the rank-2 shapes alone."""
+    datum = _require_maximal_polystable(ctx, datum)
+    if datum.rank != 2:
+        raise OutOfClassifiedRange("the rule needs a rank-2 datum, not a rank-%d %s"
+                                   % (datum.rank, type(datum).__name__))
+    return datum
+
+
 def _resolved(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
     """A one-summand sum is its summand, and a sum of two maximal rank-1
     data with nonzero gamma is the torsion-split shape; any other datum,
@@ -806,8 +783,10 @@ def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
     """Orthogonal partner W = V* (x) L0 of a maximal polystable datum,
     for the square root L0 of K labeled by ``spin_choice`` (default: the
     base root, label zero)."""
-    datum = _require_maximal_polystable(ctx, datum)
+    datum = _rank2(ctx, datum)
     spin = spin_choice if spin_choice is not None else ctx.zero_torsion()
+    if type(spin) is not F2Vector:
+        raise TypeError("spin_choice %r is not of type F2Vector" % (spin,))
     if len(spin) != ctx.two_g:
         raise ValueError("spin label must have length 2g")
     return datum.cayley(ctx, spin)
@@ -832,13 +811,13 @@ def gdelta_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     connected-cover shape, beta absent (a present beta is not modeled
     finely enough to attest the scalar form).
     """
-    return _require_maximal_polystable(ctx, datum).gdelta(ctx)
+    return _rank2(ctx, datum).gdelta(ctx)
 
 
 def sl2xsl2_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Whether the datum is (isomorphic to) a sum of two maximal rank-1
     data.  For the diagonal shape this forces N^2 = K, i.e. c = 0."""
-    return _require_maximal_polystable(ctx, datum).sl2xsl2(ctx)
+    return _rank2(ctx, datum).sl2xsl2(ctx)
 
 
 def gp_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
@@ -846,7 +825,7 @@ def gp_reduction_check(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     the connected-cover shape, which splits after pulling back to the
     double cover of genus 2g-1 (degrees double, so the pulled-back
     halves are square roots of the canonical bundle upstairs)."""
-    return _require_maximal_polystable(ctx, datum).gp(ctx)
+    return _rank2(ctx, datum).gp(ctx)
 
 
 # -- the irreducible embedding on bundle data -----------------------------------
@@ -857,8 +836,10 @@ def irr_embed(ctx: CurveCtx, datum: SL2RDatum) -> IrreducibleImage:
     irreducible embedding: V = L^3 + L^-1 with the fixed field pattern.
 
     The output has degree 2*deg L and is stable (polystable when deg L
-    is 0 and both sections vanish).
+    is 0 and both sections vanish).  Any other shape raises WrongShape.
     """
+    if type(datum) is not SL2RDatum:
+        raise WrongShape("the irreducible embedding expects a rank-1 (sl2r) datum")
     datum.validate(ctx)
     d = datum.L.degree(ctx)
     if not 0 <= d <= ctx.genus - 1:
@@ -891,14 +872,14 @@ def minimum(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
     beta2 too when c = 0 (it keeps beta2 when c > 0); the cover and
     torsion-split shapes lose every beta; the irreducible image loses
     beta and keeps gamma."""
-    return _require_maximal_polystable(ctx, datum).minimum(ctx)
+    return _rank2(ctx, datum).minimum(ctx)
 
 
 def is_hitchin_minimum(ctx: CurveCtx, datum: HiggsDatum) -> bool:
     """Whether the datum is a minimum of the energy function in its
     component: a fixed point of the t -> 0 limit of phi -> t phi, whose
     rule per shape is in minimum's docstring."""
-    datum = _require_maximal_polystable(ctx, datum)
+    datum = _rank2(ctx, datum)
     return datum.minimum(ctx) == datum
 
 
@@ -909,8 +890,10 @@ def iso_normal_form(ctx: CurveCtx, datum: DiagonalShape) -> DiagonalShape:
     For 0 < c < 2g-2 the first nonzero coefficient of beta2 is scaled to
     exactly 1 (beta2 must be nonzero, else the datum is unstable); for
     c = 2g-2 the action is trivial and the datum is returned unchanged.
-    Idempotent and constant on orbits.
+    Idempotent and constant on orbits.  Any other shape raises WrongShape.
     """
+    if type(datum) is not DiagonalShape:
+        raise WrongShape("normal-form expects a diagonal-shape datum")
     datum.validate(ctx)
     c = datum.c_invariant(ctx)
     if not 0 < c <= ctx.deg_k:

@@ -11,13 +11,14 @@ rejects its minimum.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import sp4higgs as sh
 from sp4higgs import CurveCtx, F2Vector, LineBundleClass
 
-from builders import diagonal_shape, max_sl2
+from builders import cover_shape, diagonal_shape, max_sl2
 from test_golden import corpus
 
 CTX3 = CurveCtx(3)
@@ -77,7 +78,7 @@ def test_cayley_partner_is_spin_covariant():
             assert moved.theta_present == base.theta_present, where
             assert _w1_w2(ctx, moved.case) == (w1, (w2 + w1.pairing(s)) % 2), where
             if base.case.kind == "split":
-                assert moved.case.L == base.case.L * LineBundleClass(0, 0, s), where
+                assert moved.case.L == base.case.L * LineBundleClass(Fraction(0), 0, s), where
             if base.case.kind == "torsion":
                 assert (moved.case.m1, moved.case.m2) == (
                     base.case.m1 + s, base.case.m2 + s), where
@@ -121,11 +122,24 @@ def test_c0_diagonal_minimum_loses_beta2():
     assert sh.minimum(CTX3, stable) == diagonal_shape(CTX3, 0, b1=0, b2=0)
 
 
+# the rules that only the rank-2 shapes answer
+RANK2_RULES = (sh.cayley_partner, sh.gdelta_reduction_check, sh.gp_reduction_check,
+               sh.sl2xsl2_reduction_check, sh.minimum, sh.is_hitchin_minimum)
+
+
 @pytest.mark.parametrize("datum", [
     max_sl2(CTX3),
     sh.DirectSum(tuple(max_sl2(CTX3, F2Vector.unit(6, k)) for k in range(3))),
+    sh.DirectSum(()),
+    sh.DirectSum((cover_shape(CTX3), max_sl2(CTX3), max_sl2(CTX3, F2Vector.unit(6, 1)))),
 ])
 def test_minimum_of_a_datum_that_is_not_rank2_is_unsupported(datum):
-    with pytest.raises(TypeError) as info:
-        sh.minimum(CTX3, datum)
-    assert str(info.value) == "unsupported datum for the minimum test: %r" % (datum,)
+    """Maximal polystable data of rank 1, 3, 0 and 4: each rule names the
+    rank and the shape class it got."""
+    assert sh.is_maximal(CTX3, datum) and sh.stability_sp4(CTX3, datum).is_polystable
+    message = "the rule needs a rank-2 datum, not a rank-%d %s" % (
+        datum.rank, type(datum).__name__)
+    for rule in RANK2_RULES:
+        with pytest.raises(sh.OutOfClassifiedRange) as info:
+            rule(CTX3, datum)
+        assert str(info.value) == message, rule

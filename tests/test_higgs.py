@@ -54,7 +54,7 @@ def test_dual_negates_everything():
     n = LineBundleClass(Fraction(1, 2), 3, e(CTX3, 1))
     nd = n.dual()
     assert nd.degree(CTX3) == -n.degree(CTX3)
-    assert n * nd == LineBundleClass(0, 0, CTX3.zero_torsion())
+    assert n * nd == LineBundleClass(Fraction(0), 0, CTX3.zero_torsion())
 
 
 def test_genus_validation():
@@ -69,8 +69,8 @@ def test_h0_table():
     k = LineBundleClass.canonical(CTX3)
     assert h0(CTX3, k.power(2)) == 6  # 3g - 3
     assert h0(CTX3, k) == 3  # g
-    assert h0(CTX3, LineBundleClass(0, 0, CTX3.zero_torsion())) == 1
-    assert h0(CTX3, LineBundleClass(0, 0, e(CTX3, 0))) == 0
+    assert h0(CTX3, LineBundleClass(Fraction(0), 0, CTX3.zero_torsion())) == 1
+    assert h0(CTX3, LineBundleClass(Fraction(0), 0, e(CTX3, 0))) == 0
     assert h0(CTX3, LineBundleClass(Fraction(0), -1, CTX3.zero_torsion())) == 0
 
 
@@ -185,8 +185,8 @@ def test_bundle_invariants_make_no_fraction(monkeypatch):
     hitchin = diagonal_shape(CTX3, CTX3.deg_k, torsion=e(CTX3, 2))
     rank1 = max_sl2(CTX3, e(CTX3, 1))
     image = irr_embed(CTX3, rank1)
-    bundles = [hitchin.N, rank1.L, LineBundleClass(0, 0, CTX3.zero_torsion()),
-               LineBundleClass(0, 0, e(CTX3, 0)),
+    bundles = [hitchin.N, rank1.L, LineBundleClass(Fraction(0), 0, CTX3.zero_torsion()),
+               LineBundleClass(Fraction(0), 0, e(CTX3, 0)),
                LineBundleClass.canonical(CTX3), LineBundleClass.canonical(CTX3, -2),
                LineBundleClass(Fraction(-3, 2), 2, CTX3.zero_torsion())]
     bundles += [s.bundle for s in (hitchin.beta1, hitchin.beta2, hitchin.beta3,
@@ -353,6 +353,13 @@ def test_cayley_requires_polystable():
     bad = diagonal_shape(CTX3, 2, b2=0)
     with pytest.raises(NotPolystable):
         cayley_partner(CTX3, bad)
+
+
+@pytest.mark.parametrize("spin", ["010000", 4, (0, 1, 0, 0, 0, 0)])
+def test_cayley_spin_choice_must_be_an_f2_vector(spin):
+    with pytest.raises(TypeError) as info:
+        cayley_partner(CTX3, diagonal_shape(CTX3, 1), spin)
+    assert str(info.value) == "spin_choice %r is not of type F2Vector" % (spin,)
 
 
 def test_sw_invariants_torsion_pairing():
@@ -557,6 +564,15 @@ def test_irr_embed_rejects_unstable():
         irr_embed(CTX3, max_sl2(CTX3, gamma=0))
 
 
+@pytest.mark.parametrize("datum", [
+    diagonal_shape(CTX3, 1), cover_shape(CTX3), irr_embed(CTX3, max_sl2(CTX3)),
+    sh.DirectSum((max_sl2(CTX3),))])
+def test_irr_embed_takes_only_a_rank1_datum(datum):
+    with pytest.raises(sh.WrongShape) as info:
+        irr_embed(CTX3, datum)
+    assert str(info.value) == "the irreducible embedding expects a rank-1 (sl2r) datum"
+
+
 def test_irr_embed_zero_beta_is_the_component_minimum():
     img = irr_embed(CTX3, max_sl2(CTX3, beta=0))
     assert is_hitchin_minimum(CTX3, img)
@@ -734,6 +750,16 @@ def test_normal_form_rejects_unstable():
 def test_normal_form_rejects_c_zero():
     with pytest.raises(OutOfClassifiedRange):
         iso_normal_form(CTX3, diagonal_shape(CTX3, 0))
+
+
+@pytest.mark.parametrize("datum", [
+    cover_shape(CTX3), torsion_split(CTX3, e(CTX3, 0), e(CTX3, 1)), max_sl2(CTX3),
+    sh.DirectSum((diagonal_shape(CTX3, 1),))])
+def test_normal_form_takes_only_a_diagonal_datum(datum):
+    # checked before validation: the cover shape has no c invariant
+    with pytest.raises(sh.WrongShape) as info:
+        iso_normal_form(CTX3, datum)
+    assert str(info.value) == "normal-form expects a diagonal-shape datum"
 
 
 # -- slot/shape validation -------------------------------------------------------------

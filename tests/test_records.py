@@ -6,17 +6,20 @@ hashes decide set and dict iteration order, so both are pinned exactly.
 """
 
 import os
+import re
 import subprocess
 import sys
 import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Union
 
 import pytest
 
 import sp4higgs as sh
 from sp4higgs import f2, higgs, liegroup, matalg, moduli, numfield, verify
+from sp4higgs._record import Record
 
 F = sh.F2Vector.from_string
 BUNDLE = sh.LineBundleClass(Fraction(1, 2), 1, F("0110"))
@@ -172,10 +175,10 @@ def test_default_construction(cls):
 
 
 def test_constructors_normalize_their_fields():
-    # an int k_power becomes a Fraction, coefficients become field
-    # elements and nested sums flatten, as the reprs show
-    assert repr(sh.LineBundleClass(1, 0, F("00"))) == (
-        "LineBundleClass(k_power=Fraction(1, 1), extra_degree=0, torsion=F2Vector(00))")
+    # coefficients become field elements and nested sums flatten, as the
+    # reprs show; an int k_power is not made a Fraction but rejected
+    with pytest.raises(TypeError, match="^k_power 1 is not of type Fraction$"):
+        sh.LineBundleClass(1, 0, F("00"))
     slot = sh.SectionSlot(BUNDLE, [1, Fraction(1, 2)])
     assert slot.coeffs == (sh.ONE, sh.fe(Fraction(1, 2)))
     assert type(slot.coeffs) is tuple
@@ -235,26 +238,30 @@ def test_reduction_verdict_mirrors_emptiness():
 
 # -- what constructors accept -------------------------------------------------------
 
-# int fields take the exact type int: a bool is an int, but datum_to_json
-# would write it as true/false, which datum_from_json refuses
+# a field takes exactly the class its annotation names: a bool is an int,
+# but datum_to_json would write it as true/false, which datum_from_json
+# refuses
 
 
 @pytest.mark.parametrize("genus", [2.5, 3.0, Fraction(3), "3", None, True, False])
 def test_genus_must_be_an_int(genus):
-    with pytest.raises(TypeError, match="is not an int"):
+    with pytest.raises(TypeError, match="^genus .* is not of type int$"):
         sh.CurveCtx(genus)
 
 
-@pytest.mark.parametrize("k_power", [0.5, 1.0, "1/2", Decimal("0.5"), None, True, False])
+# the k_power field takes a Fraction only: an int is rejected too, not
+# converted (the test keeps its name, and so its ids)
+@pytest.mark.parametrize("k_power", [0.5, 1.0, "1/2", Decimal("0.5"), None, True, False,
+                                     0, 1, -3])
 def test_k_power_must_be_an_int_or_fraction(k_power):
-    with pytest.raises(TypeError, match="is not an int or Fraction"):
+    with pytest.raises(TypeError, match="^k_power .* is not of type Fraction$"):
         sh.LineBundleClass(k_power, 0, F("0000"))
 
 
 @pytest.mark.parametrize("extra_degree", [3.0, 0.5, Fraction(3), "3", None, True, False])
 def test_extra_degree_must_be_an_int(extra_degree):
-    with pytest.raises(TypeError, match="^extra_degree .* is not an int$"):
-        sh.LineBundleClass(0, extra_degree, F("0000"))
+    with pytest.raises(TypeError, match="^extra_degree .* is not of type int$"):
+        sh.LineBundleClass(Fraction(0), extra_degree, F("0000"))
 
 
 # a label is an F2Vector: a bitstring would add by concatenation, so
@@ -270,62 +277,86 @@ LABELS = {
 @pytest.mark.parametrize("label", ["0100", "1000", 4, (0, 1, 0, 0), None])
 @pytest.mark.parametrize("field", list(LABELS))
 def test_labels_must_be_f2_vectors(field, label):
-    with pytest.raises(TypeError, match="^%s .* is not an F2Vector$" % field):
+    with pytest.raises(TypeError, match="^%s .* is not of type F2Vector$" % field):
         LABELS[field](label)
 
 
 @pytest.mark.parametrize("h0_override", [2.0, Fraction(2), "2", Decimal(2), True, False])
 def test_h0_override_must_be_an_int_or_none(h0_override):
-    with pytest.raises(TypeError, match="^h0_override .* is not an int$"):
+    with pytest.raises(TypeError, match="^h0_override .* is not of type int$"):
         sh.SectionSlot(BUNDLE, (), h0_override=h0_override)
 
 
-def test_suite_reports_hash_and_hold_tuples():
-    reports = verify.run_suite("all")
-    assert [r.suite for r in reports] == list(verify.SUITES)
-    for report in reports:
-        assert type(report.checks) is tuple
-        assert hash(report) == hash((report.suite, report.checks))
+W1 = F("0100")
+VALUES = {cls: values for cls, values, _ in RECORDS}
+
+# (record, positional arguments, keyword arguments, the field holding a value
+# of another type, the class its annotation names): every record with a
+# checked field has a row; DirectSum's one field, a Tuple, is not checked
+REJECTED = [
+    (sh.CurveCtx, (True,), {}, "genus", "int"),
+    (sh.LineBundleClass, (Fraction(1, 2), 0, "0100"), {}, "torsion", "F2Vector"),
+    (sh.SectionSlot, ("K", ()), {}, "bundle", "LineBundleClass"),
+    (sh.StabilityReport, ("Stable", "c"), {}, "verdict", "Stability"),
+    (sh.StabilityReport, (sh.Stability.STABLE, "c", 0), {}, "non_simple", "bool"),
+    (sh.CayleyCase, ("torsion",), {"m1": "01", "m2": "10"}, "m1", "F2Vector"),
+    (sh.CayleyCase, ("cover",), {"w1": W1, "w2": True}, "w2", "int"),
+    (sh.CayleyPartner, (sh.CayleyCase("split"), 1), {}, "theta_present", "bool"),
+    (sh.SWInvariants, (2, "0000", 1), {}, "w1", "F2Vector"),
+    (sh.DiagonalShape, ("N", SLOT, SLOT, SLOT), {}, "N", "LineBundleClass"),
+    (sh.CoverOrthShape, (W1, True), {}, "w2", "int"),
+    (sh.CoverOrthShape, (W1, 1.0), {}, "w2", "int"),
+    (sh.TorsionSplitShape, (W1, F("1000"), SLOT, None), {}, "beta2", "SectionSlot"),
+    (sh.SL2RDatum, (BUNDLE, SLOT, (sh.I_UNIT,)), {}, "gamma", "SectionSlot"),
+    (sh.IrreducibleImage, ("L", SLOT, SLOT), {}, "L", "LineBundleClass"),
+    (moduli.Hitchin, ("0101",), {}, "spin", "F2Vector"),
+    (moduli.ZeroSW, (1.0,), {}, "c", "int"),
+    (moduli.SW, ("0100", 1), {}, "w1", "F2Vector"),
+    (moduli.SW, (W1, 1.0), {}, "w2", "int"),
+    (moduli.ReductionVerdict, (frozenset(), 1), {}, "zariski_dense_component", "bool"),
+    (moduli.ComponentCount, (), dict(VALUES[moduli.ComponentCount], total=48.0), "total", "int"),
+    (moduli.FiberGeometry, (), {"c": 1, "r": 11, "s": 6, "base_dim": 4, "extra": 9.0},
+     "extra", "int"),
+    (liegroup.NormalizerReport, (), dict(VALUES[liegroup.NormalizerReport], det_value=1),
+     "det_value", "FieldElem"),
+    (verify.Check, ("id", "ref", 1), {}, "passed", "bool"),
+    (verify.Report, (b"lie", ()), {}, "suite", "str"),
+]
 
 
-def test_exact_genus_and_k_power_are_kept():
-    assert type(sh.CurveCtx(3).genus) is int
-    assert sh.CurveCtx(3).deg_k == 4
-    with pytest.raises(ValueError, match="^genus must be at least 2$"):
-        sh.CurveCtx(1)
-    for k_power in (3, Fraction(3, 2), Fraction(-4, 2)):
-        bundle = sh.LineBundleClass(k_power, 0, F("0000"))
-        assert type(bundle.k_power) is Fraction
-        assert bundle.k_power == k_power
+def test_every_record_with_a_checked_field_has_a_rejected_row():
+    assert {row[0] for row in REJECTED} == {cls for cls, _, _ in RECORDS} - {sh.DirectSum}
 
 
-# -- import cost --------------------------------------------------------------------
+@pytest.mark.parametrize("cls, args, kwargs, field, kind", REJECTED,
+                         ids=["%s.%s" % (row[0].__name__, row[3]) for row in REJECTED])
+def test_a_field_rejects_a_value_of_another_type(cls, args, kwargs, field, kind):
+    """The type test runs before ``__post_init__``, so a value whose
+    check would have failed on a missing attribute is a TypeError too."""
+    bad = dict(zip(cls._fields, args), **kwargs)[field]
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    assert str(info.value) == "%s %r is not of type %s" % (field, bad, kind)
 
 
-def test_import_leaves_out_dataclasses_and_the_io_modules():
-    """``import sp4higgs`` builds its records without ``dataclasses``
-    (whose ``inspect`` import took most of the import's time) and does
-    not load the CLI or the JSON codec."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, sp4higgs\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'sp4higgs.cli', "
-            "'sp4higgs.jsonio', 'sp4higgs.higgs') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.split() == ["sp4higgs.higgs"]
+def test_generic_annotations_are_not_checked():
+    class Loose(Record):
+        items: "Tuple[int, ...]"
+        kinds: "FrozenSet[str]"
+        count: "Optional[int]" = None
+
+    loose = Loose(["a"], {1.5})
+    assert (loose.items, loose.kinds, loose.count) == (["a"], {1.5}, None)
+    with pytest.raises(TypeError, match="^count 1.0 is not of type int$"):
+        Loose((), (), 1.0)
 
 
-# -- the package's names -------------------------------------------------------------
+Alias = Union[int, str]
 
 
-def test_package_exports_exactly_the_modules_all():
-    """The package's public names are the union of the ``__all__`` of
-    the modules it re-exports, each bound to the module's own object."""
-    modules = (numfield, matalg, liegroup, f2, higgs, moduli)
-    owner = {name: module for module in modules for name in module.__all__}
-    assert len(owner) == sum(len(module.__all__) for module in modules)
-    public = {name for name, value in vars(sh).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == set(owner)
-    for name, module in owner.items():
-        assert getattr(sh, name) is getattr(module, name), name
+@pytest.mark.parametrize("annotation", ["Nowhere", "Alias", "Optional[Alias]"])
+def test_an_annotation_that_names_no_class_raises_when_the_class_is_made(annotation):
+    message = "^field x: annotation %s names no class$" % re.escape(repr(annotation))
+    with pytest.raises(NameError, match=message):
+        type("Broken", (Record,), {"__annotations__": {"x": annotation},
+                                   "__module__": __name__})
