@@ -287,8 +287,29 @@ def test_h0_override_must_be_an_int_or_none(h0_override):
         sh.SectionSlot(BUNDLE, (), h0_override=h0_override)
 
 
+def test_suite_reports_hash_and_hold_tuples():
+    reports = verify.run_suite("all")
+    assert [r.suite for r in reports] == list(verify.SUITES)
+    for report in reports:
+        assert type(report.checks) is tuple
+        assert hash(report) == hash((report.suite, report.checks))
+
+
+def test_exact_genus_and_k_power_are_kept():
+    assert type(sh.CurveCtx(3).genus) is int
+    assert sh.CurveCtx(3).deg_k == 4
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        sh.CurveCtx(1)
+    for k_power in (Fraction(3), Fraction(3, 2), Fraction(-4, 2)):
+        bundle = sh.LineBundleClass(k_power, 0, F("0000"))
+        assert type(bundle.k_power) is Fraction
+        assert bundle.k_power == k_power
+    with pytest.raises(TypeError, match="^k_power 3 is not of type Fraction$"):
+        sh.LineBundleClass(3, 0, F("0000"))
+
+
 W1 = F("0100")
-VALUES = {cls: values for cls, values, _ in RECORDS}
+VALUES ={cls: values for cls, values, _ in RECORDS}
 
 # (record, positional arguments, keyword arguments, the field holding a value
 # of another type, the class its annotation names): every record with a
@@ -360,3 +381,35 @@ def test_an_annotation_that_names_no_class_raises_when_the_class_is_made(annotat
     with pytest.raises(NameError, match=message):
         type("Broken", (Record,), {"__annotations__": {"x": annotation},
                                    "__module__": __name__})
+
+
+# -- import cost --------------------------------------------------------------------
+
+
+def test_import_leaves_out_dataclasses_and_the_io_modules():
+    """``import sp4higgs`` builds its records without ``dataclasses``
+    (whose ``inspect`` import took most of the import's time) and does
+    not load the CLI or the JSON codec."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, sp4higgs\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'sp4higgs.cli', "
+            "'sp4higgs.jsonio', 'sp4higgs.higgs') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.split() == ["sp4higgs.higgs"]
+
+
+# -- the package's names -------------------------------------------------------------
+
+
+def test_package_exports_exactly_the_modules_all():
+    """The package's public names are the union of the ``__all__`` of
+    the modules it re-exports, each bound to the module's own object."""
+    modules = (numfield, matalg, liegroup, f2, higgs, moduli)
+    owner = {name: module for module in modules for name in module.__all__}
+    assert len(owner) == sum(len(module.__all__) for module in modules)
+    public = {name for name, value in vars(sh).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(owner)
+    for name, module in owner.items():
+        assert getattr(sh, name) is getattr(module, name), name
