@@ -60,8 +60,8 @@ print()
 print("== Cayley partner and invariants ==")
 d0 = diag(0, 0, 0)
 cp = cayley_partner(ctx, d0)
-print("c = 0 shape: Cayley case:", cp.case.kind,
-      " deg L:", cp.case.L.degree(ctx), " theta:", cp.theta_present)
+print("c = 0 shape: Cayley case:", type(cp).__name__,
+      " deg L:", cp.L.degree(ctx), " theta:", cp.theta_present)
 print("invariants:", sw_invariants(ctx, d0))
 
 print()

@@ -10,6 +10,10 @@ pointwise.
 The explicit maximal shapes, the stability and polystability verdicts,
 Cayley partners, Stiefel-Whitney invariants, the subgroup-reduction
 checkers and the irreducible embedding of rank-1 data all live here.
+A Cayley partner W is one of three records, each holding only what its
+form needs: SplitPartner (W = L + L^-1), CoverPartner (from a connected
+double cover) and TorsionPartner (W = M1 + M2, M_i 2-torsion); each
+reads its own Stiefel-Whitney invariants.
 Each shape class carries its own rules; the module-level functions
 check their preconditions once and call the shape's rule.  The records
 carry no JSON: the datum file format, both directions, is in jsonio.
@@ -43,9 +47,10 @@ __all__ = [
     "HiggsDatum",
     "Stability",
     "StabilityReport",
-    "CayleyCase",
-    "CayleyPartner",
     "SWInvariants",
+    "SplitPartner",
+    "CoverPartner",
+    "TorsionPartner",
     "h0",
     "milnor_wood",
     "toledo",
@@ -278,25 +283,6 @@ class StabilityReport(Record):
     non_simple: bool = False
 
 
-class CayleyCase(Record):
-    """One of the three orthogonal rank-2 possibilities:
-    kind "split" (W = L + L^-1, w1 = 0), kind "cover" (connected double
-    cover, w1 != 0), kind "torsion" (W = M1 + M2 with 2-torsion M_i).
-    """
-
-    kind: str
-    L: Optional[LineBundleClass] = None
-    w1: Optional[F2Vector] = None
-    w2: Optional[int] = None
-    m1: Optional[F2Vector] = None
-    m2: Optional[F2Vector] = None
-
-
-class CayleyPartner(Record):
-    case: CayleyCase
-    theta_present: bool
-
-
 class SWInvariants(Record):
     """Topological invariants: Toledo d, first class w1, and either the
     integer lift c (only defined when w1 = 0 on rank-2 maximal data) or
@@ -315,14 +301,52 @@ class SWInvariants(Record):
                 raise ValueError("w2 must be the parity of c")
 
 
+# -- Cayley partners (W, theta): the bundle W, and whether theta is nonzero ---
+
+
+class SplitPartner(Record):
+    """W = L + L^-1: w1 = 0, and the integer lift c is deg L."""
+
+    L: LineBundleClass
+    theta_present: bool
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        c = self.L.degree(ctx)
+        return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
+
+
+class CoverPartner(Record):
+    """W from a connected double cover: w1 != 0 is the cover's class."""
+
+    w1: F2Vector
+    w2: int
+    theta_present: bool
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        return SWInvariants(ctx.deg_k, self.w1, self.w2)
+
+
+class TorsionPartner(Record):
+    """W = M1 + M2 with M_i 2-torsion: w1 = m1 + m2, w2 = <m1, m2>."""
+
+    m1: F2Vector
+    m2: F2Vector
+    theta_present: bool
+
+    def sw(self, ctx: CurveCtx) -> SWInvariants:
+        w1 = self.m1 + self.m2
+        # equal labels give w1 = 0; the datum is then the c = 0 shape
+        return SWInvariants(ctx.deg_k, w1, self.m1.pairing(self.m2),
+                            c=0 if w1.is_zero else None)
+
+
 def _split_partner(ctx: CurveCtx, n: LineBundleClass, spin: F2Vector,
-                   slots: Tuple[SectionSlot, ...]) -> CayleyPartner:
+                   slots: Tuple[SectionSlot, ...]) -> SplitPartner:
     """Partner of a datum on V = N + N^-1 K: W = L + L^-1 with
     L = N K^(-1/2) for the square root labeled ``spin``, and theta
     present when some section of the Higgs field is nonzero."""
     l = n * LineBundleClass.half_canonical(ctx, spin).dual()
-    return CayleyPartner(CayleyCase(kind="split", L=l),
-                         not all(s.is_zero for s in slots))
+    return SplitPartner(l, not all(s.is_zero for s in slots))
 
 
 def _check_torsion_length(ctx: CurveCtx, name: str, bundle: LineBundleClass):
@@ -354,7 +378,9 @@ class _Shape:
     shape has degree 2g-2 unless it says otherwise.  ``sw`` and
     ``hitchin_spin`` assume a maximal polystable datum in canonical form
     (see _require_maximal_polystable), and a rank-2 shape reads ``sw`` off
-    its Cayley partner at the base root.  ``cayley``, the reduction rules
+    its Cayley partner at the base root: ``cayley`` builds a SplitPartner,
+    CoverPartner or TorsionPartner, and that record's ``sw`` holds the
+    rule.  ``cayley``, the reduction rules
     ``gdelta``/``sl2xsl2``/``gp`` and ``minimum``, the limit of the C*
     action (the rule per shape is in the module-level ``minimum``), are
     the rank-2 shapes' own, reached through _rank2, which rejects any
@@ -368,16 +394,7 @@ class _Shape:
         return ctx.deg_k
 
     def sw(self, ctx: CurveCtx) -> SWInvariants:
-        case = self.cayley(ctx, ctx.zero_torsion()).case
-        if case.kind == "cover":
-            return SWInvariants(ctx.deg_k, case.w1, case.w2)
-        if case.kind == "split":
-            c = case.L.degree(ctx)
-            return SWInvariants(ctx.deg_k, ctx.zero_torsion(), c % 2, c=c)
-        w1 = case.m1 + case.m2
-        # equal labels give w1 = 0; the datum is then the c = 0 shape
-        return SWInvariants(ctx.deg_k, w1, case.m1.pairing(case.m2),
-                            c=0 if w1.is_zero else None)
+        return self.cayley(ctx, ctx.zero_torsion()).sw(ctx)
 
     def gp(self, ctx: CurveCtx) -> bool:
         return self.sl2xsl2(ctx)
@@ -436,7 +453,7 @@ class DiagonalShape(_Shape, Record):
         return StabilityReport(Stability.SEMISTABLE_NOT_POLY,
                                "diagonal, deg N = g-1, exactly one of beta1, beta2 nonzero")
 
-    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> SplitPartner:
         return _split_partner(ctx, self.N, spin,
                               (self.beta1, self.beta2, self.beta3))
 
@@ -489,11 +506,10 @@ class CoverOrthShape(_Shape, Record):
         return StabilityReport(Stability.STABLE,
                                "connected-cover orthogonal bundle is stable")
 
-    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CoverPartner:
         # W (x) M_s for the root moved by s: w2 gains <w1, s>
         w2 = (self.w2 + self.w1.pairing(spin)) % 2
-        return CayleyPartner(CayleyCase(kind="cover", w1=self.w1, w2=w2),
-                             self.beta_present)
+        return CoverPartner(self.w1, w2, self.beta_present)
 
     def gdelta(self, ctx: CurveCtx) -> bool:
         return not self.beta_present
@@ -536,11 +552,9 @@ class TorsionSplitShape(_Shape, Record):
                                "torsion-split, L1 != L2 (stable but not simple)",
                                non_simple=True)
 
-    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> TorsionPartner:
         theta = not (self.beta1.is_zero and self.beta2.is_zero)
-        return CayleyPartner(
-            CayleyCase(kind="torsion", m1=self.t1 + spin, m2=self.t2 + spin),
-            theta)
+        return TorsionPartner(self.t1 + spin, self.t2 + spin, theta)
 
     def gdelta(self, ctx: CurveCtx) -> bool:
         return self.beta1.coeffs == self.beta2.coeffs
@@ -620,7 +634,7 @@ class IrreducibleImage(_RankOneBase, Record):
         return StabilityReport(Stability.STABLE,
                                "irreducible image, deg L = 0, both fields nonzero")
 
-    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> CayleyPartner:
+    def cayley(self, ctx: CurveCtx, spin: F2Vector) -> SplitPartner:
         return _split_partner(ctx, self.L.power(3), spin, (self.beta, self.gamma))
 
     def gdelta(self, ctx: CurveCtx) -> bool:
@@ -779,10 +793,13 @@ def _resolved(ctx: CurveCtx, datum: HiggsDatum) -> HiggsDatum:
 
 
 def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
-                   spin_choice: Optional[F2Vector] = None) -> CayleyPartner:
+                   spin_choice: Optional[F2Vector] = None
+                   ) -> SplitPartner | CoverPartner | TorsionPartner:
     """Orthogonal partner W = V* (x) L0 of a maximal polystable datum,
     for the square root L0 of K labeled by ``spin_choice`` (default: the
-    base root, label zero)."""
+    base root, label zero): a SplitPartner for the diagonal shape and the
+    irreducible image, a CoverPartner for the connected-cover shape and a
+    TorsionPartner for the torsion split."""
     datum = _rank2(ctx, datum)
     spin = spin_choice if spin_choice is not None else ctx.zero_torsion()
     if type(spin) is not F2Vector:

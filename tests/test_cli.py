@@ -370,9 +370,11 @@ def test_the_writer_raises_value_error_past_the_int_digit_limit():
 
 # Hypothesis draws its examples partly from constants in the package's
 # source, so which shapes the property above meets moves with any edit;
-# a string printed on its own is pinned here
-@pytest.mark.parametrize("obj", ["", 'a "quoted" \\ line\n', "\u00e9\ud800\U0001f600"])
-def test_the_writer_quotes_a_top_level_string(obj):
+# each branch of the writer that a top-level value takes on its own (a
+# string, the empty dict, None) is pinned here
+@pytest.mark.parametrize("obj", ["", 'a "quoted" \\ line\n', "\u00e9\ud800\U0001f600",
+                                 {}, None])
+def test_the_writer_prints_a_top_level_string_empty_dict_or_none(obj):
     assert _json(obj) + "\n" == printed(obj)
 
 

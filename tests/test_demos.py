@@ -1,4 +1,5 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion and prints
+exactly its frozen output, demos/expected/<name>.out."""
 
 import os
 import subprocess
@@ -19,3 +20,5 @@ def test_demo_runs(script):
     result = subprocess.run([sys.executable, str(script)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    expected = ROOT / "demos" / "expected" / (script.stem + ".out")
+    assert result.stdout == expected.read_text(encoding="utf-8")

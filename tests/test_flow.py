@@ -51,13 +51,13 @@ def _spins(ctx):
             for _ in range(8)]
 
 
-def _w1_w2(ctx, case):
+def _w1_w2(ctx, partner):
     """Stiefel-Whitney classes of an orthogonal partner W."""
-    if case.kind == "cover":
-        return case.w1, case.w2
-    if case.kind == "torsion":
-        return case.m1 + case.m2, case.m1.pairing(case.m2)
-    return ctx.zero_torsion(), case.L.degree(ctx) % 2
+    if type(partner) is sh.CoverPartner:
+        return partner.w1, partner.w2
+    if type(partner) is sh.TorsionPartner:
+        return partner.m1 + partner.m2, partner.m1.pairing(partner.m2)
+    return ctx.zero_torsion(), partner.L.degree(ctx) % 2
 
 
 def test_corpus_has_the_classifiable_rank2_data():
@@ -70,18 +70,17 @@ def test_corpus_has_the_classifiable_rank2_data():
 def test_cayley_partner_is_spin_covariant():
     for ident, ctx, datum, _ in RANK2:
         base = sh.cayley_partner(ctx, datum)
-        w1, w2 = _w1_w2(ctx, base.case)
+        w1, w2 = _w1_w2(ctx, base)
         for s in _spins(ctx):
             moved = sh.cayley_partner(ctx, datum, s)
             where = (ident, s)
-            assert moved.case.kind == base.case.kind, where
+            assert type(moved) is type(base), where
             assert moved.theta_present == base.theta_present, where
-            assert _w1_w2(ctx, moved.case) == (w1, (w2 + w1.pairing(s)) % 2), where
-            if base.case.kind == "split":
-                assert moved.case.L == base.case.L * LineBundleClass(Fraction(0), 0, s), where
-            if base.case.kind == "torsion":
-                assert (moved.case.m1, moved.case.m2) == (
-                    base.case.m1 + s, base.case.m2 + s), where
+            assert _w1_w2(ctx, moved) == (w1, (w2 + w1.pairing(s)) % 2), where
+            if type(base) is sh.SplitPartner:
+                assert moved.L == base.L * LineBundleClass(Fraction(0), 0, s), where
+            if type(base) is sh.TorsionPartner:
+                assert (moved.m1, moved.m2) == (base.m1 + s, base.m2 + s), where
 
 
 def _rule_per_c_range(ctx, datum):

@@ -7,12 +7,13 @@ import pytest
 
 import sp4higgs as sh
 from sp4higgs import (
-    CurveCtx, DiagonalShape, F2Vector, LineBundleClass, NotMaximal,
-    NotPolystable, OutOfClassifiedRange, RequiresExplicitH0, SectionSlot,
-    Stability, cayley_partner, direct_sum, gdelta_reduction_check,
-    gp_reduction_check, h0, irr_embed, is_hitchin_minimum, is_maximal,
-    iso_normal_form, milnor_wood, sl2xsl2_reduction_check, stability_report,
-    stability_sl2, stability_sp4, sw_invariants, toledo,
+    CoverPartner, CurveCtx, DiagonalShape, F2Vector, LineBundleClass,
+    NotMaximal, NotPolystable, OutOfClassifiedRange, RequiresExplicitH0,
+    SectionSlot, SplitPartner, Stability, cayley_partner, direct_sum,
+    gdelta_reduction_check, gp_reduction_check, h0, irr_embed,
+    is_hitchin_minimum, is_maximal, iso_normal_form, milnor_wood,
+    sl2xsl2_reduction_check, stability_report, stability_sl2, stability_sp4,
+    sw_invariants, toledo,
 )
 
 from builders import (
@@ -318,24 +319,24 @@ def test_sl2_degree_above_bound_forced_unstable():
 def test_cayley_split_case_low():
     d = diagonal_shape(CTX3, 0, b1=0, b2=0)
     cp = cayley_partner(CTX3, d)
-    assert cp.case.kind == "split"
-    assert cp.case.L.degree(CTX3) == 0
+    assert type(cp) is SplitPartner
+    assert cp.L.degree(CTX3) == 0
     assert not cp.theta_present
 
 
 def test_cayley_split_case_hitchin():
     d = diagonal_shape(CTX3, CTX3.deg_k)
     cp = cayley_partner(CTX3, d)
-    assert cp.case.kind == "split"
-    assert cp.case.L.degree(CTX3) == CTX3.deg_k
+    assert type(cp) is SplitPartner
+    assert cp.L.degree(CTX3) == CTX3.deg_k
     assert cp.theta_present  # beta2 is the unit section
 
 
 def test_cayley_cover_passthrough():
     d = cover_shape(CTX3, w1=e(CTX3, 2), w2=1)
     cp = cayley_partner(CTX3, d)
-    assert cp.case.kind == "cover"
-    assert cp.case.w1 == e(CTX3, 2) and cp.case.w2 == 1
+    assert type(cp) is CoverPartner
+    assert cp.w1 == e(CTX3, 2) and cp.w2 == 1
 
 
 def test_cover_w1_of_another_length_is_rejected():

@@ -42,13 +42,12 @@ RECORDS = [
      {"verdict": sh.Stability.STABLE, "clause": "a clause", "non_simple": True},
      "StabilityReport(verdict=<Stability.STABLE: 'Stable'>, clause='a clause', "
      "non_simple=True)"),
-    (sh.CayleyCase,
-     {"kind": "cover", "L": None, "w1": F("1000"), "w2": 1, "m1": None, "m2": None},
-     "CayleyCase(kind='cover', L=None, w1=F2Vector(1000), w2=1, m1=None, m2=None)"),
-    (sh.CayleyPartner,
-     {"case": sh.CayleyCase("split", L=BUNDLE), "theta_present": True},
-     "CayleyPartner(case=CayleyCase(kind='split', L=%s, w1=None, w2=None, "
-     "m1=None, m2=None), theta_present=True)" % B),
+    (sh.SplitPartner, {"L": BUNDLE, "theta_present": True},
+     "SplitPartner(L=%s, theta_present=True)" % B),
+    (sh.CoverPartner, {"w1": F("1000"), "w2": 1, "theta_present": False},
+     "CoverPartner(w1=F2Vector(1000), w2=1, theta_present=False)"),
+    (sh.TorsionPartner, {"m1": F("0110"), "m2": F("1000"), "theta_present": True},
+     "TorsionPartner(m1=F2Vector(0110), m2=F2Vector(1000), theta_present=True)"),
     (sh.SWInvariants, {"toledo": 2, "w1": F("0000"), "w2": 1, "c": 3},
      "SWInvariants(toledo=2, w1=F2Vector(0000), w2=1, c=3)"),
     (sh.DiagonalShape, {"N": BUNDLE, "beta1": SLOT, "beta2": SLOT, "beta3": SLOT},
@@ -96,8 +95,6 @@ RECORDS = [
 DEFAULTS = {
     sh.SectionSlot: ((BUNDLE, (sh.I_UNIT,)), {"h0_override": None}),
     sh.StabilityReport: ((sh.Stability.STABLE, "a clause"), {"non_simple": False}),
-    sh.CayleyCase: (("split",), {"L": None, "w1": None, "w2": None,
-                                 "m1": None, "m2": None}),
     sh.SWInvariants: ((2, F("1000"), 1), {"c": None}),
     sh.CoverOrthShape: ((F("1000"), 1), {"beta_present": False}),
     verify.Check: (("id", "ref", True), {"detail": ""}),
@@ -116,8 +113,8 @@ def _hash_or_error(obj):
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == 22
-    assert len({cls for cls, _, _ in RECORDS}) == 22
+    assert len(RECORDS) == 23
+    assert len({cls for cls, _, _ in RECORDS}) == 23
 
 
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=_ids(RECORDS))
@@ -309,7 +306,7 @@ def test_exact_genus_and_k_power_are_kept():
 
 
 W1 = F("0100")
-VALUES ={cls: values for cls, values, _ in RECORDS}
+VALUES = {cls: values for cls, values, _ in RECORDS}
 
 # (record, positional arguments, keyword arguments, the field holding a value
 # of another type, the class its annotation names): every record with a
@@ -320,9 +317,10 @@ REJECTED = [
     (sh.SectionSlot, ("K", ()), {}, "bundle", "LineBundleClass"),
     (sh.StabilityReport, ("Stable", "c"), {}, "verdict", "Stability"),
     (sh.StabilityReport, (sh.Stability.STABLE, "c", 0), {}, "non_simple", "bool"),
-    (sh.CayleyCase, ("torsion",), {"m1": "01", "m2": "10"}, "m1", "F2Vector"),
-    (sh.CayleyCase, ("cover",), {"w1": W1, "w2": True}, "w2", "int"),
-    (sh.CayleyPartner, (sh.CayleyCase("split"), 1), {}, "theta_present", "bool"),
+    (sh.SplitPartner, (None, False), {}, "L", "LineBundleClass"),
+    (sh.SplitPartner, (BUNDLE, 1), {}, "theta_present", "bool"),
+    (sh.CoverPartner, (W1, True, False), {}, "w2", "int"),
+    (sh.TorsionPartner, ("01", F("10"), False), {}, "m1", "F2Vector"),
     (sh.SWInvariants, (2, "0000", 1), {}, "w1", "F2Vector"),
     (sh.DiagonalShape, ("N", SLOT, SLOT, SLOT), {}, "N", "LineBundleClass"),
     (sh.CoverOrthShape, (W1, True), {}, "w2", "int"),
