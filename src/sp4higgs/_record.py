@@ -2,10 +2,12 @@
 
 Curve contexts, bundle classes, sections, the shapes, verdicts,
 component labels and reports are all records: a fixed tuple of named
-fields, compared and hashed by value.  ``Record`` builds each record
-class when it is defined: it compiles an ``__init__`` and a field-tuple
-getter per class and shares the other methods, so building the classes
-costs little of ``import sp4higgs``.
+fields, compared and hashed by value.  When a record class is defined,
+``Record`` resolves its annotations and writes the source of its
+``__init__`` and field-tuple getter; both compile at the first lookup of
+either, and the other methods are shared.  A process compiles only the
+records it uses, so defining the classes costs little of ``import
+sp4higgs``.
 """
 
 import builtins
@@ -30,12 +32,39 @@ def _type_test(module: str, field: str, annotation: str, scope: dict) -> str:
         "%s %%r is not of type %s" % (field, name), field)
 
 
+class _Uncompiled:
+    """Stands in for a record class's ``__init__`` or ``_values`` until
+    the first lookup of either: it compiles the class's source and puts
+    both functions in the class in place of the two stand-ins, so later
+    lookups find the functions themselves.  It keeps its class because
+    ``owner`` may be a subclass (a lookup through ``super()``).  Two
+    threads that look up at once may both compile, and each puts equal
+    functions in place."""
+
+    __slots__ = ("cls", "name", "source", "scope")
+
+    def __init__(self, cls, name, source, scope):
+        self.cls, self.name, self.source, self.scope = cls, name, source, scope
+
+    def __get__(self, instance, owner=None):
+        namespace = {}
+        exec(self.source, self.scope, namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = self.cls.__qualname__ + ".__init__"
+        self.cls.__init__ = init
+        self.cls._values = namespace["_values"]
+        return namespace[self.name].__get__(instance, owner)
+
+
 class Record:
     """An immutable record of the fields its class annotates.
 
     A subclass declares its fields once, as class annotations in order;
     a class attribute of the same name is that field's default.  The
     class gets an ``__init__`` taking the fields by position or keyword.
+    It and the field-tuple getter ``_values`` are compiled at the first
+    lookup of either (building an instance, comparing or hashing one,
+    ``inspect.signature`` of the class), not when the class is created.
 
     The annotation is the field's one type rule.  A field annotated with
     a class name, or with ``Optional[<class name>]``, takes exactly that
@@ -70,15 +99,11 @@ class Record:
         body += "".join("    _setattr(self, %r, %s)\n" % (n, n) for n in names)
         if hasattr(cls, "__post_init__"):
             body += "    self.__post_init__()\n"
-        namespace = {}
-        exec("def __init__(self, %s):\n%s"
-             "def _values(self):\n    return (%s)\n"
-             % (params, body, "".join("self.%s, " % n for n in names)),
-             scope, namespace)
-        init = namespace["__init__"]
-        init.__qualname__ = cls.__qualname__ + ".__init__"
-        cls.__init__ = init
-        cls._values = namespace["_values"]
+        source = ("def __init__(self, %s):\n%s"
+                  "def _values(self):\n    return (%s)\n"
+                  % (params, body, "".join("self.%s, " % n for n in names)))
+        cls.__init__ = _Uncompiled(cls, "__init__", source, scope)
+        cls._values = _Uncompiled(cls, "_values", source, scope)
         cls._fields = names
 
     def __eq__(self, other):

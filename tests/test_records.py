@@ -5,6 +5,8 @@ Reprs reach CLI error clauses (and, hashed, the golden corpus), and
 hashes decide set and dict iteration order, so both are pinned exactly.
 """
 
+import inspect
+import json
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ import sys
 import types
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Union
 
@@ -395,6 +398,127 @@ def test_import_leaves_out_dataclasses_and_the_io_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.split() == ["sp4higgs.higgs"]
+
+
+# the preamble of the code run in a fresh interpreter: it imports every module
+# of the package, and CLASSES is every record class the package defines
+_FRESH = ("import json, sp4higgs.cli, sp4higgs.jsonio, sp4higgs.verify\n"
+          "from sp4higgs._record import Record, _Uncompiled\n"
+          "def subclasses(cls):\n"
+          "    return [d for c in cls.__subclasses__() for d in (c, *subclasses(c))]\n"
+          "CLASSES = [c for c in subclasses(Record) if c.__module__.startswith('sp4higgs.')]\n"
+          "STAND_INS = {c: (vars(c)['__init__'], vars(c)['_values']) for c in CLASSES}\n"
+          "def fresh():\n"
+          "    for c, (init, values) in STAND_INS.items():\n"
+          "        c.__init__, c._values = init, values\n")
+
+
+def _in_fresh_interpreter(code):
+    """The JSON that ``code`` prints, run after ``_FRESH`` in a new interpreter
+    with ``src/`` and ``tests/`` on its path.  ``STAND_INS`` holds each class's
+    stand-ins as the import left them, and ``fresh()`` puts them back, so the
+    next lookup is a first use again."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    out = subprocess.run([sys.executable, "-c", _FRESH + code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    return json.loads(out.stdout)
+
+
+def test_import_compiles_no_record():
+    """A record class compiles its ``__init__`` and ``_values`` at the first
+    lookup of either, so importing the package, the CLI included, leaves
+    every record class holding both stand-ins."""
+    found = _in_fresh_interpreter(
+        "print(json.dumps([sorted(c.__name__ for c in CLASSES), [c.__name__ for c in CLASSES\n"
+        "    if not all(isinstance(s, _Uncompiled) for s in STAND_INS[c])]]))")
+    assert found == [sorted(cls.__name__ for cls, _, _ in RECORDS), []]
+
+
+# -- the first use of a record class ---------------------------------------------------
+
+# In process the tables above have built most records before any test runs,
+# so each first use is checked in a new interpreter, and what it does is
+# compared with what the same call does here, long after the class was built.
+
+
+def _raw(cls, values):
+    """A record made as ``copy`` and ``pickle`` make one, without ``__init__``."""
+    x = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(x, name, value)
+    return x
+
+
+def _compared_first(cls, values):
+    a, b = _raw(cls, values), _raw(cls, values)
+    return a == b, _hash_or_error(a) == _hash_or_error(tuple(values.values())), repr(a)
+
+
+def _hashed_first(cls, values):
+    a, b = _raw(cls, values), _raw(cls, values)
+    return _hash_or_error(a) == _hash_or_error(tuple(values.values())), a == b, repr(a)
+
+
+def _first_uses():
+    """(key, class, call) for each first use checked: construction by position
+    and by keyword, with the defaults, of a rejected field, and ``==``,
+    ``hash`` and ``repr`` of records that no ``__init__`` built."""
+    for cls, values, _ in RECORDS:
+        name = cls.__name__
+        yield name + " by position", cls, partial(cls, *values.values())
+        yield name + " by keyword", cls, partial(cls, **values)
+        yield name + " compared", cls, partial(_compared_first, cls, values)
+        yield name + " hashed", cls, partial(_hashed_first, cls, values)
+    for cls, (args, _) in DEFAULTS.items():
+        yield cls.__name__ + " defaults by position", cls, partial(cls, *args)
+        yield (cls.__name__ + " defaults by keyword", cls,
+               partial(cls, **dict(zip(cls._fields, args))))
+    for row, (cls, args, kwargs, field, _) in enumerate(REJECTED):
+        yield ("REJECTED[%d] %s.%s" % (row, cls.__name__, field), cls,
+               partial(cls, *args, **kwargs))
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except TypeError as error:
+        return "TypeError: %s" % error
+
+
+def test_first_use_behaves_as_after_the_class_is_built():
+    seen = _in_fresh_interpreter(
+        "import test_records\n"
+        "seen = {}\n"
+        "for key, cls, call in test_records._first_uses():\n"
+        "    fresh()\n"
+        "    first = test_records._outcome(call)\n"
+        "    built = not isinstance(vars(cls)['__init__'], _Uncompiled)\n"
+        "    seen[key] = [first, built, test_records._outcome(call)]\n"
+        "print(json.dumps(seen))")
+    expected = {key: _outcome(call) for key, _, call in _first_uses()}
+    assert len(expected) == 4 * len(RECORDS) + 2 * len(DEFAULTS) + len(REJECTED)
+    assert seen == {key: [outcome, True, outcome] for key, outcome in expected.items()}
+
+
+def test_signature_and_help_before_first_use():
+    """``inspect.signature`` and ``help()`` of a record class that has built
+    no instance list its fields, with the class-attribute defaults."""
+    seen = _in_fresh_interpreter(
+        "import inspect, pydoc\n"
+        "signatures = {c.__name__: str(inspect.signature(c)) for c in CLASSES}\n"
+        "fresh()\n"
+        "helps = {c.__name__: pydoc.plain(pydoc.render_doc(c)) for c in CLASSES}\n"
+        "print(json.dumps([signatures, helps]))")
+    signatures, helps = seen
+    for cls, _, _ in RECORDS:
+        own = vars(cls)
+        expected = inspect.Signature([
+            inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              default=own.get(name, inspect.Parameter.empty))
+            for name in cls._fields])
+        assert signatures[cls.__name__] == str(expected) == str(inspect.signature(cls))
+        assert "\n |  %s%s\n" % (cls.__name__, expected) in helps[cls.__name__]
 
 
 # -- the package's names -------------------------------------------------------------
