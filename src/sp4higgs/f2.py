@@ -45,6 +45,10 @@ class F2Vector:
     def __setattr__(self, name, value):
         raise AttributeError("F2Vector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return F2Vector, (self.value, self.length)
+
     @classmethod
     def zero(cls, two_g: int) -> "F2Vector":
         return cls(0, two_g)
@@ -57,7 +61,7 @@ class F2Vector:
 
     @classmethod
     def from_string(cls, s: str) -> "F2Vector":
-        if not set(s) <= {"0", "1"}:
+        if s.strip("01"):  # some character is neither 0 nor 1
             raise ValueError("bitstring must contain only 0 and 1")
         return cls(int(s, 2) if s else 0, len(s))
 

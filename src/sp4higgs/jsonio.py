@@ -17,14 +17,18 @@ Encoding then decoding is the identity, and output is deterministic
 Decoding is strict: a missing field, a value of the wrong JSON type, a
 rational that does not match the schema's pattern or a value out of the
 schema's range (genus >= 2, w2 in {0, 1}, h0_override >= 0) raises
-ParseError, and nothing is coerced.
+ParseError, and nothing is coerced.  The checks run inline, each value
+tested where it is read, in one reading order that is not the key order
+of the file: genus, shape, then a shape's fields in field order; a
+bundle's k_power, extra_degree, torsion; a slot's coeffs, h0_override,
+each coefficient, then its bundle.  The first value that fails is the one
+the ParseError names, and its message is built only then.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import partial
 from fractions import Fraction
 from typing import Tuple, get_type_hints
 
@@ -46,58 +50,51 @@ class ParseError(ValueError):
 _JSON_TYPE = {dict: "an object", list: "an array", str: "a string",
               int: "an integer", bool: "a boolean"}
 
-
-def _typed(kind: type, value, name: str):
-    """``value``, checked to be of JSON type ``kind``."""
-    # exact type: bool is an int subclass and must not pass for one
-    if type(value) is not kind:
-        raise ParseError("%s must be %s, not %s"
-                         % (name, _JSON_TYPE[kind], type(value).__name__))
-    return value
+# what a decoder reads for a field that the document leaves out
+_MISSING = object()
 
 
-def _parsed(parse, kind: type, value, name: str):
-    """parse(value) for a value of JSON type ``kind``; a value that
-    ``parse`` rejects is a ParseError."""
-    _typed(kind, value, name)
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ParseError("%s: cannot read %r (%s)" % (name, value, exc)) from None
-
-
-def _field(data: dict, name: str):
-    if name not in data:
-        raise ParseError("missing field %r" % name)
-    return data[name]
-
-
-_int = partial(_typed, int)
-_list = partial(_typed, list)
-_f2 = partial(_parsed, F2Vector.from_string, str)
+def _fail(name: str, value, kind: type, why=None):
+    """Raise the ParseError for the value ``value`` of ``name`` that a
+    decoder rejected: a missing field when it is _MISSING, else a value
+    not of JSON type ``kind``, else one of that type that cannot be read,
+    for the reason ``why``.  The decoders test each value inline and call
+    this only on the branch that fails."""
+    raise ParseError(
+        "missing field %r" % name if value is _MISSING
+        # exact type: bool is an int subclass and must not pass for one
+        else "%s must be %s, not %s" % (name, _JSON_TYPE[kind], type(value).__name__)
+        if type(value) is not kind
+        else "%s: cannot read %r (%s)" % (name, value, why)) from None
 
 
 def _at_least(low: int, value, name: str) -> int:
-    if _int(value, name) < low:
+    if type(value) is not int:
+        _fail(name, value, int)
+    if value < low:
         raise ParseError("%s must be at least %d, not %d" % (name, low, value))
     return value
 
 
 def _bit(value, name: str) -> int:
-    if _int(value, name) not in (0, 1):
+    if type(value) is not int:
+        _fail(name, value, int)
+    if value not in (0, 1):
         raise ParseError("%s must be 0 or 1, not %d" % (name, value))
     return value
 
 
+def _f2(value, name: str) -> F2Vector:
+    if type(value) is not str:
+        _fail(name, value, str)
+    try:
+        return F2Vector.from_string(value)
+    except ValueError as exc:
+        _fail(name, value, str, exc)
+
+
 # the datum schema's k_power pattern, ^-?[0-9]+/[12]$
 _K_POWER = re.compile(r"(-?[0-9]+)/([12])")
-
-
-def _k_power(s: str) -> Fraction:
-    m = _K_POWER.fullmatch(s)
-    if m is None:
-        raise ValueError("a k_power is num/1 or num/2")
-    return Fraction(int(m[1]), int(m[2]))
 
 
 def _bundle_json(bundle: LineBundleClass) -> dict:
@@ -107,10 +104,17 @@ def _bundle_json(bundle: LineBundleClass) -> dict:
 
 
 def _bundle(value, name: str) -> LineBundleClass:
-    _typed(dict, value, name)
-    return LineBundleClass(_parsed(_k_power, str, _field(value, "k_power"), "k_power"),
-                           _int(_field(value, "extra_degree"), "extra_degree"),
-                           _f2(_field(value, "torsion"), "torsion"))
+    k = (value.get("k_power", _MISSING) if type(value) is dict
+         else _fail(name, value, dict))
+    m = _K_POWER.fullmatch(k) if type(k) is str else None
+    try:  # no match is a TypeError, a numerator past int's digit limit a ValueError
+        power = Fraction(int(m[1]), int(m[2]))
+    except (TypeError, ValueError) as exc:
+        _fail("k_power", k, str, exc if m else "a k_power is num/1 or num/2")
+    extra = value.get("extra_degree", _MISSING)
+    if type(extra) is not int:
+        _fail("extra_degree", extra, int)
+    return LineBundleClass(power, extra, _f2(value.get("torsion", _MISSING), "torsion"))
 
 
 # the canonical zero coefficient, most of the coefficients of data at the
@@ -129,15 +133,22 @@ def _slot_json(slot: SectionSlot) -> dict:
 
 
 def _slot(value, name: str) -> SectionSlot:
-    _typed(dict, value, name)
-    coeffs = _list(_field(value, "coeffs"), "coeffs")
+    coeffs = (value.get("coeffs", _MISSING) if type(value) is dict
+              else _fail(name, value, dict))
+    if type(coeffs) is not list:
+        _fail("coeffs", coeffs, list)
     override = (_at_least(0, value["h0_override"], "h0_override")
                 if "h0_override" in value else None)
-    # the exact type test keeps a list subclass from passing for an array
-    elems = [ZERO if type(c) is list and c == _ZERO_COEFF
-             else _parsed(FieldElem.from_json, list, c, "coefficient")
-             for c in coeffs]
-    return SectionSlot(_bundle(_field(value, "bundle"), "bundle"), elems, override)
+    elems = []
+    for c in coeffs:
+        # the exact type test keeps a list subclass from passing for an array
+        if type(c) is not list:
+            _fail("coefficient", c, list)
+        try:
+            elems.append(ZERO if c == _ZERO_COEFF else FieldElem.from_json(c))
+        except ValueError as exc:
+            _fail("coefficient", c, list, exc)
+    return SectionSlot(_bundle(value.get("bundle", _MISSING), "bundle"), elems, override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities
@@ -146,10 +157,12 @@ _CODECS = {
     SectionSlot: (_slot_json, _slot),
     F2Vector: (F2Vector.to_string, _f2),
     int: (int, _bit),  # w2, the one int field of a shape, is a mod-2 class
-    bool: (bool, partial(_typed, bool)),
+    bool: (bool, lambda value, name: value if type(value) is bool
+           else _fail(name, value, bool)),
     Tuple[HiggsDatum, ...]: (
         lambda summands: [_encode(s) for s in summands],
-        lambda value, name: tuple(map(_decode, _list(value, name)))),
+        lambda value, name: tuple(map(_decode, value)) if type(value) is list
+        else _fail(name, value, list)),
 }
 
 _SHAPES = {"diagonal": DiagonalShape, "cover_orth": CoverOrthShape,
@@ -172,20 +185,22 @@ def _encode(datum: HiggsDatum) -> dict:
 
 
 def datum_from_json(data: dict) -> Tuple[CurveCtx, HiggsDatum]:
-    ctx = CurveCtx(_at_least(2, _field(_typed(dict, data, "datum"), "genus"), "genus"))
-    return ctx, _decode(data)
+    genus = (data.get("genus", _MISSING) if type(data) is dict
+             else _fail("datum", data, dict))
+    return CurveCtx(_at_least(2, genus, "genus")), _decode(data)
 
 
 def _decode(data: dict) -> HiggsDatum:
-    _typed(dict, data, "datum")
-    cls = _SHAPES.get(_typed(str, _field(data, "shape"), "shape"))
+    tag = (data.get("shape", _MISSING) if type(data) is dict
+           else _fail("datum", data, dict))
+    cls = _SHAPES.get(tag) if type(tag) is str else _fail("shape", tag, str)
     if cls is None:
-        raise ParseError("unknown shape tag %r" % (data["shape"],))
+        raise ParseError("unknown shape tag %r" % (tag,))
     # a loop, not a comprehension: each level of summands costs two
     # stack frames, which bounds how deeply sums can nest
     values = {}
     for name, (_, decode) in _FIELDS[cls]:
-        values[name] = decode(_field(data, name), name)
+        values[name] = decode(data.get(name, _MISSING), name)
     return cls(**values)
 
 

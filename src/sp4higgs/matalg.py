@@ -86,6 +86,10 @@ class SqMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SqMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _new, not setattr
+        return _new, (self._n, self._d)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

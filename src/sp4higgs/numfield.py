@@ -131,6 +131,10 @@ class FieldElem:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw, not setattr
+        return _raw, (self._n, self._d)
+
     @property
     def coeffs(self) -> tuple:
         """The 8 coordinates as Fractions, in basis order."""
@@ -291,8 +295,10 @@ class FieldElem:
         The 8 strings are joined by commas and read in one match of
         ``_EIGHT``, which gives the 8 numerators and 8 denominators as its
         groups.  Only when that match fails is each string matched on its
-        own, to name the first one that is not num/den.  Every element,
-        zero too, comes back new and in canonical form.
+        own, to name the first one that is not num/den.  The groups are
+        read into locals and the numerators brought over one lcm of the
+        denominators, which is 0 exactly when a denominator is.  Every
+        element, zero too, comes back new and in canonical form.
         """
         if type(data) not in (list, tuple) or len(data) != 8:
             raise ValueError("field element needs 8 coordinate strings")
@@ -304,13 +310,15 @@ class FieldElem:
         if m is None:
             bad = next(s for s in data if _RATIONAL.fullmatch(s) is None)
             raise ValueError("coordinate %r is not a num/den string" % bad)
-        ints = list(map(int, m.groups()))
-        dens = ints[1::2]
-        if 0 in dens:
+        (a0, b0, a1, b1, a2, b2, a3, b3,
+         a4, b4, a5, b5, a6, b6, a7, b7) = map(int, m.groups())
+        d = lcm(b0, b1, b2, b3, b4, b5, b6, b7)
+        if d == 0:
             raise ValueError("coordinate %r has a zero denominator"
-                             % data[dens.index(0)])
-        d = lcm(*dens)
-        return _canonical([x * (d // e) for x, e in zip(ints[::2], dens)], d)
+                             % data[(b0, b1, b2, b3, b4, b5, b6, b7).index(0)])
+        return _canonical((a0 * (d // b0), a1 * (d // b1), a2 * (d // b2),
+                           a3 * (d // b3), a4 * (d // b4), a5 * (d // b5),
+                           a6 * (d // b6), a7 * (d // b7)), d)
 
 
 _new_elem = object.__new__

@@ -218,6 +218,8 @@ FROZEN = [
     (["f2-scan", "--genus", "3"], 0, "f2-scan-g3.json"),
     (["fiber", "--genus", "5", "--c", "1"], 0, "fiber-g5-c1.json"),
     (["normal-form", "--in", "{E}/cover-g2.json"], 1, "cover-g2.normal-form.json"),
+    (["classify", "--in", "{E}/bad-coefficient-g2.json"], 2,
+     "bad-coefficient-g2.classify.json"),
 ]
 
 
@@ -708,6 +710,9 @@ MALFORMED = {
     "k_power not num/den": _with(_DIAGONAL, ("N", "k_power"), "0.5"),
     "negative h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), -1),
     "null h0_override": _with(_DIAGONAL, ("beta2", "h0_override"), None),
+    # a k_power string matches the pattern whatever its length, and int()
+    # refuses a numerator past the interpreter's 4,300-digit limit
+    "over-long k_power": _with(_DIAGONAL, ("N", "k_power"), "9" * 5000 + "/1"),
     # json reads no integer literal past the interpreter's 4,300-digit limit
     "over-long integer": (b'{"genus": ' + b"9" * 5000
                           + b', "shape": "cover_orth", "w1": "01", "w2": 0}'),
@@ -726,6 +731,62 @@ def test_malformed_datum_is_a_parse_error(tmp_path, capsys, name):
     assert captured.err == ""
     payload = json.loads(captured.out)
     assert payload["error"] == "ParseError" and payload["clause"]
+
+
+# documents with two defects, and the clause of the ParseError each gives
+# (captured before the decoder tested values inline): the first value the
+# decoder reads is the one named, a shape's fields in their field order
+# whatever the order of the document's keys
+_N = _DIAGONAL["N"]
+TWO_DEFECTS = {
+    "k_power type, torsion missing": (
+        dict(_DIAGONAL, N={"k_power": 3, "extra_degree": _N["extra_degree"]}),
+        "k_power must be a string, not int"),
+    "k_power not num/1 or num/2, extra_degree a string": (
+        dict(_DIAGONAL, N=dict(_N, k_power="1/3", extra_degree="1")),
+        "k_power: cannot read '1/3' (a k_power is num/1 or num/2)"),
+    "over-long k_power, extra_degree missing": (
+        dict(_DIAGONAL, N={"k_power": "9" * 5000 + "/1", "torsion": _N["torsion"]}),
+        "k_power: cannot read %r (Exceeds the limit (4300 digits) for integer "
+        "string conversion: value has 5000 digits; use "
+        "sys.set_int_max_str_digits() to increase the limit)" % ("9" * 5000 + "/1")),
+    "extra_degree missing, torsion not a bitstring": (
+        dict(_DIAGONAL, N={"k_power": _N["k_power"], "torsion": "0a0000"}),
+        "missing field 'extra_degree'"),
+    "bad coefficient, then a non-array one": (
+        _with(_DIAGONAL, ("beta2", "coeffs"), [_BAD_COEFF, 5]),
+        "coefficient: cannot read %r (coordinate '1/0' has a zero denominator)"
+        % (_BAD_COEFF,)),
+    "non-array coefficient, then a bad one": (
+        _with(_DIAGONAL, ("beta2", "coeffs"), [5, _BAD_COEFF]),
+        "coefficient must be an array, not int"),
+    "h0_override -1, bad coefficient": (
+        _with(_with(_DIAGONAL, ("beta2", "h0_override"), -1), ("beta2", "coeffs"),
+              [_BAD_COEFF]),
+        "h0_override must be at least 0, not -1"),
+    "bad coefficient, bad slot bundle": (
+        dict(_DIAGONAL, beta2={"bundle": 7, "coeffs": [_BAD_COEFF]}),
+        "coefficient: cannot read %r (coordinate '1/0' has a zero denominator)"
+        % (_BAD_COEFF,)),
+    "a summand not an object, then an unknown shape": (
+        {"genus": 3, "shape": "direct_sum", "summands": [7, {"shape": "x"}]},
+        "datum must be an object, not int"),
+    "two bad diagonal fields, keys reversed": (
+        dict(reversed(dict(_DIAGONAL, N=5, beta3="x").items())),
+        "N must be an object, not int"),
+    "two bad cover fields, keys reversed": (
+        dict(reversed(dict(_COVER, w1=5, w2="1").items())),
+        "w1 must be a string, not int"),
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_DEFECTS))
+def test_the_first_defect_read_is_the_one_named(tmp_path, capsys, name):
+    doc, clause = TWO_DEFECTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "classify", "--in", str(path)) == (
+        2, printed({"error": "ParseError", "clause": clause}))
 
 
 def test_datum_path_that_is_a_directory_exit_2(tmp_path, capsys):

@@ -95,11 +95,15 @@ def test_odd_length_is_rejected(s):
         F2Vector(packed(s), len(s))
 
 
+# int(s, 2) reads "0_1", " 01", "01\n", "+01" and the Arabic-Indic digits
+# "١٠"; from_string takes only the characters 0 and 1
 @pytest.mark.parametrize("s", ["2", "0a", " 1", "1 ", "+1", "-1", "_1",
-                               "0b", "１０", "10x1"])
+                               "0b", "１０", "10x1", "012", "0_1", "+01", " 01",
+                               "01\n", "١٠", "0_10"])
 def test_non_binary_string_is_rejected(s):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         F2Vector.from_string(s)
+    assert str(info.value) == "bitstring must contain only 0 and 1"
 
 
 # the coordinate sequences a bit-list constructor once read: the packed

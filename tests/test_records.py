@@ -5,9 +5,11 @@ Reprs reach CLI error clauses (and, hashed, the golden corpus), and
 hashes decide set and dict iteration order, so both are pinned exactly.
 """
 
+import copy
 import inspect
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -147,6 +149,27 @@ def test_records_are_immutable(cls, values, text):
         delattr(x, name)
     assert getattr(x, name) == values[name]
     assert repr(x) == text
+
+
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+           "pickle protocol 0": lambda x: pickle.loads(pickle.dumps(x, 0))}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_values_survive_copy_and_pickle(how):
+    # the slot classes refuse setattr, so each rebuilds through its
+    # constructor or raw builder; records holding them then copy too
+    from test_golden import corpus
+    golden = [d for _, _, d, _ in corpus() if type(d) is sh.DiagonalShape]
+    matrix = matalg.SqMatrix([[sh.I_UNIT, Fraction(1, 3)], [sh.SQRT2, -2]])
+    samples = ([F("0110"), F(""), sh.I_UNIT + Fraction(1, 2), sh.ZERO, matrix] + golden
+               + [cls(**values) for cls, values, _ in RECORDS])
+    assert any(not d.beta1.is_zero for d in golden)
+    for x in samples:
+        y = _COPIES[how](x)
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+        assert _hash_or_error(y) == _hash_or_error(x)
 
 
 def test_equality_is_only_within_a_class():
