@@ -25,7 +25,7 @@ import enum
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from ._record import Record
+from ._record import Record, _setattr
 from .f2 import F2Vector
 from .numfield import FieldElem, ONE, ZERO, fe
 
@@ -102,13 +102,20 @@ class WrongShape(ValueError):
 class CurveCtx(Record):
     """A genus-g curve, g an int >= 2.  2-torsion labels and spin-structure
     labels are F2 vectors of length 2g, relative to a distinguished base
-    square root of K which is encoded as the zero label."""
+    square root of K which is encoded as the zero label.
+
+    The zero label and K are built once, with the context, and shared by
+    every bundle that asks for them; they are not fields, so equality,
+    hash and repr read the genus alone."""
 
     genus: int
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
+        zero = F2Vector(0, 2 * self.genus)
+        _setattr(self, "_zero_torsion", zero)
+        _setattr(self, "_canonical", _bundle(Fraction(1), 0, zero))
 
     @property
     def two_g(self) -> int:
@@ -119,7 +126,7 @@ class CurveCtx(Record):
         return 2 * self.genus - 2
 
     def zero_torsion(self) -> F2Vector:
-        return F2Vector.zero(self.two_g)
+        return self._zero_torsion
 
 
 class LineBundleClass(Record):
@@ -130,6 +137,11 @@ class LineBundleClass(Record):
     label.  Duals negate every field (torsion is its own negative).  The
     degree, h0 and the root-of-K tests read k_power on ints, from its
     numerator and denominator, and make no Fraction.
+
+    ``dual``, ``*`` and ``power`` build their results with ``_bundle``,
+    past the constructor's checks: half-integer powers of K, int degrees
+    and torsion labels stay valid under all three.  ``*`` takes only a
+    LineBundleClass and ``power`` only an exact int.
     """
 
     k_power: Fraction
@@ -147,26 +159,48 @@ class LineBundleClass(Record):
         return self.extra_degree + k.numerator * ctx.deg_k // k.denominator
 
     def dual(self) -> "LineBundleClass":
-        return LineBundleClass(-self.k_power, -self.extra_degree, self.torsion)
+        return _bundle(-self.k_power, -self.extra_degree, self.torsion)
 
     def __mul__(self, other: "LineBundleClass") -> "LineBundleClass":
-        return LineBundleClass(self.k_power + other.k_power,
-                               self.extra_degree + other.extra_degree,
-                               self.torsion + other.torsion)
+        if type(other) is not LineBundleClass:
+            return NotImplemented
+        return _bundle(self.k_power + other.k_power,
+                       self.extra_degree + other.extra_degree,
+                       self.torsion + other.torsion)
 
     def power(self, n: int) -> "LineBundleClass":
-        torsion = self.torsion if n % 2 else F2Vector.zero(len(self.torsion))
-        return LineBundleClass(self.k_power * n, self.extra_degree * n, torsion)
+        if type(n) is not int:
+            raise TypeError("n %r is not an int" % (n,))
+        torsion = self.torsion
+        if not (n % 2 or torsion.is_zero):
+            torsion = F2Vector(0, torsion.length)
+        return _bundle(self.k_power * n, self.extra_degree * n, torsion)
 
     @classmethod
-    def canonical(cls, ctx: CurveCtx, power=1) -> "LineBundleClass":
-        return cls(Fraction(power), 0, ctx.zero_torsion())
+    def canonical(cls, ctx: CurveCtx, power: int = 1) -> "LineBundleClass":
+        """K^power; K itself is the context's own."""
+        if type(power) is not int:
+            raise TypeError("power %r is not an int" % (power,))
+        return ctx._canonical if power == 1 else ctx._canonical.power(power)
 
     @classmethod
     def half_canonical(cls, ctx: CurveCtx, torsion: Optional[F2Vector] = None) -> "LineBundleClass":
         """A square root of K; the torsion label says which one."""
         return cls(Fraction(1, 2), 0,
                    torsion if torsion is not None else ctx.zero_torsion())
+
+
+_new_bundle = object.__new__
+
+
+def _bundle(k_power: Fraction, extra_degree: int, torsion: F2Vector) -> LineBundleClass:
+    """The class with these fields, already valid, built without the
+    constructor's checks."""
+    b = _new_bundle(LineBundleClass)
+    _setattr(b, "k_power", k_power)
+    _setattr(b, "extra_degree", extra_degree)
+    _setattr(b, "torsion", torsion)
+    return b
 
 
 def h0(ctx: CurveCtx, bundle: LineBundleClass) -> int:

@@ -53,6 +53,7 @@ __all__ = [
     "preserves_symplectic_up_to_scalar",
     "exp_nilpotent",
     "kron_identities_check",
+    "kron_exp_identity_check",
     "J2", "I2", "I4", "J13", "J12", "J0",
     "H_PERM", "H_SYM3", "H_SYM3_INV", "T2", "T4", "HTILDE",
 ]
@@ -502,22 +503,21 @@ def exp_nilpotent(m: SqMatrix) -> SqMatrix:
 
 
 def kron_identities_check(a: SqMatrix, b: SqMatrix, c: SqMatrix, d: SqMatrix) -> bool:
-    """Mixed-product, transpose and nilpotent-exp identities for kron.
+    """Mixed-product and transpose identities for kron, on the four given
+    2x2 matrices."""
+    return (kron(a, b) * kron(c, d) == kron(a * c, b * d)
+            and kron(a, b).T == kron(a.T, b.T))
 
-    The mixed-product and transpose identities are checked on the four
-    given 2x2 matrices; the exp identity exp(A (x) I + I (x) B) =
-    exp(A) (x) exp(B) is checked on the canonical nilpotent pair, where
-    the series terminates and stays exact.
-    """
-    if not (kron(a, b) * kron(c, d) == kron(a * c, b * d)):
-        return False
-    if not (kron(a, b).T == kron(a.T, b.T)):
-        return False
+
+def kron_exp_identity_check() -> bool:
+    """The nilpotent-exp identity for kron, exp(A (x) I + I (x) B) =
+    exp(A) (x) exp(B), on the canonical nilpotent pair, where the series
+    terminates and stays exact; it takes no matrices, so a suite checks
+    it once."""
     up = SqMatrix([[0, 1], [0, 0]])
     low = SqMatrix([[0, 0], [1, 0]])
     lhs = exp_nilpotent(kron(up, I2) + kron(I2, low))
-    rhs = kron(exp_nilpotent(up), exp_nilpotent(low))
-    return lhs == rhs
+    return lhs == kron(exp_nilpotent(up), exp_nilpotent(low))
 
 
 # -- fixed matrices ---------------------------------------------------------

@@ -163,7 +163,8 @@ def _matalg_checks() -> List[Check]:
     return [
         Check("kron-identities",
               "mixed product, transpose and nilpotent exp for kron",
-              all(matalg.kron_identities_check(*q) for q in quads)),
+              all(matalg.kron_identities_check(*q) for q in quads)
+              and matalg.kron_exp_identity_check()),
         Check("kron-swap-conjugation", "A kron B = H_PERM (B kron A) H_PERM",
               all(kron(a, b) == matalg.H_PERM * kron(b, a) * matalg.H_PERM
                   for a, b, _, _ in quads)),

@@ -15,11 +15,13 @@ from sp4higgs import (
     sl2xsl2_reduction_check, stability_report, stability_sl2, stability_sp4,
     sw_invariants, toledo,
 )
+from sp4higgs._record import Record
 
 from builders import (
     cover_shape, diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split,
 )
 from test_acceptance import _generate_maximal_polystable
+from test_golden import corpus
 
 
 CTX2 = CurveCtx(2)
@@ -56,6 +58,72 @@ def test_dual_negates_everything():
     nd = n.dual()
     assert nd.degree(CTX3) == -n.degree(CTX3)
     assert n * nd == LineBundleClass(Fraction(0), 0, CTX3.zero_torsion())
+
+
+def _bundles(x):
+    """Every LineBundleClass held in the record ``x``, at any depth."""
+    if type(x) is LineBundleClass:
+        yield x
+    elif isinstance(x, Record):
+        for name in x._fields:
+            yield from _bundles(getattr(x, name))
+    elif type(x) is tuple:
+        for item in x:
+            yield from _bundles(item)
+
+
+def _same_bundle(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert type(got.k_power) is Fraction and type(got.extra_degree) is int
+    assert type(got.torsion) is F2Vector
+
+
+def test_bundle_algebra_matches_the_public_constructor():
+    # dual, * and power build past the constructor's checks; each result
+    # must be the bundle the constructor builds from the same fields
+    golden = {b for _, _, datum, _ in corpus() for b in _bundles(datum)}
+    roots = {LineBundleClass.canonical(CurveCtx(g)) for g in (2, 3, 4)}
+    roots |= {LineBundleClass.half_canonical(CurveCtx(g), t)
+              for g in (2, 3, 4) for t in F2Vector.all_vectors(2 * g)}
+    assert len(golden) > 80 and len(roots) == 3 + 16 + 64 + 256
+    for a in golden | roots:
+        _same_bundle(a.dual(), LineBundleClass(-a.k_power, -a.extra_degree, a.torsion))
+        for n in range(-3, 4):
+            torsion = a.torsion if n % 2 else F2Vector.zero(len(a.torsion))
+            _same_bundle(a.power(n), LineBundleClass(a.k_power * n, a.extra_degree * n,
+                                                     torsion))
+        for b in golden:
+            if len(b.torsion) == len(a.torsion):
+                _same_bundle(a * b, LineBundleClass(a.k_power + b.k_power,
+                                                    a.extra_degree + b.extra_degree,
+                                                    a.torsion + b.torsion))
+
+
+_K3 = LineBundleClass.canonical(CTX3)
+
+
+# the bundle algebra takes exact ints and bundles only: each of these
+# constructed silently, or failed naming a field, not the argument
+@pytest.mark.parametrize("call, message", [
+    (lambda: _K3.power(True), "n True is not an int"),
+    (lambda: _K3.power(2.0), "n 2.0 is not an int"),
+    (lambda: _K3.power(Fraction(2)), "n Fraction(2, 1) is not an int"),
+    (lambda: LineBundleClass.canonical(CTX3, True), "power True is not an int"),
+    (lambda: LineBundleClass.canonical(CTX3, 1.5), "power 1.5 is not an int"),
+    (lambda: LineBundleClass.canonical(CTX3, "1"), "power '1' is not an int"),
+    (lambda: LineBundleClass.canonical(CTX3, Fraction(1)),
+     "power Fraction(1, 1) is not an int"),
+    (lambda: _K3 * 3, "unsupported operand type(s) for *: 'LineBundleClass' and 'int'"),
+    (lambda: 3 * _K3, "unsupported operand type(s) for *: 'int' and 'LineBundleClass'"),
+    (lambda: _K3 * CTX3.zero_torsion(),
+     "unsupported operand type(s) for *: 'LineBundleClass' and 'F2Vector'"),
+], ids=["power-bool", "power-float", "power-fraction", "canonical-bool",
+        "canonical-float", "canonical-str", "canonical-fraction", "mul-int",
+        "rmul-int", "mul-f2vector"])
+def test_bundle_algebra_takes_exact_ints(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_genus_validation():

@@ -12,8 +12,8 @@ from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T2, T4,
     SingularMatrix, SqMatrix, _cayley_conjugate, _flat, _monomial_conjugate,
     _monomial_frame, _ring,
-    conjugate, exp_nilpotent, is_symplectic, kron, kron_identities_check,
-    preserves_symplectic_up_to_scalar,
+    conjugate, exp_nilpotent, is_symplectic, kron, kron_exp_identity_check,
+    kron_identities_check, preserves_symplectic_up_to_scalar,
 )
 from sp4higgs.liegroup import HT, HT_INV, phi, phi_star, s_conjugate, sl2
 from sp4higgs.numfield import (
@@ -123,6 +123,13 @@ def test_kron_identities_negative_control(monkeypatch, name):
     assert keeps_mixed_product == (name == "shear-conjugated")
     monkeypatch.setattr(sp4higgs.matalg, "kron", bad)
     assert kron_identities_check(a, b, c, d) is False
+
+
+def test_kron_exp_identity_negative_control(monkeypatch):
+    import sp4higgs.matalg
+    assert kron_exp_identity_check() is True
+    monkeypatch.setattr(sp4higgs.matalg, "kron", BAD_KRONS["doubled"])
+    assert kron_exp_identity_check() is False
 
 
 def test_exp_nilpotent_two_term_series():

@@ -170,6 +170,17 @@ def test_values_survive_copy_and_pickle(how):
         y = _COPIES[how](x)
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
         assert _hash_or_error(y) == _hash_or_error(x)
+    # a context's zero label and K are built once, and a copy keeps its own
+    ctx = sh.CurveCtx(3)
+    assert ctx.zero_torsion() is ctx.zero_torsion()
+    assert sh.LineBundleClass.canonical(ctx) is sh.LineBundleClass.canonical(ctx)
+    y = _COPIES[how](ctx)
+    assert type(y) is sh.CurveCtx and y == ctx and repr(y) == repr(ctx)
+    assert hash(y) == hash(ctx)
+    assert y.zero_torsion() is y.zero_torsion() == ctx.zero_torsion()
+    k = sh.LineBundleClass.canonical(y)
+    assert k is sh.LineBundleClass.canonical(y) and k == sh.LineBundleClass.canonical(ctx)
+    assert k.torsion is y.zero_torsion()
 
 
 def test_equality_is_only_within_a_class():

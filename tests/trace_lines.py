@@ -18,6 +18,19 @@ def _trace(frame, event, arg):
         return _trace
 
 
+class _Retrace:
+    """Sets the tracer again after each test.  CPython drops a trace
+    function that raises, and a call to it at the recursion limit raises
+    RecursionError.  A garbage collection that runs Python code inside a
+    test's deliberately deep recursion (the "nested too deeply" datum of
+    test_cli) can make such a call: whether it does depends on when the
+    collector runs, and with the collector paused for that test the
+    tracer survives.  Without this every later test would go untraced."""
+
+    def pytest_runtest_teardown(self, item):
+        sys.settrace(_trace)
+
+
 def _function_lines(code):
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
@@ -32,7 +45,7 @@ if __name__ == "__main__":
     threading.settrace(_trace)
     sys.settrace(_trace)
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-                        str(ROOT / "tests")])
+                        str(ROOT / "tests")], plugins=[_Retrace()])
     sys.settrace(None)
     missed = 0
     for path in sorted((ROOT / "src" / "sp4higgs").glob("*.py")):
