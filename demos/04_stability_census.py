@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from sp4higgs import (
     CurveCtx, F2Vector, LineBundleClass, SectionSlot, DiagonalShape,
-    cayley_partner, h0, milnor_wood, stability_report, sw_invariants,
+    RequiresExplicitH0, cayley_partner, h0, milnor_wood, stability_report,
+    sw_invariants,
 )
 
 ctx = CurveCtx(3)
@@ -41,7 +42,7 @@ def diag(c, b1, b2, b3=0):
         try:
             dim = h0(ctx, bundle)
             override = None
-        except Exception:
+        except RequiresExplicitH0:
             dim, override = 1, 1
         coeffs = ((v,) + (0,) * dim)[:dim]
         return SectionSlot(bundle, coeffs, override)

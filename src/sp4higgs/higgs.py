@@ -383,12 +383,22 @@ def _split_partner(ctx: CurveCtx, n: LineBundleClass, spin: F2Vector,
     return SplitPartner(l, not all(s.is_zero for s in slots))
 
 
-def _check_torsion_length(ctx: CurveCtx, name: str, bundle: LineBundleClass):
-    """A shape's own bundle must carry a label in F2^(2g): the bundle
-    algebra of ``validate`` would only say "length mismatch"."""
-    if len(bundle.torsion) != ctx.two_g:
-        raise ValueError("%s torsion has length %d, expected %d"
-                         % (name, len(bundle.torsion), ctx.two_g))
+def _check_label(ctx: CurveCtx, name: str, label: F2Vector):
+    """A mod-2 label, a shape's or a spin choice, must lie in F2^(2g):
+    checked before the bundle algebra, which would only say "length
+    mismatch"."""
+    if len(label) != ctx.two_g:
+        raise ValueError("%s has length %d, expected %d"
+                         % (name, len(label), ctx.two_g))
+
+
+def _check_slot(ctx: CurveCtx, name: str, slot: SectionSlot,
+                bundle: LineBundleClass, space: str):
+    """A shape's slot must live in the bundle its form gives it, here
+    H0(``space``), and hold h0 coefficients."""
+    if slot.bundle != bundle:
+        raise ValueError("%s slot must live in H0(%s)" % (name, space))
+    slot.validate(ctx)
 
 
 def _root_of_k_label(bundle: LineBundleClass) -> F2Vector:
@@ -450,19 +460,12 @@ class DiagonalShape(_Shape, Record):
         return self.N.degree(ctx) - (ctx.genus - 1)
 
     def validate(self, ctx: CurveCtx):
-        _check_torsion_length(ctx, "N", self.N)
+        _check_label(ctx, "N torsion", self.N.torsion)
         k = LineBundleClass.canonical(ctx)
-        expect = {
-            "beta1": self.N.power(2) * k,
-            "beta2": self.N.power(-2) * k.power(3),
-            "beta3": k.power(2),
-        }
-        for name, bundle in expect.items():
-            slot = getattr(self, name)
-            if slot.bundle != bundle:
-                raise ValueError("%s slot carries bundle %r, expected %r"
-                                 % (name, slot.bundle, bundle))
-            slot.validate(ctx)
+        _check_slot(ctx, "beta1", self.beta1, self.N.power(2) * k, "N^2 K")
+        _check_slot(ctx, "beta2", self.beta2, self.N.power(-2) * k.power(3),
+                    "N^-2 K^3")
+        _check_slot(ctx, "beta3", self.beta3, k.power(2), "K^2")
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         g = ctx.genus
@@ -532,9 +535,7 @@ class CoverOrthShape(_Shape, Record):
             raise ValueError("w2 must be 0 or 1")
 
     def validate(self, ctx: CurveCtx):
-        if len(self.w1) != ctx.two_g:
-            raise ValueError("w1 has length %d, expected %d"
-                             % (len(self.w1), ctx.two_g))
+        _check_label(ctx, "w1", self.w1)
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         return StabilityReport(Stability.STABLE,
@@ -569,14 +570,11 @@ class TorsionSplitShape(_Shape, Record):
     beta2: SectionSlot
 
     def validate(self, ctx: CurveCtx):
-        if len(self.t1) != ctx.two_g or len(self.t2) != ctx.two_g:
-            raise ValueError("torsion labels must have length 2g")
+        _check_label(ctx, "t1", self.t1)
+        _check_label(ctx, "t2", self.t2)
         k2 = LineBundleClass.canonical(ctx, 2)
-        for name in ("beta1", "beta2"):
-            slot = getattr(self, name)
-            if slot.bundle != k2:
-                raise ValueError("%s slot must live in H0(K^2)" % name)
-            slot.validate(ctx)
+        _check_slot(ctx, "beta1", self.beta1, k2, "K^2")
+        _check_slot(ctx, "beta2", self.beta2, k2, "K^2")
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         if self.t1 == self.t2:
@@ -607,14 +605,10 @@ class _RankOneBase(_Shape):
     and its irreducible image.  Each subclass declares the three fields."""
 
     def validate(self, ctx: CurveCtx):
-        _check_torsion_length(ctx, "L", self.L)
+        _check_label(ctx, "L torsion", self.L.torsion)
         k = LineBundleClass.canonical(ctx)
-        if self.beta.bundle != self.L.power(2) * k:
-            raise ValueError("beta slot must live in H0(L^2 K)")
-        if self.gamma.bundle != self.L.power(-2) * k:
-            raise ValueError("gamma slot must live in H0(L^-2 K)")
-        self.beta.validate(ctx)
-        self.gamma.validate(ctx)
+        _check_slot(ctx, "beta", self.beta, self.L.power(2) * k, "L^2 K")
+        _check_slot(ctx, "gamma", self.gamma, self.L.power(-2) * k, "L^-2 K")
 
     def toledo(self, ctx: CurveCtx) -> int:
         return self.rank * self.L.degree(ctx)
@@ -838,8 +832,7 @@ def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
     spin = spin_choice if spin_choice is not None else ctx.zero_torsion()
     if type(spin) is not F2Vector:
         raise TypeError("spin_choice %r is not of type F2Vector" % (spin,))
-    if len(spin) != ctx.two_g:
-        raise ValueError("spin label must have length 2g")
+    _check_label(ctx, "spin_choice", spin)
     return datum.cayley(ctx, spin)
 
 

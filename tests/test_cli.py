@@ -16,7 +16,7 @@ from sp4higgs import cli, higgs
 from sp4higgs.cli import _PARSER, _json, main
 from sp4higgs.jsonio import ParseError, _bundle_json, datum_from_json, datum_to_json
 
-from builders import diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
+from builders import cover_shape, diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
 from test_golden import corpus
 
 CTX3 = sh.CurveCtx(3)
@@ -515,7 +515,12 @@ _SPLIT = datum_to_json(CTX3, torsion_split(CTX3, sh.F2Vector.unit(6, 0),
                                            sh.F2Vector.unit(6, 1)))
 _SL2 = datum_to_json(CTX3, max_sl2(CTX3))
 _K = _bundle_json(sh.LineBundleClass.canonical(CTX3))
+_K2 = _bundle_json(sh.LineBundleClass.canonical(CTX3, 2))
 _DEGREE_0 = sl2_of_degree(CTX3, 0, beta=1, gamma=2)
+_IMAGE = datum_to_json(CTX3, sh.IrreducibleImage(
+    _DEGREE_0.L, _DEGREE_0.beta, _DEGREE_0.gamma))
+_DIAG3 = datum_to_json(CTX3, diagonal_shape(CTX3, 1))
+_COVER = datum_to_json(CTX3, cover_shape(CTX3))
 # deg L = 1 > 0 with gamma = 0: an unstable rank-1 datum
 _UNSTABLE_1 = sl2_of_degree(CTX3, 1)
 # a stable diagonal datum at c = 2g-2 with N written as O(3g-3), not as
@@ -540,7 +545,10 @@ _BAD_COEFF = ["0/1"] * 7 + ["1/0"]
 DATUM_PATHS = {
     "torsion-label-length": (
         "classify", dict(_SPLIT, t1="0000"), 1,
-        {"error": "ValueError", "clause": "torsion labels must have length 2g"}),
+        {"error": "ValueError", "clause": "t1 has length 4, expected 6"}),
+    "cover-w1-length": (
+        "classify", dict(_COVER, w1="1000"), 1,
+        {"error": "ValueError", "clause": "w1 has length 4, expected 6"}),
     # a shape's own bundle: the clause names it, not a "length mismatch"
     "diagonal-n-label-length": (
         "normal-form", _N_LABEL_6, 1,
@@ -551,6 +559,12 @@ DATUM_PATHS = {
     "sl2r-l-label-length": (
         "stability", dict(_SL2, L=dict(_SL2["L"], torsion="0000")), 1,
         {"error": "ValueError", "clause": "L torsion has length 4, expected 6"}),
+    "irreducible-image-l-label-length": (
+        "stability", dict(_IMAGE, L=dict(_IMAGE["L"], torsion="0000")), 1,
+        {"error": "ValueError", "clause": "L torsion has length 4, expected 6"}),
+    "diagonal-beta2-bundle": (
+        "classify", _with_slot(_DIAG3, "beta2", bundle=_K), 1,
+        {"error": "ValueError", "clause": "beta2 slot must live in H0(N^-2 K^3)"}),
     "torsion-split-slot-bundle": (
         "classify", _with_slot(_SPLIT, "beta1", bundle=_K), 1,
         {"error": "ValueError", "clause": "beta1 slot must live in H0(K^2)"}),
@@ -560,9 +574,12 @@ DATUM_PATHS = {
     "sl2r-gamma-bundle": (
         "stability", _with_slot(_SL2, "gamma", bundle=_SL2["beta"]["bundle"]), 1,
         {"error": "ValueError", "clause": "gamma slot must live in H0(L^-2 K)"}),
+    # at deg L = 0 both slots live in H0(K); K^2 is neither
+    "irreducible-image-gamma-bundle": (
+        "stability", _with_slot(_IMAGE, "gamma", bundle=_K2), 1,
+        {"error": "ValueError", "clause": "gamma slot must live in H0(L^-2 K)"}),
     "irreducible-image-degree-0": (
-        "stability", datum_to_json(CTX3, sh.IrreducibleImage(
-            _DEGREE_0.L, _DEGREE_0.beta, _DEGREE_0.gamma)), 0,
+        "stability", _IMAGE, 0,
         {"verdict": "Stable", "non_simple": False,
          "clause": "irreducible image, deg L = 0, both fields nonzero"}),
     "direct-sum-not-polystable": (

@@ -861,7 +861,7 @@ GUARDS = {
                  "w2 must be 0 or 1"),
     "cayley-spin-length": (
         lambda: cayley_partner(CTX3, diagonal_shape(CTX3, 1), F2Vector.zero(4)),
-        ValueError, "spin label must have length 2g"),
+        ValueError, "spin_choice has length 4, expected 6"),
 }
 
 

@@ -23,11 +23,11 @@ CEILINGS = {
     # jsonio reads and writes the canonical zero coefficient itself, so a
     # change that sends zeros back through FieldElem's codec raises the
     # first two; the decoder builds one F2Vector per bitstring it reads
-    # (1,441 of the pass's 3,347), so one that builds more raises f2.new.calls
-    # (the ceiling is the pass's count before a CurveCtx built its zero
-    # label once)
+    # (1,441 of the pass's 3,347) and each CurveCtx its zero label once,
+    # so one that builds more raises f2.new.calls (the ceiling is the
+    # pass's count, with no slack for a vector built per call again)
     "classify_cli": {"numfield.from_json.calls": 2801, "numfield.to_json.calls": 473,
-                     "f2.new.calls": 3653},
+                     "f2.new.calls": 3347},
     # a CurveCtx builds its zero label and K once, and the bundle algebra
     # keeps a zero label through even powers, so a change that rebuilds
     # either per call raises f2.new.calls; one that classifies a datum
