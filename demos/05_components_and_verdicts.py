@@ -11,20 +11,12 @@ into nothing proper, so their representations are Zariski-dense.
 
 from sp4higgs import (
     CurveCtx, F2Vector, classify, count_components, count_components_sp2n,
-    direct_sum, f2_image_scan, fiber_geometry, irr_embed, reduction_verdict,
-    sp2n_reduction_witness, stability_sp4, sw_invariants, toledo,
+    direct_sum, f2_image_scan, fiber_geometry, irr_embed, max_sl2,
+    reduction_verdict, sp2n_reduction_witness, stability_sp4, sw_invariants,
+    toledo,
 )
-from sp4higgs.higgs import LineBundleClass, SectionSlot, SL2RDatum
 
 ctx = CurveCtx(3)
-
-
-def max_sl2(torsion):
-    l = LineBundleClass.half_canonical(ctx, torsion)
-    k = LineBundleClass.canonical(ctx)
-    beta = SectionSlot(l.power(2) * k, (0,) * 6)         # H0(K^2)
-    gamma = SectionSlot(l.power(-2) * k, (1,))           # H0(O)
-    return SL2RDatum(l, beta, gamma)
 
 
 print("== the census ==")
@@ -37,7 +29,7 @@ print("rank-n, n >= 3, g=2:", count_components_sp2n(CurveCtx(2), 3))
 print()
 print("== classify an irreducible image ==")
 spin = F2Vector.unit(ctx.two_g, 1)
-img = irr_embed(ctx, max_sl2(spin))
+img = irr_embed(ctx, max_sl2(ctx, spin))
 label = classify(ctx, img)
 verdict = reduction_verdict(label)
 print("label  :", label)
@@ -45,8 +37,8 @@ print("admits :", sorted(s.value for s in verdict.admits))
 
 print()
 print("== classify a sum of two rank-1 pieces ==")
-s = direct_sum(ctx, max_sl2(F2Vector.unit(ctx.two_g, 0)),
-               max_sl2(F2Vector.unit(ctx.two_g, ctx.genus)))
+s = direct_sum(ctx, max_sl2(ctx, F2Vector.unit(ctx.two_g, 0)),
+               max_sl2(ctx, F2Vector.unit(ctx.two_g, ctx.genus)))
 label = classify(ctx, s)
 verdict = reduction_verdict(label)
 print("label  :", label)

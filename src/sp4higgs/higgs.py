@@ -27,7 +27,7 @@ from typing import Optional, Tuple, Union
 
 from ._record import Record, _setattr
 from .f2 import F2Vector
-from .numfield import FieldElem, ONE, ZERO, fe
+from .numfield import FieldElem, fe
 
 __all__ = [
     "RequiresExplicitH0",
@@ -283,18 +283,6 @@ class SectionSlot(Record):
         t = fe(t)
         return SectionSlot(self.bundle, tuple(t * c for c in self.coeffs),
                            self.h0_override)
-
-    @classmethod
-    def zero(cls, ctx: CurveCtx, bundle: LineBundleClass) -> "SectionSlot":
-        return cls(bundle, (ZERO,) * h0(ctx, bundle))
-
-    @classmethod
-    def constant(cls, ctx: CurveCtx, bundle: LineBundleClass) -> "SectionSlot":
-        """The unit section of a one-dimensional section space (e.g. of
-        the trivial bundle)."""
-        if h0(ctx, bundle) != 1:
-            raise ValueError("constant slots need a 1-dimensional section space")
-        return cls(bundle, (ONE,))
 
 
 # -- verdict records ----------------------------------------------------------

@@ -6,20 +6,26 @@ into, evaluates the component-counting formulas, describes the fiber
 geometry of the intermediate components, and certifies that every
 invariant pair except (0, 1) arises from sums of two rank-1 pieces,
 through the same witness pairs that build the rank-n witnesses.
+
+It also holds the datum builders, one per slot rule of the shapes:
+``diagonal_shape``, ``torsion_split``, ``sl2r_datum`` on a given L and
+``max_sl2`` on a square root of K.  Each slot argument is the slot's
+leading coefficient, and a slot whose h0 depends on the bundle, not only
+on its degree, gets the one-dimensional override.  The rank-n witnesses
+are built from them.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import FrozenSet, Sequence, Set, Tuple, Union
 
 from ._record import Record
 from .f2 import F2Vector
 from .higgs import (
     CurveCtx, DiagonalShape, DirectSum, HiggsDatum, LineBundleClass,
-    NotPolystable, OutOfClassifiedRange, SectionSlot, SL2RDatum,
-    _require_maximal_polystable, h0,
+    NotPolystable, OutOfClassifiedRange, SectionSlot, SL2RDatum, TorsionSplitShape,
+    _check_label, _determined_h0, _require_maximal_polystable,
 )
 from .numfield import ONE, ZERO, fe
 
@@ -42,6 +48,10 @@ __all__ = [
     "f2_sw_map",
     "f2_image_scan",
     "sp2n_reduction_witness",
+    "diagonal_shape",
+    "torsion_split",
+    "sl2r_datum",
+    "max_sl2",
 ]
 
 
@@ -186,9 +196,16 @@ def count_components(ctx: CurveCtx) -> ComponentCount:
 def count_components_sp2n(ctx: CurveCtx, n: int) -> int:
     """Number of maximal components for the rank-n symplectic group with
     n >= 3: always 3 * 2^(2g), independent of n."""
+    _check_rank(n)
+    return 3 * 2 ** (2 * ctx.genus)
+
+
+def _check_rank(n: int):
+    """The rank n of a higher-rank symplectic group is an exact int >= 3."""
+    if type(n) is not int:
+        raise TypeError("n %r is not an int" % (n,))
     if n < 3:
         raise ValueError("n must be at least 3")
-    return 3 * 2 ** (2 * ctx.genus)
 
 
 # -- fiber geometry of the intermediate components --------------------------------
@@ -295,6 +312,57 @@ def f2_image_scan(genus: int,
     return image
 
 
+# -- datum builders -----------------------------------------------------------------
+#
+# One builder per shape's slot rule, beside which only the shape's own
+# validate states the slot bundles.  ctx is a CurveCtx, spin and the
+# t's are F2^(2g) labels (spin None is the base root), and each slot
+# argument (an int, Fraction or FieldElem) is the slot's leading
+# coefficient: zero gives the zero section.
+
+
+def _slot(ctx: CurveCtx, bundle: LineBundleClass, value) -> SectionSlot:
+    """The section of ``bundle`` with ``value`` in the first coordinate
+    and zeros after it.  Where h0 depends on the bundle, not only on its
+    degree, the section space is taken one-dimensional through the
+    override 1 (a generic bundle of that degree with one section)."""
+    dim = _determined_h0(ctx, bundle)
+    if dim is None:
+        return SectionSlot(bundle, (value,), 1)
+    return SectionSlot(bundle, (value,) + (ZERO,) * (dim - 1) if dim else ())
+
+
+def diagonal_shape(ctx, c, spin=None, b1=ZERO, b2=ONE, b3=ZERO) -> DiagonalShape:
+    """The diagonal shape with invariant c (deg N = c + g - 1): N is
+    K^(1/2) O(c) times the label ``spin``, and at c = 2g-2 the cube of
+    the square root of K labeled ``spin``, the form forced there."""
+    r = LineBundleClass.half_canonical(ctx, spin)
+    n = r.power(3) if c == ctx.deg_k else LineBundleClass(r.k_power, c, r.torsion)
+    k = LineBundleClass.canonical(ctx)
+    return DiagonalShape(n, _slot(ctx, n.power(2) * k, b1),
+                         _slot(ctx, n.power(-2) * k.power(3), b2),
+                         _slot(ctx, k.power(2), b3))
+
+
+def torsion_split(ctx, t1, t2, b1=ZERO, b2=ZERO) -> TorsionSplitShape:
+    """The torsion split with labels t1 and t2, both betas in H0(K^2)."""
+    k2 = LineBundleClass.canonical(ctx, 2)
+    return TorsionSplitShape(t1, t2, _slot(ctx, k2, b1), _slot(ctx, k2, b2))
+
+
+def sl2r_datum(ctx, L, beta=ZERO, gamma=ZERO) -> SL2RDatum:
+    """The rank-1 datum on L, beta in H0(L^2 K) and gamma in H0(L^-2 K)."""
+    k = LineBundleClass.canonical(ctx)
+    return SL2RDatum(L, _slot(ctx, L.power(2) * k, beta),
+                     _slot(ctx, L.power(-2) * k, gamma))
+
+
+def max_sl2(ctx, spin=None, beta=ZERO, gamma=ONE) -> SL2RDatum:
+    """The maximal rank-1 datum on the square root of K labeled ``spin``
+    (the base root when None); gamma's bundle is then trivial."""
+    return sl2r_datum(ctx, LineBundleClass.half_canonical(ctx, spin), beta, gamma)
+
+
 # -- higher-rank witnesses -----------------------------------------------------------
 
 
@@ -316,50 +384,22 @@ def _pair_realizing(w1: F2Vector, w2: int) -> Tuple[F2Vector, F2Vector]:
     return (w1 + y, y)
 
 
-def _max_sl2_datum(ctx: CurveCtx, torsion: F2Vector) -> SL2RDatum:
-    """Maximal rank-1 datum on the square root of K labeled by
-    ``torsion``: beta = 0 and gamma the unit section of the trivial
-    bundle."""
-    l = LineBundleClass.half_canonical(ctx, torsion)
-    k = LineBundleClass.canonical(ctx)
-    beta = SectionSlot.zero(ctx, l.power(2) * k)
-    gamma = SectionSlot.constant(ctx, l.power(-2) * k)
-    return SL2RDatum(l, beta, gamma)
-
-
-def _sp4_zero_one_witness(ctx: CurveCtx) -> DiagonalShape:
-    """A maximal stable rank-2 datum with invariants (w1, w2) = (0, 1):
-    the diagonal shape with c = 1 and a nonzero beta2.  The beta2
-    section space is bundle-dependent for g = 2, so its dimension is
-    pinned with an explicit override (a generic degree-g bundle N with
-    one effective twist)."""
-    n = LineBundleClass(Fraction(1, 2), 1, ctx.zero_torsion())  # deg g
-    k = LineBundleClass.canonical(ctx)
-    b1 = SectionSlot.zero(ctx, n.power(2) * k)
-    b3 = SectionSlot.zero(ctx, k.power(2))
-    b2_bundle = n.power(-2) * k.power(3)  # degree 4g-6
-    override = None if b2_bundle.degree(ctx) > ctx.deg_k else 1
-    dim = override or h0(ctx, b2_bundle)
-    b2 = SectionSlot(b2_bundle, (ONE,) + (ZERO,) * (dim - 1), override)
-    return DiagonalShape(N=n, beta1=b1, beta2=b2, beta3=b3)
-
-
 def sp2n_reduction_witness(ctx: CurveCtx, n: int, w1: F2Vector,
                            w2: int) -> HiggsDatum:
     """A maximal strictly polystable rank-n witness with invariants
     (w1, w2), reducible to a product of smaller groups.
 
     For (w1, w2) != (0, 1): an n-fold sum of maximal rank-1 data.  For
-    (0, 1): a rank-2 datum with invariants (0, 1) summed with n-2
-    rank-1 pieces.  Strict polystability keeps the witness out of the
-    Hitchin components.
+    (0, 1): a rank-2 datum with invariants (0, 1), the diagonal shape
+    with c = 1 and a nonzero beta2, summed with n-2 rank-1 pieces.
+    Strict polystability keeps the witness out of the Hitchin components.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_rank(n)
+    if type(w2) is not int:
+        raise TypeError("w2 %r is not an int" % (w2,))
     if w2 not in (0, 1):
         raise ValueError("w2 must be 0 or 1")
-    if w1.is_zero and w2 == 1:
-        head: Tuple[HiggsDatum, ...] = (_sp4_zero_one_witness(ctx),)
-    else:
-        head = tuple(_max_sl2_datum(ctx, t) for t in _pair_realizing(w1, w2))
-    return DirectSum(head + (_max_sl2_datum(ctx, ctx.zero_torsion()),) * (n - 2))
+    _check_label(ctx, "w1", w1)
+    head = ((diagonal_shape(ctx, 1),) if w1.is_zero and w2 == 1
+            else tuple(max_sl2(ctx, t) for t in _pair_realizing(w1, w2)))
+    return DirectSum(head + (max_sl2(ctx),) * (n - 2))

@@ -3,7 +3,8 @@
 A code line is a non-blank line that is neither a ``#`` comment nor part
 of a docstring (the first string statement of a module, class or
 function).  Prints one ``<count> <module>`` line per module, then the
-total; no threshold, so it always exits 0.
+total, then one total for ``tests/*.py`` and one for ``demos/*.py``; no
+threshold, so it always exits 0.
 
     python tests/code_lines.py
 """
@@ -15,7 +16,8 @@ import io
 import pathlib
 import tokenize
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sp4higgs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sp4higgs"
 
 _NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -50,6 +52,9 @@ def main() -> None:
         total += n
         print("%5d %s" % (n, path.name))
     print("%5d total" % total)
+    for pattern in ("tests/*.py", "demos/*.py"):
+        n = sum(code_lines(path.read_text()) for path in ROOT.glob(pattern))
+        print("%5d %s" % (n, pattern))
 
 
 if __name__ == "__main__":

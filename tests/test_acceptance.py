@@ -11,6 +11,7 @@ from fractions import Fraction
 import sp4higgs as sh
 from sp4higgs import (
     CurveCtx, F2Vector, Hitchin, Stability, Subgroup, SW, ZeroSW,
+    diagonal_shape, max_sl2, torsion_split,
 )
 from sp4higgs.liegroup import (
     GOLDEN_E_MINUS_F, GOLDEN_E_PLUS_F, GOLDEN_H0, gl1_torus,
@@ -21,9 +22,7 @@ from sp4higgs.matalg import (
 )
 from sp4higgs.numfield import ONE, fe
 
-from builders import (
-    cover_shape, diagonal_shape, max_sl2, sl2_of_degree, torsion_split,
-)
+from builders import cover_shape, sl2_of_degree
 
 
 def ok(num, slug):
@@ -182,8 +181,8 @@ def _generate_maximal_polystable(ctx):
                 out.append(diagonal_shape(ctx, 0, b1=1, b2=1, b3=b3))
         elif c == ctx.deg_k:
             for spin in (ctx.zero_torsion(), e(0), e(1)):
-                out.append(diagonal_shape(ctx, c, b1=0, b3=0, torsion=spin))
-                out.append(diagonal_shape(ctx, c, b1=1, b3=1, torsion=spin))
+                out.append(diagonal_shape(ctx, c, b1=0, b3=0, spin=spin))
+                out.append(diagonal_shape(ctx, c, b1=1, b3=1, spin=spin))
         else:
             for b1 in (0, 1):
                 for b3 in (0, 1):

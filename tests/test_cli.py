@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sp4higgs as sh
-from sp4higgs import cli, higgs
+from sp4higgs import cli, diagonal_shape, higgs, max_sl2, torsion_split
 from sp4higgs.cli import _PARSER, _json, main
 from sp4higgs.jsonio import ParseError, _bundle_json, datum_from_json, datum_to_json
+from sp4higgs.moduli import _slot
 
-from builders import cover_shape, diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split
+from builders import cover_shape, sl2_of_degree
 from test_golden import corpus
 
 CTX3 = sh.CurveCtx(3)
@@ -528,9 +529,9 @@ _UNSTABLE_1 = sl2_of_degree(CTX3, 1)
 _N6 = sh.LineBundleClass(Fraction(0), 6, CTX3.zero_torsion())
 _K1 = sh.LineBundleClass.canonical(CTX3)
 _N_AS_DEGREE = sh.DiagonalShape(
-    N=_N6, beta1=slot(CTX3, _N6.power(2) * _K1),
-    beta2=slot(CTX3, _N6.power(-2) * _K1.power(3), 1),
-    beta3=slot(CTX3, _K1.power(2)))
+    N=_N6, beta1=_slot(CTX3, _N6.power(2) * _K1, 0),
+    beta2=_slot(CTX3, _N6.power(-2) * _K1.power(3), 1),
+    beta3=_slot(CTX3, _K1.power(2), 0))
 
 # a g = 2 diagonal datum whose N carries a label of length 6
 _DIAG2 = datum_to_json(sh.CurveCtx(2), diagonal_shape(sh.CurveCtx(2), 1))

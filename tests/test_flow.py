@@ -16,9 +16,9 @@ from fractions import Fraction
 import pytest
 
 import sp4higgs as sh
-from sp4higgs import CurveCtx, F2Vector, LineBundleClass
+from sp4higgs import CurveCtx, F2Vector, LineBundleClass, diagonal_shape, max_sl2
 
-from builders import cover_shape, diagonal_shape, max_sl2
+from builders import cover_shape
 from test_golden import corpus
 
 CTX3 = CurveCtx(3)

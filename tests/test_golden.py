@@ -30,14 +30,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import sp4higgs as sh
-from sp4higgs import CurveCtx, F2Vector, FieldElem, numfield
+from sp4higgs import (
+    CurveCtx, F2Vector, FieldElem, diagonal_shape, max_sl2, numfield, torsion_split,
+)
 from sp4higgs._record import Record
 from sp4higgs.cli import main
 from sp4higgs.jsonio import datum_from_json, datum_to_json
 
-from builders import (
-    cover_shape, diagonal_shape, max_sl2, sl2_of_degree, torsion_split,
-)
+from builders import cover_shape, sl2_of_degree
 from test_acceptance import _generate_maximal_polystable
 
 EXPECTED = Path(__file__).with_name("golden_expected.jsonl")

@@ -13,13 +13,11 @@ from sp4higgs import (
     gdelta_reduction_check, gp_reduction_check, h0, irr_embed,
     is_hitchin_minimum, is_maximal, iso_normal_form, milnor_wood,
     sl2xsl2_reduction_check, stability_report, stability_sl2, stability_sp4,
-    sw_invariants, toledo,
+    sw_invariants, toledo, diagonal_shape, max_sl2, torsion_split,
 )
 from sp4higgs._record import Record
 
-from builders import (
-    cover_shape, diagonal_shape, max_sl2, sl2_of_degree, slot, torsion_split,
-)
+from builders import cover_shape, sl2_of_degree
 from test_acceptance import _generate_maximal_polystable
 from test_golden import corpus
 
@@ -251,7 +249,7 @@ def _count_fraction_ops(monkeypatch) -> list:
 
 
 def test_bundle_invariants_make_no_fraction(monkeypatch):
-    hitchin = diagonal_shape(CTX3, CTX3.deg_k, torsion=e(CTX3, 2))
+    hitchin = diagonal_shape(CTX3, CTX3.deg_k, spin=e(CTX3, 2))
     rank1 = max_sl2(CTX3, e(CTX3, 1))
     image = irr_embed(CTX3, rank1)
     bundles = [hitchin.N, rank1.L, LineBundleClass(Fraction(0), 0, CTX3.zero_torsion()),
@@ -341,15 +339,9 @@ def test_stability_torsion_split():
 
 
 def test_stability_out_of_range():
-    n = LineBundleClass(Fraction(1, 2), -1, CTX3.zero_torsion())
-    k = LineBundleClass.canonical(CTX3)
-    d = DiagonalShape(
-        N=n,
-        beta1=slot(CTX3, n.power(2) * k),
-        beta2=slot(CTX3, n.power(-2) * k.power(3)),
-        beta3=slot(CTX3, k.power(2)))
+    # c = -1: deg N = g-2, below the maximal range
     with pytest.raises(OutOfClassifiedRange):
-        stability_sp4(CTX3, d)
+        stability_sp4(CTX3, diagonal_shape(CTX3, -1, b2=0))
 
 
 # -- stability: the three rank-1 cases ----------------------------------------------
@@ -601,7 +593,7 @@ def test_gl4c_slope_never_positive_on_torsion_split():
 
 
 def test_irr_embed_maximal():
-    base = max_sl2(CTX3, torsion=e(CTX3, 1))
+    base = max_sl2(CTX3, spin=e(CTX3, 1))
     img = irr_embed(CTX3, base)
     assert toledo(CTX3, img) == 2 * (CTX3.genus - 1)
     assert is_maximal(CTX3, img)
@@ -777,13 +769,12 @@ def test_minimum_in_cover_component():
 
 
 def test_normal_form_scales_pivot_to_one():
-    n = LineBundleClass(Fraction(1, 2), 1, CTX3.zero_torsion())
-    k = LineBundleClass.canonical(CTX3)
+    base = diagonal_shape(CTX3, 1)
     d = DiagonalShape(
-        N=n,
-        beta1=slot(CTX3, n.power(2) * k, coeffs=(7,) + (0,) * 7),
-        beta2=slot(CTX3, n.power(-2) * k.power(3), coeffs=(3, 5, 0, 0)),
-        beta3=slot(CTX3, k.power(2)))
+        N=base.N,
+        beta1=SectionSlot(base.beta1.bundle, (7,) + (0,) * 7),
+        beta2=SectionSlot(base.beta2.bundle, (3, 5, 0, 0)),
+        beta3=base.beta3)
     nf = iso_normal_form(CTX3, d)
     assert nf.beta2.coeffs[0] == sh.fe(1)
     assert nf.beta2.coeffs[1] == sh.fe(Fraction(5, 3))
@@ -835,13 +826,9 @@ def test_normal_form_takes_only_a_diagonal_datum(datum):
 
 
 def test_shape_validation_catches_wrong_bundle():
-    k = LineBundleClass.canonical(CTX3)
-    n = LineBundleClass(Fraction(1, 2), 1, CTX3.zero_torsion())
-    bad = DiagonalShape(
-        N=n,
-        beta1=slot(CTX3, k.power(2)),  # wrong slot bundle
-        beta2=slot(CTX3, n.power(-2) * k.power(3), 1),
-        beta3=slot(CTX3, k.power(2)))
+    d = diagonal_shape(CTX3, 1)
+    # beta1 in H0(K^2), not H0(N^2 K)
+    bad = DiagonalShape(N=d.N, beta1=d.beta3, beta2=d.beta2, beta3=d.beta3)
     with pytest.raises(ValueError):
         bad.validate(CTX3)
 
@@ -854,9 +841,6 @@ def test_cover_shape_needs_nonzero_w1():
 # (call, exception, exact message) of the argument guards that the CLI's
 # datum decoding never reaches
 GUARDS = {
-    "constant-slot": (
-        lambda: SectionSlot.constant(CTX3, LineBundleClass.canonical(CTX3)),
-        ValueError, "constant slots need a 1-dimensional section space"),
     "cover-w2": (lambda: sh.CoverOrthShape(e(CTX3, 0), 2), ValueError,
                  "w2 must be 0 or 1"),
     "cayley-spin-length": (

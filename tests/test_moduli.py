@@ -13,9 +13,10 @@ from sp4higgs import (
     count_components_sp2n, f2_image_scan, f2_sw_map, fiber_geometry,
     irr_embed, quotient_roundtrip, reduction_verdict,
     sp2n_reduction_witness, stability_sp4, sw_invariants, toledo,
+    diagonal_shape, max_sl2, torsion_split,
 )
 
-from builders import cover_shape, diagonal_shape, max_sl2, torsion_split
+from builders import cover_shape
 
 CTX2 = CurveCtx(2)
 CTX3 = CurveCtx(3)
@@ -35,7 +36,7 @@ def test_classify_zero_sw():
 
 def test_classify_hitchin():
     spin = e(CTX3, 2)
-    label = classify(CTX3, diagonal_shape(CTX3, CTX3.deg_k, torsion=spin))
+    label = classify(CTX3, diagonal_shape(CTX3, CTX3.deg_k, spin=spin))
     assert label == Hitchin(spin)
 
 
@@ -313,6 +314,30 @@ def test_scan_rejects_a_witness_that_misses_its_class(monkeypatch):
     assert str(info.value) == "a witness pair misses its class"
 
 
+# -- datum builders ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_builders_make_valid_data(g):
+    """Every diagonal shape for c in [0, 2g-2] and every maximal rank-1
+    datum, at every spin, is valid and gets a stability verdict, and
+    carries the invariant or root label it was built with."""
+    ctx = CurveCtx(g)
+    spins = list(F2Vector.all_vectors(ctx.two_g))
+    for spin in spins:
+        for c in range(ctx.deg_k + 1):
+            d = diagonal_shape(ctx, c, spin)
+            assert isinstance(sh.stability_report(ctx, d), sh.StabilityReport)
+            assert d.c_invariant(ctx) == c
+        r = max_sl2(ctx, spin)
+        assert isinstance(sh.stability_report(ctx, r), sh.StabilityReport)
+        assert sh.higgs._root_of_k_label(r.L) == spin
+    labels = [ctx.zero_torsion()] + [e(ctx, k) for k in range(ctx.two_g)]
+    for t1 in labels:
+        for t2 in labels:
+            torsion_split(ctx, t1, t2, 1, 2).validate(ctx)
+
+
 # -- higher-rank witnesses --------------------------------------------------------------
 
 
@@ -356,19 +381,28 @@ def test_witness_needs_n_at_least_3():
         sp2n_reduction_witness(CTX2, 2, CTX2.zero_torsion(), 0)
 
 
-# (call, exact ValueError message) of the argument guards
+# (call, exception, exact message) of the argument guards
 GUARDS = {
-    "scan-genus-0": (lambda: f2_image_scan(0), "genus must be at least 1"),
+    "scan-genus-0": (lambda: f2_image_scan(0), ValueError, "genus must be at least 1"),
     "pair-realizing-0-1": (lambda: moduli._pair_realizing(F2Vector.zero(4), 1),
-                           "(0, 1) is not realized by any pair"),
+                           ValueError, "(0, 1) is not realized by any pair"),
     "witness-w2": (lambda: sp2n_reduction_witness(CTX2, 3, CTX2.zero_torsion(), 2),
-                   "w2 must be 0 or 1"),
+                   ValueError, "w2 must be 0 or 1"),
+    # the label, n and w2 are checked before any bundle algebra runs
+    "witness-w1-length": (lambda: sp2n_reduction_witness(CTX3, 3, F2Vector.unit(4, 0), 0),
+                          ValueError, "w1 has length 4, expected 6"),
+    "witness-n-float": (lambda: sp2n_reduction_witness(CTX3, 3.0, e(CTX3, 0), 0),
+                        TypeError, "n 3.0 is not an int"),
+    "witness-w2-bool": (lambda: sp2n_reduction_witness(CTX3, 3, e(CTX3, 0), True),
+                        TypeError, "w2 True is not an int"),
+    "sp2n-count-n-float": (lambda: count_components_sp2n(CTX3, 3.5),
+                           TypeError, "n 3.5 is not an int"),
 }
 
 
 @pytest.mark.parametrize("name", list(GUARDS))
 def test_guard_messages(name):
-    call, message = GUARDS[name]
-    with pytest.raises(ValueError) as info:
+    call, exc, message = GUARDS[name]
+    with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message

@@ -17,9 +17,10 @@ CEILINGS = {
     # a change that puts FieldElem arithmetic back into the rho1 grid,
     # rho1_star, the m-part and S matrices or the adjugate's determinant
     # inverse raises the field counts, and one that brings back the 4x4
-    # products of s_conjugate raises matalg.matmul.calls
+    # products of s_conjugate, or runs the nilpotent-exp identity more
+    # than once, raises matalg.matmul.calls (the pass's 986, no slack)
     "exact_lie": {"numfield.mul.calls": 2158, "numfield.inv.calls": 802,
-                  "matalg.matmul.calls": 1154},
+                  "matalg.matmul.calls": 986},
     # jsonio reads and writes the canonical zero coefficient itself, so a
     # change that sends zeros back through FieldElem's codec raises the
     # first two; the decoder builds one F2Vector per bitstring it reads
