@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ._record import Immutable
+
 __all__ = ["F2Vector"]
 
 
-class F2Vector:
+class F2Vector(Immutable):
     __slots__ = ("value", "length")
 
     def __init__(self, value: int, length: int):
@@ -41,9 +43,6 @@ class F2Vector:
             raise ValueError("length must be even (2g coordinates)")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("F2Vector is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not setattr

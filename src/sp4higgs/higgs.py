@@ -372,9 +372,11 @@ def _split_partner(ctx: CurveCtx, n: LineBundleClass, spin: F2Vector,
 
 
 def _check_label(ctx: CurveCtx, name: str, label: F2Vector):
-    """A mod-2 label, a shape's or a spin choice, must lie in F2^(2g):
-    checked before the bundle algebra, which would only say "length
-    mismatch"."""
+    """A mod-2 label, a shape's or a spin choice, must be an F2Vector
+    lying in F2^(2g): checked before the bundle algebra, which would only
+    say "length mismatch" (or fail on a list or a bitstring)."""
+    if type(label) is not F2Vector:
+        raise TypeError("%s %r is not of type F2Vector" % (name, label))
     if len(label) != ctx.two_g:
         raise ValueError("%s has length %d, expected %d"
                          % (name, len(label), ctx.two_g))
@@ -588,9 +590,14 @@ class TorsionSplitShape(_Shape, Record):
 
 
 class _RankOneBase(_Shape):
-    """The rules of the shapes built on a rank-1 datum (L, beta, gamma)
-    with beta in H0(L^2 K) and gamma in H0(L^-2 K): the datum itself
-    and its irreducible image.  Each subclass declares the three fields."""
+    """The fields and rules of the shapes built on a rank-1 datum
+    (L, beta, gamma) with beta in H0(L^2 K) and gamma in H0(L^-2 K): the
+    datum itself and its irreducible image.  A mixin, not a record: each
+    record subclass takes the three fields from its annotations."""
+
+    L: LineBundleClass
+    beta: SectionSlot
+    gamma: SectionSlot
 
     def validate(self, ctx: CurveCtx):
         _check_label(ctx, "L torsion", self.L.torsion)
@@ -605,10 +612,6 @@ class _RankOneBase(_Shape):
 class SL2RDatum(_RankOneBase, Record):
     """Rank-1 datum (L, beta, gamma) with beta in H0(L^2 K) and
     gamma in H0(L^-2 K)."""
-
-    L: LineBundleClass
-    beta: SectionSlot
-    gamma: SectionSlot
 
     rank = 1
 
@@ -631,10 +634,6 @@ class IrreducibleImage(_RankOneBase, Record):
     representative is quadratic in the sections, which coefficient
     vectors do not model.
     """
-
-    L: LineBundleClass
-    beta: SectionSlot
-    gamma: SectionSlot
 
     def stability(self, ctx: CurveCtx) -> StabilityReport:
         if not stability_sl2(ctx, self).is_polystable:
@@ -818,8 +817,6 @@ def cayley_partner(ctx: CurveCtx, datum: HiggsDatum,
     TorsionPartner for the torsion split."""
     datum = _rank2(ctx, datum)
     spin = spin_choice if spin_choice is not None else ctx.zero_torsion()
-    if type(spin) is not F2Vector:
-        raise TypeError("spin_choice %r is not of type F2Vector" % (spin,))
     _check_label(ctx, "spin_choice", spin)
     return datum.cayley(ctx, spin)
 

@@ -148,7 +148,7 @@ def _slot(value, name: str) -> SectionSlot:
             elems.append(ZERO if c == _ZERO_COEFF else FieldElem.from_json(c))
         except ValueError as exc:
             _fail("coefficient", c, list, exc)
-    return SectionSlot(_bundle(value.get("bundle", _MISSING), "bundle"), elems, override)
+    return SectionSlot(_bundle(value.get("bundle", _MISSING), "bundle"), tuple(elems), override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities

@@ -39,6 +39,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import NamedTuple, Optional
 
+from ._record import Immutable
 from .numfield import (
     FieldElem, I_UNIT, ONE, SQRT3, ZERO, _MUL, _IntElem, _QuadElem, _canonical,
     _combined, _common, _factor, _lowest, _mul_into, _nonzero, embed_u_v, fe,
@@ -63,7 +64,7 @@ class SingularMatrix(ValueError):
     """Raised when inverting a matrix with determinant zero."""
 
 
-class SqMatrix:
+class SqMatrix(Immutable):
     """Immutable square matrix (dimension 2 or 4) over FieldElem.
 
     ``_n`` holds the 8 integer numerators of every entry, row by row, in
@@ -83,9 +84,6 @@ class SqMatrix:
         ints, d = _common([a for row in rows for a in row])
         _set_n(self, tuple(ints))
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SqMatrix is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through _new, not setattr

@@ -332,11 +332,18 @@ def _slot(ctx: CurveCtx, bundle: LineBundleClass, value) -> SectionSlot:
     return SectionSlot(bundle, (value,) + (ZERO,) * (dim - 1) if dim else ())
 
 
+def _root(ctx: CurveCtx, spin) -> LineBundleClass:
+    """The square root of K labeled ``spin`` (the base root when None),
+    the label checked before any bundle algebra."""
+    _check_label(ctx, "spin", ctx.zero_torsion() if spin is None else spin)
+    return LineBundleClass.half_canonical(ctx, spin)
+
+
 def diagonal_shape(ctx, c, spin=None, b1=ZERO, b2=ONE, b3=ZERO) -> DiagonalShape:
     """The diagonal shape with invariant c (deg N = c + g - 1): N is
     K^(1/2) O(c) times the label ``spin``, and at c = 2g-2 the cube of
     the square root of K labeled ``spin``, the form forced there."""
-    r = LineBundleClass.half_canonical(ctx, spin)
+    r = _root(ctx, spin)
     n = r.power(3) if c == ctx.deg_k else LineBundleClass(r.k_power, c, r.torsion)
     k = LineBundleClass.canonical(ctx)
     return DiagonalShape(n, _slot(ctx, n.power(2) * k, b1),
@@ -352,6 +359,7 @@ def torsion_split(ctx, t1, t2, b1=ZERO, b2=ZERO) -> TorsionSplitShape:
 
 def sl2r_datum(ctx, L, beta=ZERO, gamma=ZERO) -> SL2RDatum:
     """The rank-1 datum on L, beta in H0(L^2 K) and gamma in H0(L^-2 K)."""
+    _check_label(ctx, "L torsion", L.torsion)
     k = LineBundleClass.canonical(ctx)
     return SL2RDatum(L, _slot(ctx, L.power(2) * k, beta),
                      _slot(ctx, L.power(-2) * k, gamma))
@@ -360,7 +368,7 @@ def sl2r_datum(ctx, L, beta=ZERO, gamma=ZERO) -> SL2RDatum:
 def max_sl2(ctx, spin=None, beta=ZERO, gamma=ONE) -> SL2RDatum:
     """The maximal rank-1 datum on the square root of K labeled ``spin``
     (the base root when None); gamma's bundle is then trivial."""
-    return sl2r_datum(ctx, LineBundleClass.half_canonical(ctx, spin), beta, gamma)
+    return sl2r_datum(ctx, _root(ctx, spin), beta, gamma)
 
 
 # -- higher-rank witnesses -----------------------------------------------------------

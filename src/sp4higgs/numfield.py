@@ -49,6 +49,8 @@ from math import gcd, lcm, prod
 from operator import add, neg, sub
 from typing import Union
 
+from ._record import Immutable
+
 __all__ = [
     "DivisionByZero",
     "FieldElem",
@@ -105,7 +107,7 @@ def _coerced(method):
     return coerced
 
 
-class FieldElem:
+class FieldElem(Immutable):
     """An element of Q(i, sqrt2, sqrt3); immutable and hashable.
 
     ``_n`` holds the 8 numerators and ``_d`` the common denominator, in
@@ -127,9 +129,6 @@ class FieldElem:
         object.__setattr__(self, "_n", tuple(q.numerator * (d // q.denominator)
                                              for q in qs))
         object.__setattr__(self, "_d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through _raw, not setattr

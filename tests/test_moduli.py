@@ -397,6 +397,17 @@ GUARDS = {
                         TypeError, "w2 True is not an int"),
     "sp2n-count-n-float": (lambda: count_components_sp2n(CTX3, 3.5),
                            TypeError, "n 3.5 is not an int"),
+    "witness-w1-list": (lambda: sp2n_reduction_witness(CTX3, 3, [1, 0, 0, 0, 0, 0], 0),
+                        TypeError, "w1 [1, 0, 0, 0, 0, 0] is not of type F2Vector"),
+    # the builders check their label before any bundle algebra, which
+    # would only say "length mismatch"
+    "diagonal-spin-length": (lambda: diagonal_shape(CTX3, 1, F2Vector.unit(4, 0)),
+                             ValueError, "spin has length 4, expected 6"),
+    "max-sl2-spin-length": (lambda: max_sl2(CTX3, F2Vector.unit(4, 0)),
+                            ValueError, "spin has length 4, expected 6"),
+    "sl2r-L-torsion-length": (
+        lambda: moduli.sl2r_datum(CTX3, sh.LineBundleClass.half_canonical(CTX2)),
+        ValueError, "L torsion has length 4, expected 6"),
 }
 
 
