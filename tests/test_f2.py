@@ -177,3 +177,9 @@ def test_a_long_zero_vector_allocates_no_wide_int():
         tracemalloc.stop()
     assert zero.is_zero and len(zero) == 2 * 10**7
     assert peak < 64 * 1024
+
+
+def test_vectors_are_immutable():
+    v = F2Vector.zero(4)
+    with pytest.raises(AttributeError):
+        v.extra = 1

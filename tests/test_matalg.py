@@ -534,6 +534,7 @@ GUARDS = {
                  "kron is defined here for 2x2 factors only"),
     "zero-form": (lambda: preserves_symplectic_up_to_scalar(I4, SqMatrix.zeros(4)),
                   ValueError, "form is zero"),
+    "immutable": (lambda: setattr(I2, "_d", 2), AttributeError, "SqMatrix is immutable"),
 }
 
 

@@ -221,6 +221,12 @@ def test_foreign_operands_defer_then_raise():
             other / SQRT3
 
 
+def test_elements_are_immutable():
+    with pytest.raises(AttributeError) as info:
+        ONE._d = 2
+    assert str(info.value) == "FieldElem is immutable"
+
+
 def test_repr_writes_unit_coordinates_without_a_factor():
     x = FieldElem.from_parts(one=Fraction(1, 2), sqrt2=1, sqrt3=-1, i_sqrt6=-2)
     assert repr(x) == "FieldElem(1/2 + sqrt2 + -sqrt3 + -2*i*sqrt6)"
