@@ -190,13 +190,13 @@ class LineBundleClass(Record):
                    torsion if torsion is not None else ctx.zero_torsion())
 
 
-_new_bundle = object.__new__
+_new = object.__new__
 
 
 def _bundle(k_power: Fraction, extra_degree: int, torsion: F2Vector) -> LineBundleClass:
     """The class with these fields, already valid, built without the
     constructor's checks."""
-    b = _new_bundle(LineBundleClass)
+    b = _new(LineBundleClass)
     _setattr(b, "k_power", k_power)
     _setattr(b, "extra_degree", extra_degree)
     _setattr(b, "torsion", torsion)
@@ -281,8 +281,21 @@ class SectionSlot(Record):
 
     def scale(self, t) -> "SectionSlot":
         t = fe(t)
-        return SectionSlot(self.bundle, tuple(t * c for c in self.coeffs),
-                           self.h0_override)
+        return _section(self.bundle, tuple(t * c for c in self.coeffs),
+                        self.h0_override)
+
+
+def _section(bundle: LineBundleClass, coeffs: Tuple[FieldElem, ...],
+             h0_override: Optional[int]) -> SectionSlot:
+    """The slot with these fields, built without the constructor's type
+    tests and ``fe`` pass.  Its callers have checked what those would:
+    ``bundle`` is a LineBundleClass, ``coeffs`` a tuple whose items are
+    each exactly a FieldElem, and ``h0_override`` None or an int >= 0."""
+    s = _new(SectionSlot)
+    _setattr(s, "bundle", bundle)
+    _setattr(s, "coeffs", coeffs)
+    _setattr(s, "h0_override", h0_override)
+    return s
 
 
 # -- verdict records ----------------------------------------------------------

@@ -22,7 +22,15 @@ tested where it is read, in one reading order that is not the key order
 of the file: genus, shape, then a shape's fields in field order; a
 bundle's k_power, extra_degree, torsion; a slot's coeffs, h0_override,
 each coefficient, then its bundle.  The first value that fails is the one
-the ParseError names, and its message is built only then.
+the ParseError names, and its message is built only then.  Those checks
+imply every rule of the bundle and slot constructors (a k_power over 1
+or 2, an int extra_degree, an F2Vector torsion, FieldElem coefficients,
+h0_override None or >= 0), so the decoder builds both records through
+higgs._bundle and higgs._section, past the constructors.
+
+load_datum reads a file as bytes and decodes them as strict UTF-8; it
+turns "\r\n", then a lone "\r", into "\n", as text mode does, so the
+JSON parser sees the text that open(path, encoding="utf-8") would read.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .f2 import F2Vector
 from .higgs import (
     CoverOrthShape, CurveCtx, DiagonalShape, DirectSum, HiggsDatum,
     IrreducibleImage, LineBundleClass, SectionSlot, SL2RDatum,
-    TorsionSplitShape,
+    TorsionSplitShape, _bundle as _new_bundle, _section,
 )
 from .numfield import ZERO, FieldElem
 
@@ -114,7 +122,7 @@ def _bundle(value, name: str) -> LineBundleClass:
     extra = value.get("extra_degree", _MISSING)
     if type(extra) is not int:
         _fail("extra_degree", extra, int)
-    return LineBundleClass(power, extra, _f2(value.get("torsion", _MISSING), "torsion"))
+    return _new_bundle(power, extra, _f2(value.get("torsion", _MISSING), "torsion"))
 
 
 # the canonical zero coefficient, most of the coefficients of data at the
@@ -148,7 +156,7 @@ def _slot(value, name: str) -> SectionSlot:
             elems.append(ZERO if c == _ZERO_COEFF else FieldElem.from_json(c))
         except ValueError as exc:
             _fail("coefficient", c, list, exc)
-    return SectionSlot(_bundle(value.get("bundle", _MISSING), "bundle"), tuple(elems), override)
+    return _section(_bundle(value.get("bundle", _MISSING), "bundle"), tuple(elems), override)
 
 
 # field type -> (encode, decode); encoders of int and bool are identities
@@ -208,13 +216,23 @@ def load_datum(path: str) -> Tuple[CurveCtx, HiggsDatum]:
     """Read a datum file; a file that cannot be opened, is not UTF-8
     JSON that Python reads (an integer literal past the interpreter's
     digit limit is not) or nests too deeply to read raises ParseError.
-    The ValueErrors of the datum's own constructors pass through."""
+    The ValueErrors of the datum's own constructors pass through.
+
+    The file is read once, as bytes, and decoded as strict UTF-8 (a BOM
+    is kept, and JSON rejects it); "\r\n" and then "\r" become "\n", as
+    in text mode, so every ParseError text is the one that a text-mode
+    read gives.  Bundles and slots are built through higgs._bundle and
+    higgs._section, after the decoder's checks."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # also UnicodeDecodeError, int digit limit
-                raise ParseError(str(exc)) from None
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+            if "\r" in text:  # the newlines text mode reads as "\n"
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
+        except ValueError as exc:  # also UnicodeDecodeError, int digit limit
+            raise ParseError(str(exc)) from None
         return datum_from_json(data)
     except (OSError, RecursionError) as exc:
         raise ParseError(str(exc)) from None

@@ -359,6 +359,8 @@ def torsion_split(ctx, t1, t2, b1=ZERO, b2=ZERO) -> TorsionSplitShape:
 
 def sl2r_datum(ctx, L, beta=ZERO, gamma=ZERO) -> SL2RDatum:
     """The rank-1 datum on L, beta in H0(L^2 K) and gamma in H0(L^-2 K)."""
+    if type(L) is not LineBundleClass:
+        raise TypeError("L %r is not of type LineBundleClass" % (L,))
     _check_label(ctx, "L torsion", L.torsion)
     k = LineBundleClass.canonical(ctx)
     return SL2RDatum(L, _slot(ctx, L.power(2) * k, beta),

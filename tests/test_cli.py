@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 import sp4higgs as sh
 from sp4higgs import cli, diagonal_shape, higgs, max_sl2, torsion_split
 from sp4higgs.cli import _PARSER, _json, main
-from sp4higgs.jsonio import ParseError, _bundle_json, datum_from_json, datum_to_json
+from sp4higgs.jsonio import (
+    ParseError, _bundle_json, datum_from_json, datum_to_json, load_datum,
+)
 from sp4higgs.moduli import _slot
 
 from builders import cover_shape, sl2_of_degree
@@ -811,6 +813,105 @@ def test_datum_path_that_is_a_directory_exit_2(tmp_path, capsys):
     code, out = run_cli(capsys, "classify", "--in", str(tmp_path))
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
+
+
+def _text_mode_clause(path):
+    """The error text of the text-mode read load_datum replaced, or None
+    where that read gives JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except (OSError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+_DIAGONAL_G2 = (EXAMPLES / "diagonal-g2.json").read_bytes()
+# each byte document is the content of a file; a directory and a missing
+# path are no file at all
+BYTE_DOCUMENTS = {
+    "crlf, error on line 3": b'{\r\n"genus": 2,\r\n"shape": oops\r\n}\r\n',
+    "lone cr, error on line 3": b'{\r"genus": 2,\r"shape": oops\r}\r',
+    "utf-8 bom": b"\xef\xbb\xbf" + _DIAGONAL_G2,
+    "invalid utf-8 after line 1": b'{\n\xff"genus": 2}\n',
+    "empty": b"",
+    "directory": None,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("name", list(BYTE_DOCUMENTS))
+def test_the_byte_read_keeps_every_parse_error_text(tmp_path, name):
+    content = BYTE_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    if name == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    clause = _text_mode_clause(path)
+    assert clause is not None
+    with pytest.raises(ParseError) as exc:
+        load_datum(str(path))
+    assert str(exc.value) == clause
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_a_datum_with_other_line_endings_decodes_equal(tmp_path, newline):
+    assert _DIAGONAL_G2.count(b"\n") > 1 and b"\r" not in _DIAGONAL_G2
+    path = tmp_path / "diagonal-g2.json"
+    path.write_bytes(_DIAGONAL_G2.replace(b"\n", newline))
+    assert _text_mode_clause(path) is None
+    assert load_datum(str(path)) == load_datum(str(EXAMPLES / "diagonal-g2.json"))
+
+
+def _bundles_and_slots(datum):
+    """Every bundle and slot record a decoded datum holds, those of its
+    summands and each slot's bundle included."""
+    for name in datum._fields:
+        value = getattr(datum, name)
+        if type(value) is tuple:
+            for summand in value:
+                yield from _bundles_and_slots(summand)
+        elif type(value) is sh.SectionSlot:
+            yield value
+            yield value.bundle
+        elif type(value) is sh.LineBundleClass:
+            yield value
+
+
+def _same_record(got, want):
+    assert got == want and want == got
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def test_decoded_records_equal_their_public_builds():
+    # the decoder builds bundles and slots past their constructors; each
+    # must be the record the constructor gives for the same fields
+    docs = [doc for *_, doc in corpus()] + [
+        json.loads((EXAMPLES / name).read_text())
+        for name in ("diagonal-g2.json", "cover-g2.json")]
+    dense = sh.FieldElem.from_parts(1, 2, -3, Fraction(1, 5), 0, 7, 0, -1)
+    slots = 0
+    for doc in docs:
+        _, datum = datum_from_json(doc)
+        for record in _bundles_and_slots(datum):
+            if type(record) is sh.LineBundleClass:
+                _same_record(record, sh.LineBundleClass(
+                    record.k_power, record.extra_degree, record.torsion))
+                continue
+            slots += 1
+            _same_record(record, sh.SectionSlot(record.bundle, record.coeffs,
+                                                record.h0_override))
+            for t in (0, 1, dense):
+                scaled = record.scale(t)
+                _same_record(scaled, sh.SectionSlot(
+                    record.bundle, tuple(sh.fe(t) * c for c in record.coeffs),
+                    record.h0_override))
+                assert type(scaled.coeffs) is tuple
+                assert all(type(c) is sh.FieldElem for c in scaled.coeffs)
+            assert type(record.coeffs) is tuple
+            assert all(type(c) is sh.FieldElem for c in record.coeffs)
+    assert slots > 500  # the walk reaches the corpus's slots
 
 
 def test_unknown_scope_exit_2(capsys):

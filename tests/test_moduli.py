@@ -408,6 +408,11 @@ GUARDS = {
     "sl2r-L-torsion-length": (
         lambda: moduli.sl2r_datum(CTX3, sh.LineBundleClass.half_canonical(CTX2)),
         ValueError, "L torsion has length 4, expected 6"),
+    # the bundle's type is tested before its label is read
+    "sl2r-L-none": (lambda: moduli.sl2r_datum(CTX3, None),
+                    TypeError, "L None is not of type LineBundleClass"),
+    "sl2r-L-label": (lambda: moduli.sl2r_datum(CTX3, e(CTX3, 0)),
+                     TypeError, "L F2Vector(100000) is not of type LineBundleClass"),
 }
 
 
