@@ -12,19 +12,22 @@ non-diagonal datum), 2 usage or parse failure.
 
 A datum request written ``CMD --in PATH``, with PATH not starting with
 "-", skips argparse: ``_parse`` builds the namespace the command's
-subparser would return.  Every other argv is parsed by argparse.  The
-printed object is written by ``_json``, which gives the bytes of
-``json.dumps(obj, sort_keys=True, indent=2)`` for the types a payload
-holds, without json's pure-Python indented encoder.
+subparser would return.  Every other argv is parsed by the argparse tree
+of ``_parser``, built at the first such argv.  ``verify``, and the Lie
+layer behind it, is imported only by the verify commands and the tree,
+so a datum request loads neither.  The printed object is written by
+``_json``, which gives the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` for the types a payload holds, without json's pure-Python
+indented encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import verify
 from .f2 import F2Vector
 from .higgs import (
     CurveCtx, NotMaximal, NotPolystable, OutOfClassifiedRange,
@@ -48,6 +51,7 @@ MAX_COUNT_GENUS = 7140
 
 
 def _cmd_verify(args):
+    from . import verify
     reports = verify.run_suite(args.scope)
     payload = [{"suite": r.suite, "passed": r.passed, "failed": r.failed, "ok": r.ok,
                 "checks": [{"id": c.id, "ref": c.ref, "pass": c.passed, "detail": c.detail}
@@ -129,7 +133,13 @@ def _cmd_fiber(args):
                "total_dim": geom.total_dim}
 
 
-def _build_parser():
+# built at the first call, so only an argv off the fast path of _parse
+# builds it, and once per process: argparse reads stdout, stderr and the
+# terminal width only when it prints, and a parse makes a fresh namespace
+# on each call, so one tree serves every later call of main.
+@cache
+def _parser() -> argparse.ArgumentParser:
+    from . import verify
     parser = argparse.ArgumentParser(
         prog="sp4higgs",
         description="Exact classification tools for maximal rank-2 "
@@ -167,12 +177,6 @@ def _build_parser():
     return parser
 
 
-# built once per process: argparse reads stdout, stderr and the terminal
-# width only when it prints, and a parse makes a fresh namespace on each
-# call, so one tree serves every call of main.
-_PARSER = _build_parser()
-
-
 def _parse(argv: list) -> argparse.Namespace:
     """``CMD --in PATH``, for a datum command and a path not starting with
     "-", is not parsed at all: its namespace is built here, the one the
@@ -184,7 +188,7 @@ def _parse(argv: list) -> argparse.Namespace:
         if type(path) is str and not path.startswith("-"):
             return argparse.Namespace(func=_cmd_datum, infile=path,
                                       payload=_DATUM_COMMANDS[argv[0]])
-    return _PARSER.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _json(obj, indent: str = "\n") -> str:

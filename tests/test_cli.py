@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sp4higgs as sh
 from sp4higgs import cli, diagonal_shape, higgs, max_sl2, torsion_split
-from sp4higgs.cli import _PARSER, _json, main
+from sp4higgs.cli import _json, _parser, main
 from sp4higgs.jsonio import (
     ParseError, _bundle_json, datum_from_json, datum_to_json, load_datum,
 )
@@ -260,7 +260,7 @@ def _whole_tree(argv) -> int:
     no ValueError but ParseError: the whole tree parses argv, the command
     runs, and json.dumps prints its payload or error object."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -301,7 +301,7 @@ def test_only_cmd_in_path_skips_the_parse(monkeypatch, capsys):
     frozen = (EXAMPLES / "diagonal-g2.classify.json").read_text(encoding="utf-8")
     assert run_cli(capsys, "classify", "--in", str(path)) == (0, frozen)
     assert parsers == []
-    _PARSER.parse_args(["classify", "--in=%s" % path])
+    _parser().parse_args(["classify", "--in=%s" % path])
     whole_tree = parsers[:]
     del parsers[:]
     assert run_cli(capsys, "classify", "--in=%s" % path) == (0, frozen)
@@ -961,6 +961,9 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
         fresh.append((result.returncode, result.stdout, result.stderr))
     assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 1, 0, 0, 2, 0, 0]
 
+    # the one tree, built here if no earlier test built it: the calls
+    # below must build no second one
+    _parser()
     built = []
     init = argparse.ArgumentParser.__init__
 

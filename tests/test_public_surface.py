@@ -83,9 +83,11 @@ def _scan():
                     resolved.add((base.attr, n.attr))
                 elif isinstance(base, ast.Name) and base.id in modules:
                     resolved.add((modules[base.id], n.attr))
+        # the names an ``__all__`` lists itself; the package's is built
+        # from its modules' lists, whose names are their modules' own
         exported = {e.value for node in tree.body if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                    for e in node.value.elts}
+                    for e in node.value.elts if isinstance(e, ast.Constant)}
         public.update((own, name, name) for name in exported)
         public.update((None, f.name, "%s.%s" % (c.name, f.name)) for c in tree.body
                       if isinstance(c, ast.ClassDef) and c.name in exported

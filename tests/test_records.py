@@ -452,17 +452,54 @@ def test_an_annotation_that_names_no_class_raises_when_the_class_is_made(annotat
 # -- import cost --------------------------------------------------------------------
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# the modules that no datum request needs: the Lie layer and the identity suites
+LIE_LAYER = ("sp4higgs.matalg", "sp4higgs.liegroup", "sp4higgs.verify")
+
+
+def _run(code):
+    """The stdout of ``code`` run in a new interpreter with ``src/`` on its path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          check=True).stdout
+
+
+def _loaded(code, modules):
+    """What ``code`` prints, split, then the names among ``modules`` loaded
+    after it runs in a new interpreter, in the order given."""
+    return _run(code + "\nprint(' '.join(m for m in %r if m in sys.modules))"
+                % (modules,)).split()
+
+
 def test_import_leaves_out_dataclasses_and_the_io_modules():
     """``import sp4higgs`` builds its records without ``dataclasses``
     (whose ``inspect`` import took most of the import's time) and does
-    not load the CLI or the JSON codec."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, sp4higgs\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'sp4higgs.cli', "
-            "'sp4higgs.jsonio', 'sp4higgs.higgs') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.split() == ["sp4higgs.higgs"]
+    not load the CLI, the JSON codec, the Lie layer or ``verify``."""
+    modules = ("dataclasses", "inspect", "sp4higgs.cli", "sp4higgs.jsonio",
+               *LIE_LAYER, "sp4higgs.higgs")
+    assert _loaded("import sys, sp4higgs", modules) == ["sp4higgs.higgs"]
+
+
+def test_a_datum_request_builds_no_parser_and_leaves_out_the_lie_layer():
+    """``main`` on ``classify --in PATH`` prints the frozen verdict, and
+    neither the import of the CLI nor the request builds an argparse
+    parser or loads the Lie layer or ``verify``."""
+    example = ROOT / "docs" / "examples" / "diagonal-g2"
+    code = ("import argparse, contextlib, io, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from sp4higgs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = main(['classify', '--in', %r])\n"
+            "frozen = open(%r, encoding='utf-8').read()\n"
+            "print(code, out.getvalue() == frozen, len(built))"
+            % (str(example) + ".json", str(example) + ".classify.json"))
+    loaded = _loaded(code, (*LIE_LAYER, "sp4higgs.jsonio"))
+    assert loaded == ["0", "True", "0", "sp4higgs.jsonio"]
 
 
 # the preamble of the code run in a fresh interpreter: it imports every module
@@ -595,8 +632,57 @@ def test_package_exports_exactly_the_modules_all():
     modules = (numfield, matalg, liegroup, f2, higgs, moduli)
     owner = {name: module for module in modules for name in module.__all__}
     assert len(owner) == sum(len(module.__all__) for module in modules)
-    public = {name for name, value in vars(sh).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    public = {name for name in dir(sh)
+              if not name.startswith("_")
+              and not isinstance(getattr(sh, name), types.ModuleType)}
     assert public == set(owner)
     for name, module in owner.items():
         assert getattr(sh, name) is getattr(module, name), name
+
+
+# the three ways to look up a name of the package, each read into ``got``
+_LOOKUPS = {
+    "attribute": "got = {name: getattr(sp4higgs, name) for name in NAMES}",
+    "from-import": ("got = {}\n"
+                    "for name in NAMES:\n"
+                    "    exec('from sp4higgs import ' + name, got)\n"
+                    "del got['__builtins__']"),
+    "star-import": "got = {}\nexec('from sp4higgs import *', got)\ndel got['__builtins__']",
+}
+
+
+@pytest.mark.parametrize("lookup", _LOOKUPS)
+def test_the_lie_layer_names_resolve_to_the_modules_own_objects(lookup):
+    """In a new interpreter, where ``import sp4higgs`` has not loaded
+    ``matalg`` or ``liegroup``, each lookup gives every name of their
+    ``__all__`` as the module's own object; ``*`` gives the union of the
+    ``__all__`` of every re-exported module."""
+    names = [*matalg.__all__, *liegroup.__all__]
+    code = ("import json, sys, sp4higgs\n"
+            "NAMES = %r\n"
+            "cold = not {'sp4higgs.matalg', 'sp4higgs.liegroup'} & set(sys.modules)\n"
+            "%s\n"
+            "from sp4higgs import liegroup, matalg\n"
+            "own = {n: getattr(m, n) for m in (matalg, liegroup) for n in m.__all__}\n"
+            "print(json.dumps([cold, sorted(got), [n for n in own if got[n] is not own[n]]]))"
+            % (names, _LOOKUPS[lookup]))
+    cold, got, not_own = json.loads(_run(code))
+    modules = (numfield, matalg, liegroup, f2, higgs, moduli)
+    expected = {n for m in modules for n in m.__all__} if lookup == "star-import" else names
+    assert cold
+    assert got == sorted(expected)
+    assert not_own == []
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    """A name the package does not export raises the error of a module with
+    no ``__getattr__``, so ``hasattr`` is False, and loads no module."""
+    with pytest.raises(AttributeError) as standard:
+        types.ModuleType("sp4higgs").no_such_name
+    with pytest.raises(AttributeError) as got:
+        sh.no_such_name
+    assert type(got.value) is AttributeError
+    assert got.value.args == standard.value.args
+    assert not hasattr(sh, "no_such_name")
+    code = "import sys, sp4higgs\nprint(hasattr(sp4higgs, 'no_such_name'))"
+    assert _loaded(code, LIE_LAYER) == ["False"]
