@@ -14,11 +14,11 @@ A datum request written ``CMD --in PATH``, with PATH not starting with
 "-", skips argparse: ``_parse`` builds the namespace the command's
 subparser would return.  Every other argv is parsed by the argparse tree
 of ``_parser``, built at the first such argv.  ``verify``, and the Lie
-layer behind it, is imported only by the verify commands and the tree,
-so a datum request loads neither.  The printed object is written by
-``_json``, which gives the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` for the types a payload holds, without json's pure-Python
-indented encoder.
+layer behind it, is imported only by the verify commands: the tree names
+their ``--scope`` choices in ``_SCOPES``, so every other command loads
+neither.  The printed object is written by ``_json``, which gives the
+bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` for the types a
+payload holds, without json's pure-Python indented encoder.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ __all__ = ["main"]
 
 _DOMAIN_ERRORS = (NotMaximal, NotPolystable, OutOfClassifiedRange,
                   RequiresExplicitH0, ScanBudgetExceeded, WrongShape)
+
+# the --scope choices of verify: the suites of verify.SUITES, in order,
+# and "all"; named here so that building the tree imports no verify (a
+# tier-1 test pins them to verify.SUITES)
+_SCOPES = ("lie", "matalg", "all")
 
 # the largest genus whose counts (about 2^(2g+1) * 3) stay within
 # CPython's default limit of 4300 digits for printing an int
@@ -139,7 +144,6 @@ def _cmd_fiber(args):
 # on each call, so one tree serves every later call of main.
 @cache
 def _parser() -> argparse.ArgumentParser:
-    from . import verify
     parser = argparse.ArgumentParser(
         prog="sp4higgs",
         description="Exact classification tools for maximal rank-2 "
@@ -147,7 +151,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the exact identity suites")
-    p.add_argument("--scope", choices=[*verify.SUITES, "all"], default="all")
+    p.add_argument("--scope", choices=_SCOPES, default="all")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("verify-lie", help="shortcut for verify --scope lie")

@@ -54,7 +54,7 @@ from ._record import Record
 from .numfield import FieldElem, I_UNIT, ONE, ZERO, _common, fe
 from .matalg import (
     H_SYM3_INV, HTILDE, I2, J0, T2, T4, SqMatrix, _cayley_conjugate,
-    _flat, _monomial_conjugate, _monomial_frame, _reduced, _ring,
+    _from_ring, _monomial_conjugate, _monomial_frame, _reduced, _ring,
     _unipotent_conjugate, is_symplectic, kron,
 )
 
@@ -147,7 +147,7 @@ def _rho1_raw(a: SqMatrix) -> SqMatrix:
     # numerators of a in the smallest ring that holds them: every entry
     # is a cubic, so the grid is over a._d ** 3.
     grid = _rho1_grid(*_ring(a._n), 2, 3)
-    return _reduced(_flat([e for row in grid for e in row]), a._d ** 3)
+    return _from_ring([e for row in grid for e in row], a._d ** 3)
 
 
 # The differential of rho1 at I, the coefficient of t in the grid at

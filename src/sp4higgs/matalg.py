@@ -7,15 +7,25 @@ arithmetic runs on the ints and reduces each result by one gcd, so no
 partial sum is normalized; entries are built as FieldElems only when
 read.
 
-Everything is exact: determinants and inverses by adjugate (dimensions
-are fixed and tiny, so no pivoting is needed), and matrix exponentials
-only for nilpotent arguments, via the finite series.  The adjugate runs
-on the numerators in the smallest ring that holds them (``_ring``):
-plain ints when every entry is rational, ``numfield._QuadElem`` (3 ints)
-when all entries lie in one quadratic subfield Q(b_k), such as the Q(i)
-of the Cayley frame, and ``numfield._IntElem`` (8 ints) otherwise; a
-4x4 one goes through the twelve 2x2 minors of row pairs (0, 1) and
-(2, 3), and an inverse makes one field inverse, of the determinant.
+Every kernel runs in the smallest ring that holds the numerators it
+reads, chosen from the coordinates they use:
+
+* products, ``scale`` and ``kron`` (``_small_ring_product``): one int
+  per entry when both operands are rational, the two ints of 1 and b_k
+  per entry when together they lie in one quadratic subfield Q(b_k),
+  such as the Q(sqrt3) of ``rho13`` and ``J13`` or the Q(i) of the
+  Cayley frame, multiplied in straight-line int code with the gcd taken
+  before the 8 coordinates are spread; the 8-int loop of
+  ``numfield._mul_into`` otherwise, and a rational scalar multiplies
+  every numerator;
+* determinants and inverses (``_ring``): by adjugate (dimensions are
+  fixed and tiny, so no pivoting is needed) on plain ints, on
+  ``numfield._QuadElem`` (3 ints) or on ``numfield._IntElem`` (8 ints);
+  a 4x4 one goes through the twelve 2x2 minors of row pairs (0, 1) and
+  (2, 3), and an inverse makes one field inverse, of the determinant.
+
+Everything is exact; matrix exponentials are only for nilpotent
+arguments, via the finite series.
 
 Also defines the fixed symplectic forms and change-of-basis matrices
 used throughout the symplectic rank-2 analysis:
@@ -36,6 +46,7 @@ used throughout the symplectic rank-2 analysis:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import add, neg, sub
 from typing import NamedTuple, Optional
 
@@ -72,6 +83,11 @@ class SqMatrix(Immutable):
     number of ints fixes the dimension.  The gcd of all the ints and
     ``_d`` is 1, so equal matrices have equal ``(_n, _d)``.  ``rows`` and
     ``m[i][j]`` build FieldElem views on demand.
+
+    ``*``, ``scale`` and ``kron`` multiply over Q or over one Q(b_k) on
+    one or two ints per entry when their operands' entries lie there
+    together, and through the 8 coordinates otherwise; ``det`` and
+    ``inv`` run on the ring of ``_ring`` (module docstring).
     """
 
     __slots__ = ("_n", "_d")
@@ -146,32 +162,43 @@ class SqMatrix(Immutable):
         if not isinstance(other, SqMatrix):
             return self.scale(other)
         self._samedim(other)
-        n = self.dim
-        xs = _entries(self._n)
-        ys = [_factor(y) for y in _entries(other._n)]
+        n, x, y = self.dim, self._n, other._n
+        d = self._d * other._d
+        m = _small_ring_product(x, y, _GRID_PRODUCT[n], d)
+        if m is not None:
+            return m
+        xs = _entries(x)
+        ys = [_factor(e) for e in _entries(y)]
         out = [0] * (8 * n * n)
         for i in range(n):
             for k in range(n):
-                x = xs[n * i + k]
-                if not any(x):
+                e = xs[n * i + k]
+                if not any(e):
                     continue
                 for j in range(n):
-                    y = ys[n * k + j]
-                    if y:
-                        _mul_into(out, 8 * (n * i + j), x, y)
-        return _reduced(out, self._d * other._d)
+                    f = ys[n * k + j]
+                    if f:
+                        _mul_into(out, 8 * (n * i + j), e, f)
+        return _reduced(out, d)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "SqMatrix":
         c = fe(c)
-        y = _factor(c._n)
+        y, d = c._n, self._d * c._d
+        m = _small_ring_product(self._n, y, _scaled, d)
+        if m is not None:
+            return m
+        if not any(y[1:]):
+            q = y[0]
+            return _reduced([q * x for x in self._n], d)
+        f = _factor(y)
         out = [0] * len(self._n)
-        for o, x in enumerate(_entries(self._n)):
-            if any(x):
-                _mul_into(out, 8 * o, x, y)
-        return _reduced(out, self._d * c._d)
+        for o, e in enumerate(_entries(self._n)):
+            if any(e):
+                _mul_into(out, 8 * o, e, f)
+        return _reduced(out, d)
 
     @property
     def T(self) -> "SqMatrix":
@@ -210,8 +237,8 @@ class SqMatrix(Immutable):
             r, u = det.reciprocal()
         # entry (i, j) of the inverse is (-1)^(i+j) d cofs[n j + i] / det
         y, y_neg = r * self._d, r * -self._d
-        return _reduced(_flat([cofs[k] * (y_neg if odd else y)
-                               for k, odd in _ADJUGATE[n]]), u)
+        return _from_ring([cofs[k] * (y_neg if odd else y)
+                           for k, odd in _ADJUGATE[n]], u)
 
     @property
     def is_zero(self) -> bool:
@@ -266,35 +293,129 @@ def _entries(ints: tuple) -> list:
 _QUAD_INDEX = {_MUL[9 * k][1]: k for k in range(1, 8)}
 
 
+# the coordinate, 0 to 7, of each int of the flat numerators of a matrix
+_COORDINATE = tuple(range(8)) * 16
+
+
+def _support(x, y=()) -> set:
+    """The indices k > 0 of the basis elements b_k that the flat
+    numerators x and y (8 per entry) use, read in one pass over each."""
+    support = {*compress(_COORDINATE, x), *compress(_COORDINATE, y)}
+    support.discard(0)
+    return support
+
+
+def _spread(rational, quad=(), k: int = 0) -> list:
+    """The flat numerators (8 per entry) of the entries a + b b_k, for
+    a in ``rational`` and b in ``quad`` (none for k = 0)."""
+    out = [0] * (8 * len(rational))
+    out[::8] = rational
+    if k:
+        out[k::8] = quad
+    return out
+
+
+def _from_parts(d: int, rational: list, quad=(), k: int = 0) -> SqMatrix:
+    """The matrix of the entries (a + b b_k) / d, for a in ``rational``
+    and b in ``quad`` (none for k = 0), in lowest terms: the one gcd
+    runs on those ints, before they are spread."""
+    ints, d = _lowest([*rational, *quad], d)
+    n = len(rational)
+    return _new(tuple(_spread(ints[:n], ints[n:], k)), d)
+
+
 def _ring(ints) -> list:
     """The entries of the flat numerators ``ints`` (8 per entry) as
     elements of the smallest ring that holds them all, read off the
     coordinates they use: plain ints when every entry is rational, a
     ``_QuadElem`` each when all lie in one quadratic subfield Q(b_k),
     an ``_IntElem`` each otherwise.  ``_flat`` is the inverse."""
-    support = [k for k in range(1, 8) if any(ints[k::8])]
+    support = _support(ints)
     if not support:
         return list(ints[::8])
     if len(support) == 1:
-        k = support[0]
+        k, = support
         s = _MUL[9 * k][1]
         return [_QuadElem((a, b, s)) for a, b in zip(ints[::8], ints[k::8])]
     return [_IntElem(ints[o:o + 8]) for o in range(0, len(ints), 8)]
 
 
+def _parts(elems) -> tuple:
+    """The ``_spread`` arguments (rational, quad, k) of the ints or the
+    ``_QuadElem``s ``elems``, all of one ring of ``_ring``."""
+    e = elems[0]
+    if e.__class__ is int:
+        return elems, (), 0
+    return [x[0] for x in elems], [x[1] for x in elems], _QUAD_INDEX[e[2]]
+
+
 def _flat(elems) -> list:
     """The 8 numerators of each of the ring elements ``elems``, all of
     one ring of ``_ring``, in one flat list."""
-    e = elems[0]
-    if e.__class__ is _IntElem:
+    if elems[0].__class__ is _IntElem:
         return [x for e in elems for x in e]
-    out = [0] * (8 * len(elems))
-    if e.__class__ is int:
-        out[::8] = elems
-    else:
-        out[::8] = [x[0] for x in elems]
-        out[_QUAD_INDEX[e[2]]::8] = [x[1] for x in elems]
-    return out
+    return _spread(*_parts(elems))
+
+
+def _from_ring(elems, d: int) -> SqMatrix:
+    """The matrix of the ring elements ``elems`` (all of one ring of
+    ``_ring``, row by row) over d, in lowest terms: ``_reduced`` of
+    their ``_flat`` numerators, with the gcd taken before the spread for
+    ints and ``_QuadElem``s."""
+    if elems[0].__class__ is _IntElem:
+        return _reduced(_flat(elems), d)
+    return _from_parts(d, *_parts(elems))
+
+
+def _small_ring_product(x, y, product, d: int) -> Optional[SqMatrix]:
+    """The matrix ``product(x, y) / d`` for the flat numerators x and y
+    (8 per entry) of two matrices, or of a matrix and a scalar, when
+    together they use at most one basis element b_k beyond 1, else None.
+    ``product`` is the bilinear map on one int per entry of each (matrix
+    product, kron or scaling), and it runs on ints: once, on the
+    rational coordinates, when x and y use no b_k, and four times, on
+    the coordinates (a, b) of 1 and b_k with b_k^2 = s, when they use
+    one, since (a + b b_k)(c + e b_k) = (ac + s be) + (ae + bc) b_k.
+    The one gcd runs on those coordinates, before they are spread into
+    the 8 per entry."""
+    support = _support(x, y)
+    if not support:
+        return _from_parts(d, product(x[::8], y[::8]))
+    if len(support) > 1:
+        return None
+    k, = support
+    s = _MUL[9 * k][1]
+    xa, xb, ya, yb = x[::8], x[k::8], y[::8], y[k::8]
+    return _from_parts(d, [ac + s * be for ac, be in zip(product(xa, ya), product(xb, yb))],
+                       list(map(add, product(xa, yb), product(xb, ya))), k)
+
+
+def _straight_line(sums: list):
+    """The bilinear map of two tuples x and y of ints whose output k is
+    the sum of x[p] y[q] over the pairs (p, q) of ``sums[k]``, compiled
+    once into one straight line: no loop and no slice, about 4x faster
+    than ``sum(map(mul, row, col))`` per entry of a 4x4 product."""
+    sx = 1 + max(p for pairs in sums for p, _ in pairs)
+    sy = 1 + max(q for pairs in sums for _, q in pairs)
+    out = ", ".join(" + ".join("x%d * y%d" % pq for pq in pairs) for pairs in sums)
+    source = "def product(x, y):\n    %s, = x\n    %s, = y\n    return [%s]\n" % (
+        ", ".join("x%d" % p for p in range(sx)),
+        ", ".join("y%d" % q for q in range(sy)), out)
+    scope = {}
+    exec(source, scope)
+    return scope["product"]
+
+
+# the n x n matrix product of two grids of ints, row by row
+_GRID_PRODUCT = {n: _straight_line([[(n * i + k, n * k + j) for k in range(n)]
+                                    for i in range(n) for j in range(n)])
+                 for n in (2, 4)}
+
+
+def _scaled(xs, c) -> list:
+    """The ints xs times the one int of the 1-tuple c."""
+    c, = c
+    return [c * x for x in xs]
 
 
 # The twelve 2x2 minors of a 4x4 grid xs: minor m is
@@ -447,23 +568,28 @@ def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
     return _reduced(out, e * e * m._d)
 
 
+# entry o of the 4x4 kron(a, b), row by row, is a[p] b[q] for the
+# entries p and q of the 2x2 factors, row by row, in (p, q) = _KRON[o]
+_KRON = tuple((2 * i + j, 2 * r + c) for i in range(2) for r in range(2)
+              for j in range(2) for c in range(2))
+_KRON_PRODUCT = _straight_line([[pq] for pq in _KRON])
+
+
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     """Kronecker product of two 2x2 matrices: block entries a[i][j] * b."""
     if a.dim != 2 or b.dim != 2:
         raise ValueError("kron is defined here for 2x2 factors only")
-    xs = _entries(a._n)
-    ys = [_factor(y) for y in _entries(b._n)]
+    x, y, d = a._n, b._n, a._d * b._d
+    m = _small_ring_product(x, y, _KRON_PRODUCT, d)
+    if m is not None:
+        return m
+    xs = _entries(x)
+    ys = [_factor(e) for e in _entries(y)]
     out = [0] * 128
-    for i in range(2):
-        for j in range(2):
-            x = xs[2 * i + j]
-            if not any(x):
-                continue
-            for r in range(2):
-                for c in range(2):
-                    _mul_into(out, 8 * (8 * i + 4 * r + 2 * j + c), x,
-                              ys[2 * r + c])
-    return _reduced(out, a._d * b._d)
+    for o, (p, q) in enumerate(_KRON):
+        if any(xs[p]):
+            _mul_into(out, 8 * o, xs[p], ys[q])
+    return _reduced(out, d)
 
 
 def conjugate(m: SqMatrix, p: SqMatrix) -> SqMatrix:

@@ -121,7 +121,7 @@ class FieldElem(Immutable):
         if len(qs) != 8:
             raise ValueError("FieldElem needs exactly 8 coordinates")
         for q in qs:
-            if not isinstance(q, (int, Fraction)):
+            if q.__class__ is not int and q.__class__ is not Fraction:
                 raise TypeError("coordinate %r is not an int or Fraction" % (q,))
         # ints and reduced fractions over the lcm of their denominators
         # are already canonical
@@ -440,7 +440,9 @@ class _IntElem(tuple):
     """8 int numerators in basis order, over a denominator kept by the
     caller: a ring element type for evaluating a polynomial on ints, with
     no gcd.  ``+`` adds and ``*`` multiplies the numerators (so
-    denominators multiply too); an int operand scales."""
+    denominators multiply too), at once to zero for a zero factor, such
+    as the off-diagonal entries of a diagonal grid; an int operand
+    scales."""
 
     __slots__ = ()
 
@@ -456,8 +458,11 @@ class _IntElem(tuple):
     def __mul__(self, other):
         if other.__class__ is int:
             return _IntElem([other * x for x in self])
+        ys = _factor(other)
+        if not ys or not any(self):
+            return _INT_ZERO
         out = [0] * 8
-        _mul_into(out, 0, self, _factor(other))
+        _mul_into(out, 0, self, ys)
         return _IntElem(out)
 
     __rmul__ = __mul__
@@ -467,6 +472,9 @@ class _IntElem(tuple):
         int: one field inverse, through the tower; self is nonzero."""
         z = _canonical(self, 1).inv()
         return _IntElem(z._n), z._d
+
+
+_INT_ZERO = _IntElem(_ZERO_N)
 
 
 class _QuadElem(tuple):
@@ -510,16 +518,18 @@ class _QuadElem(tuple):
 
 
 def _operand(x):
-    """x, not a FieldElem, as a FieldElem if it is an int or Fraction,
-    else NotImplemented, so that the other operand's method can run."""
-    if isinstance(x, (int, Fraction)):
+    """x, not a FieldElem, as a FieldElem if it is exactly an int or a
+    Fraction (a bool is not 1), else NotImplemented, so that the other
+    operand's method can run."""
+    if x.__class__ is int or x.__class__ is Fraction:
         # an int is its own numerator over 1, and a Fraction is in lowest terms
         return _raw((x.numerator, 0, 0, 0, 0, 0, 0, 0), x.denominator)
     return NotImplemented
 
 
 def fe(x: Scalar) -> FieldElem:
-    """Coerce an int, Fraction or FieldElem to a FieldElem."""
+    """Coerce an int, Fraction or FieldElem to a FieldElem; any other
+    type, a bool too, raises TypeError."""
     if x.__class__ is FieldElem:
         return x
     y = _operand(x)

@@ -189,7 +189,8 @@ def _matalg_checks() -> List[Check]:
     ]
 
 
-# the suites in the order "all" runs them; the only place their names live
+# the suites in the order "all" runs them; cli._SCOPES names them again,
+# for the --scope choices, and a tier-1 test pins the two together
 SUITES: Dict[str, Callable[[], List[Check]]] = {
     "lie": _lie_checks,
     "matalg": _matalg_checks,

@@ -255,6 +255,16 @@ PARSES = [
 ]
 
 
+def test_the_scope_choices_are_the_verify_suites():
+    # cli names the --scope choices itself, so that building the tree
+    # imports no verify: they must stay the suites "all" runs, and "all"
+    from sp4higgs import verify
+    assert cli._SCOPES == (*verify.SUITES, "all")
+    for scope in cli._SCOPES:
+        assert _parser().parse_args(["verify", "--scope", scope]).scope == scope
+    assert _parser().parse_args(["verify"]).scope == "all"
+
+
 def _whole_tree(argv) -> int:
     """The reference for main on the argvs of PARSES, whose commands raise
     no ValueError but ParseError: the whole tree parses argv, the command

@@ -383,6 +383,75 @@ def test_every_ring_matches_reference(n, support):
             s.inv()
 
 
+# SqMatrix.__mul__, scale and kron run in the smallest ring of their two
+# operands' entries together (matalg._small_ring_product): one int per
+# entry over Q, two over one Q(b_k), the 8-int loop of numfield._mul_into
+# over two or more b_k.  These draw operands of every kind on each side of
+# that choice: Q, each Q(b_k), entries mixed across Q(b_1) and Q(b_6) in
+# one matrix (the first on both, so that the kind never fits one
+# subfield), and dense; about a quarter of the entries are zero.
+
+KERNEL_KINDS = {"Q": [(0,)], **{"Q(b%d)" % k: [(0, k)] for k in range(1, 8)},
+                "Q(b1)|Q(b6)": [(0, 1, 6), (0, 1), (0, 6)], "dense": [tuple(range(8))]}
+
+
+def kind_matrix(rng, n, kind):
+    """An n x n matrix whose entries cycle through the supports of
+    ``kind``, each entry zero with probability 1/4."""
+    supports = KERNEL_KINDS[kind]
+    return SqMatrix([[ZERO if rng.random() < 0.25
+                      else support_elem(rng, supports[(n * i + j) % len(supports)],
+                                        bound=rng.choice((9, 10 ** 9)))
+                      for j in range(n)] for i in range(n)])
+
+
+def in_small_ring(a, b):
+    """Whether the entries of the matrices a and b use at most one basis
+    element beyond 1 together."""
+    return len({k for m in (a, b) for k in range(1, 8) if any(m._n[k::8])}) <= 1
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+def test_small_ring_kernels_match_entrywise_reference(kind):
+    rng = random.Random("kernels:" + kind)
+    scalars = [3, -1, 0, Fraction(-5, 7), ZERO] + [
+        support_elem(rng, supports[0]) for supports in KERNEL_KINDS.values()]
+    took = set()
+    for other in KERNEL_KINDS:
+        for n in (2, 4):
+            a, b = kind_matrix(rng, n, kind), kind_matrix(rng, n, other)
+            ra, rb = a.rows, b.rows
+            took.add(in_small_ring(a, b))
+            got = a * b
+            assert got.rows == ref_mul(ra, rb)
+            assert_canonical(got)
+            assert (b * a).rows == ref_mul(rb, ra)
+            if n == 2:
+                k = kron(a, b)
+                assert k.rows == tuple(
+                    tuple(ra[i][j] * rb[r][c] for j in range(2) for c in range(2))
+                    for i in range(2) for r in range(2))
+                assert_canonical(k)
+        for c in scalars:
+            a = kind_matrix(rng, 4, kind)
+            got = a.scale(c)
+            assert got.rows == (c * a).rows == ref_entrywise(lambda x: x * fe(c), a.rows)
+            assert_canonical(got)
+    # a kind in one subfield meets kinds both in its ring and beyond it
+    assert took == ({True, False} if len(KERNEL_KINDS[kind][0]) <= 2 else {False})
+
+
+def test_ring_elements_times_zero():
+    z8, zq = _IntElem((0,) * 8), _QuadElem((0, 0, 3))
+    for x in (_IntElem((1, -2, 3, 0, 5, 0, 7, 8)), _IntElem((0, 0, 4, 0, 0, 0, 0, 0)), z8):
+        for got in (x * z8, z8 * x, x * 0, 0 * x):
+            assert got == (0,) * 8 and type(got) is _IntElem
+    for x in (_QuadElem((2, -5, 3)), _QuadElem((0, 7, 3)), zq):
+        for got in (x * zq, zq * x, x * 0, 0 * x):
+            assert got == (0, 0, 3) and type(got) is _QuadElem
+    assert not z8 and not zq
+
+
 def test_t4_is_t2_kron_identity():
     assert kron(T2, I2) == T4
     assert T2.det() == -2 * I_UNIT

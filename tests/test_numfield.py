@@ -11,6 +11,7 @@ import pytest
 
 from sp4higgs import CurveCtx, jsonio
 from sp4higgs.jsonio import datum_to_json
+from sp4higgs.matalg import SqMatrix
 from sp4higgs.numfield import (
     DivisionByZero, FieldElem, I_UNIT, ONE, SQRT2, SQRT3, SQRT6, ZERO,
     embed_u_v, fe,
@@ -186,7 +187,7 @@ def test_constructor_takes_only_what_fe_takes():
     # a float or a string coordinate was passed through Fraction(c):
     # 0.1 became 3602879701896397/36028797018963968 and "1/3" a third
     from decimal import Decimal
-    for bad in (0.1, 1.0, "1/3", "2", Decimal("0.5"), None, 1j, SQRT2):
+    for bad in (0.1, 1.0, "1/3", "2", Decimal("0.5"), None, 1j, SQRT2, True, False):
         with pytest.raises(TypeError):
             FieldElem([bad] + [0] * 7)
         with pytest.raises(TypeError):
@@ -194,12 +195,29 @@ def test_constructor_takes_only_what_fe_takes():
         if not isinstance(bad, FieldElem):
             with pytest.raises(TypeError):
                 fe(bad)
-    x = FieldElem([1, Fraction(-2, 6), 0, True, 0, Fraction(5), -7, 0])
+    x = FieldElem([1, Fraction(-2, 6), 0, 1, 0, Fraction(5), -7, 0])
     assert x.coeffs == (1, Fraction(-1, 3), 0, 1, 0, 5, -7, 0)
+    assert ONE != True and ZERO != False  # noqa: E712
     assert FieldElem(Fraction(k, 4) for k in range(8)) == FieldElem(
         [Fraction(k, 4) for k in range(8)])
     with pytest.raises(ValueError):
         FieldElem([1] * 7)
+
+
+# a bool is not 1: every entry point of the field and the matrices takes
+# exactly an int or a Fraction, as record fields and F2Vector do
+@pytest.mark.parametrize("build, message", [
+    (lambda: fe(True), "cannot coerce True to FieldElem"),
+    (lambda: FieldElem([True] + [0] * 7), "coordinate True is not an int or Fraction"),
+    (lambda: FieldElem([0] * 7 + [False]), "coordinate False is not an int or Fraction"),
+    (lambda: ONE * True, "unsupported operand type(s) for *: 'FieldElem' and 'bool'"),
+    (lambda: True + SQRT3, "unsupported operand type(s) for +: 'bool' and 'FieldElem'"),
+    (lambda: SqMatrix([[True, 0], [0, 1]]), "cannot coerce True to FieldElem"),
+    (lambda: SqMatrix.identity(2).scale(True), "cannot coerce True to FieldElem"),
+], ids=["fe", "FieldElem-first", "FieldElem-last", "mul", "radd", "SqMatrix", "scale"])
+def test_a_bool_is_not_a_scalar(build, message):
+    with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+        build()
 
 
 def test_foreign_operands_defer_then_raise():

@@ -502,6 +502,25 @@ def test_a_datum_request_builds_no_parser_and_leaves_out_the_lie_layer():
     assert loaded == ["0", "True", "0", "sp4higgs.jsonio"]
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["count", "--genus", "3"], 0), (["f2-scan", "--genus", "3"], 0),
+    (["fiber", "--genus", "5", "--c", "1"], 0), (["--help"], 0),
+    (["verify", "--help"], 0), (["verify", "--scope", "everything"], 2),
+    (["classify"], 2), (["nosuch"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_command_off_the_datum_path_leaves_out_the_lie_layer(argv, exit_code):
+    """The argparse tree names the ``--scope`` choices itself, so the
+    commands that build it and use no identity suite, help and usage
+    errors too, load neither ``verify`` nor the Lie layer."""
+    code = ("import contextlib, io, sys\n"
+            "from sp4higgs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(%r)\n"
+            "print(code)" % (argv,))
+    assert _loaded(code, LIE_LAYER) == [str(exit_code)]
+
+
 # the preamble of the code run in a fresh interpreter: it imports every module
 # of the package, and CLASSES is every record class the package defines
 _FRESH = ("import json, sp4higgs.cli, sp4higgs.jsonio, sp4higgs.verify\n"
