@@ -31,6 +31,8 @@ higgs._bundle and higgs._section, past the constructors.
 load_datum reads a file as bytes and decodes them as strict UTF-8; it
 turns "\r\n", then a lone "\r", into "\n", as text mode does, so the
 JSON parser sees the text that open(path, encoding="utf-8") would read.
+The parser names a key repeated in one object, at any depth, in a
+ParseError, which it raises before any value is decoded.
 """
 
 from __future__ import annotations
@@ -212,11 +214,26 @@ def _decode(data: dict) -> HiggsDatum:
     return cls(**values)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of the (key, value) ``pairs``; a key that comes
+    twice raises ParseError, since json.loads would keep its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError("repeated key %r" % next(k for k in keys if keys.count(k) > 1))
+    return data
+
+
+# one decoder for every file: json.loads with a hook builds one per call
+_DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def load_datum(path: str) -> Tuple[CurveCtx, HiggsDatum]:
     """Read a datum file; a file that cannot be opened, is not UTF-8
     JSON that Python reads (an integer literal past the interpreter's
-    digit limit is not) or nests too deeply to read raises ParseError.
-    The ValueErrors of the datum's own constructors pass through.
+    digit limit is not), repeats a key in one object or nests too
+    deeply to read raises ParseError.  The ValueErrors of the datum's
+    own constructors pass through.
 
     The file is read once, as bytes, and decoded as strict UTF-8 (a BOM
     is kept, and JSON rejects it); "\r\n" and then "\r" become "\n", as
@@ -230,7 +247,9 @@ def load_datum(path: str) -> Tuple[CurveCtx, HiggsDatum]:
             text = raw.decode("utf-8")
             if "\r" in text:  # the newlines text mode reads as "\n"
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
-            data = json.loads(text)
+            if text.startswith("\ufeff"):
+                json.loads(text)  # raises the error that names the BOM
+            data = _DECODE(text)
         except ValueError as exc:  # also UnicodeDecodeError, int digit limit
             raise ParseError(str(exc)) from None
         return datum_from_json(data)

@@ -10,14 +10,16 @@ read.
 Every kernel runs in the smallest ring that holds the numerators it
 reads, chosen from the coordinates they use:
 
-* products, ``scale`` and ``kron`` (``_small_ring_product``): one int
-  per entry when both operands are rational, the two ints of 1 and b_k
-  per entry when together they lie in one quadratic subfield Q(b_k),
-  such as the Q(sqrt3) of ``rho13`` and ``J13`` or the Q(i) of the
-  Cayley frame, multiplied in straight-line int code with the gcd taken
-  before the 8 coordinates are spread; the 8-int loop of
-  ``numfield._mul_into`` otherwise, and a rational scalar multiplies
-  every numerator;
+* products, ``scale`` and ``kron`` are one bilinear kernel,
+  ``_bilinear``, read from one table of (p, q) pairs per map (``_GRID``,
+  ``_SCALE`` and ``_KRON``): entry o of the result sums x[p] y[q] over
+  the pairs of o.  It runs on one int per entry when both operands are
+  rational and on the two ints of 1 and b_k per entry when together
+  they lie in one quadratic subfield Q(b_k), such as the Q(sqrt3) of
+  ``rho13`` and ``J13`` or the Q(i) of the Cayley frame, in
+  straight-line int code compiled once from the pairs, with the gcd
+  taken before the 8 coordinates are spread; otherwise it walks the
+  same pairs with the 8-int ``numfield._mul_into``;
 * determinants and inverses (``_ring``): by adjugate (dimensions are
   fixed and tiny, so no pivoting is needed) on plain ints, on
   ``numfield._QuadElem`` (3 ints) or on ``numfield._IntElem`` (8 ints);
@@ -84,10 +86,11 @@ class SqMatrix(Immutable):
     ``_d`` is 1, so equal matrices have equal ``(_n, _d)``.  ``rows`` and
     ``m[i][j]`` build FieldElem views on demand.
 
-    ``*``, ``scale`` and ``kron`` multiply over Q or over one Q(b_k) on
-    one or two ints per entry when their operands' entries lie there
-    together, and through the 8 coordinates otherwise; ``det`` and
-    ``inv`` run on the ring of ``_ring`` (module docstring).
+    ``*``, ``scale`` and ``kron`` are each one call of ``_bilinear``,
+    which multiplies over Q or over one Q(b_k) on one or two ints per
+    entry when the operands' entries lie there together, and through
+    the 8 coordinates otherwise; ``det`` and ``inv`` run on the ring of
+    ``_ring`` (module docstring).
     """
 
     __slots__ = ("_n", "_d")
@@ -162,43 +165,14 @@ class SqMatrix(Immutable):
         if not isinstance(other, SqMatrix):
             return self.scale(other)
         self._samedim(other)
-        n, x, y = self.dim, self._n, other._n
-        d = self._d * other._d
-        m = _small_ring_product(x, y, _GRID_PRODUCT[n], d)
-        if m is not None:
-            return m
-        xs = _entries(x)
-        ys = [_factor(e) for e in _entries(y)]
-        out = [0] * (8 * n * n)
-        for i in range(n):
-            for k in range(n):
-                e = xs[n * i + k]
-                if not any(e):
-                    continue
-                for j in range(n):
-                    f = ys[n * k + j]
-                    if f:
-                        _mul_into(out, 8 * (n * i + j), e, f)
-        return _reduced(out, d)
+        return _bilinear(self._n, other._n, _GRID[self.dim], self._d * other._d)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "SqMatrix":
         c = fe(c)
-        y, d = c._n, self._d * c._d
-        m = _small_ring_product(self._n, y, _scaled, d)
-        if m is not None:
-            return m
-        if not any(y[1:]):
-            q = y[0]
-            return _reduced([q * x for x in self._n], d)
-        f = _factor(y)
-        out = [0] * len(self._n)
-        for o, e in enumerate(_entries(self._n)):
-            if any(e):
-                _mul_into(out, 8 * o, e, f)
-        return _reduced(out, d)
+        return _bilinear(self._n, c._n, _SCALE[self.dim], self._d * c._d)
 
     @property
     def T(self) -> "SqMatrix":
@@ -283,11 +257,6 @@ def _reduced(ints, d: int) -> SqMatrix:
     return _new(*_lowest(ints, d))
 
 
-def _entries(ints: tuple) -> list:
-    """The flat numerators split into one 8-tuple per entry."""
-    return [ints[o:o + 8] for o in range(0, len(ints), 8)]
-
-
 # the index k of the basis element b_k of numfield with b_k^2 = s, for
 # each square s
 _QUAD_INDEX = {_MUL[9 * k][1]: k for k in range(1, 8)}
@@ -367,29 +336,6 @@ def _from_ring(elems, d: int) -> SqMatrix:
     return _from_parts(d, *_parts(elems))
 
 
-def _small_ring_product(x, y, product, d: int) -> Optional[SqMatrix]:
-    """The matrix ``product(x, y) / d`` for the flat numerators x and y
-    (8 per entry) of two matrices, or of a matrix and a scalar, when
-    together they use at most one basis element b_k beyond 1, else None.
-    ``product`` is the bilinear map on one int per entry of each (matrix
-    product, kron or scaling), and it runs on ints: once, on the
-    rational coordinates, when x and y use no b_k, and four times, on
-    the coordinates (a, b) of 1 and b_k with b_k^2 = s, when they use
-    one, since (a + b b_k)(c + e b_k) = (ac + s be) + (ae + bc) b_k.
-    The one gcd runs on those coordinates, before they are spread into
-    the 8 per entry."""
-    support = _support(x, y)
-    if not support:
-        return _from_parts(d, product(x[::8], y[::8]))
-    if len(support) > 1:
-        return None
-    k, = support
-    s = _MUL[9 * k][1]
-    xa, xb, ya, yb = x[::8], x[k::8], y[::8], y[k::8]
-    return _from_parts(d, [ac + s * be for ac, be in zip(product(xa, ya), product(xb, yb))],
-                       list(map(add, product(xa, yb), product(xb, ya))), k)
-
-
 def _straight_line(sums: list):
     """The bilinear map of two tuples x and y of ints whose output k is
     the sum of x[p] y[q] over the pairs (p, q) of ``sums[k]``, compiled
@@ -406,16 +352,59 @@ def _straight_line(sums: list):
     return scope["product"]
 
 
-# the n x n matrix product of two grids of ints, row by row
-_GRID_PRODUCT = {n: _straight_line([[(n * i + k, n * k + j) for k in range(n)]
-                                    for i in range(n) for j in range(n)])
-                 for n in (2, 4)}
+def _table(sums: list) -> tuple:
+    """The bilinear map whose output o is the sum of x[p] y[q] over the
+    pairs (p, q) of ``sums[o]``, as ``_bilinear`` reads it: the pairs
+    and their ``_straight_line`` code."""
+    return sums, _straight_line(sums)
 
 
-def _scaled(xs, c) -> list:
-    """The ints xs times the one int of the 1-tuple c."""
-    c, = c
-    return [c * x for x in xs]
+# the n x n matrix product of two grids, row by row
+_GRID = {n: _table([[(n * i + k, n * k + j) for k in range(n)]
+                    for i in range(n) for j in range(n)])
+         for n in (2, 4)}
+
+# an n x n grid times a scalar
+_SCALE = {n: _table([[(o, 0)] for o in range(n * n)]) for n in (2, 4)}
+
+# entry o of the 4x4 kron(a, b), row by row, is a[p] b[q] for the
+# entries p and q of the 2x2 factors, row by row
+_KRON = _table([[(2 * i + j, 2 * r + c)] for i in range(2) for r in range(2)
+                for j in range(2) for c in range(2)])
+
+
+def _bilinear(x, y, table: tuple, d: int) -> SqMatrix:
+    """The matrix B(x, y) / d for the flat numerators x and y (8 per
+    entry) of two matrices, or of a matrix and a scalar, and the
+    bilinear map B of ``table`` = (sums, product): entry o of B(x, y) is
+    the sum of x[p] y[q] over the pairs (p, q) of ``sums[o]``, and
+    ``product`` is B on one int per entry.  B runs in the smallest ring
+    of x and y together, read off the coordinates they use: ``product``
+    once, on the rational coordinates, when they use no b_k, and four
+    times, on the coordinates (a, b) of 1 and b_k with b_k^2 = s, when
+    they use one, since (a + b b_k)(c + e b_k) = (ac + s be) +
+    (ae + bc) b_k, with the one gcd taken on those ints before they are
+    spread into 8 per entry; over two or more, ``numfield._mul_into``
+    walks ``sums`` on the 8 ints of each entry, skipping a zero
+    factor."""
+    sums, product = table
+    support = _support(x, y)
+    if not support:
+        return _from_parts(d, product(x[::8], y[::8]))
+    if len(support) == 1:
+        k, = support
+        s = _MUL[9 * k][1]
+        xa, xb, ya, yb = x[::8], x[k::8], y[::8], y[k::8]
+        return _from_parts(d, [ac + s * be for ac, be in zip(product(xa, ya), product(xb, yb))],
+                           list(map(add, product(xa, yb), product(xb, ya))), k)
+    xs = [x[o:o + 8] for o in range(0, len(x), 8)]
+    ys = [_factor(y[o:o + 8]) for o in range(0, len(y), 8)]
+    out = [0] * (8 * len(sums))
+    for o, pairs in enumerate(sums):
+        for p, q in pairs:
+            if ys[q] and any(xs[p]):
+                _mul_into(out, 8 * o, xs[p], ys[q])
+    return _reduced(out, d)
 
 
 # The twelve 2x2 minors of a 4x4 grid xs: minor m is
@@ -568,28 +557,11 @@ def _unipotent_conjugate(m: SqMatrix, s: SqMatrix) -> SqMatrix:
     return _reduced(out, e * e * m._d)
 
 
-# entry o of the 4x4 kron(a, b), row by row, is a[p] b[q] for the
-# entries p and q of the 2x2 factors, row by row, in (p, q) = _KRON[o]
-_KRON = tuple((2 * i + j, 2 * r + c) for i in range(2) for r in range(2)
-              for j in range(2) for c in range(2))
-_KRON_PRODUCT = _straight_line([[pq] for pq in _KRON])
-
-
 def kron(a: SqMatrix, b: SqMatrix) -> SqMatrix:
     """Kronecker product of two 2x2 matrices: block entries a[i][j] * b."""
     if a.dim != 2 or b.dim != 2:
         raise ValueError("kron is defined here for 2x2 factors only")
-    x, y, d = a._n, b._n, a._d * b._d
-    m = _small_ring_product(x, y, _KRON_PRODUCT, d)
-    if m is not None:
-        return m
-    xs = _entries(x)
-    ys = [_factor(e) for e in _entries(y)]
-    out = [0] * 128
-    for o, (p, q) in enumerate(_KRON):
-        if any(xs[p]):
-            _mul_into(out, 8 * o, xs[p], ys[q])
-    return _reduced(out, d)
+    return _bilinear(a._n, b._n, _KRON, a._d * b._d)
 
 
 def conjugate(m: SqMatrix, p: SqMatrix) -> SqMatrix:

@@ -223,6 +223,8 @@ FROZEN = [
     (["normal-form", "--in", "{E}/cover-g2.json"], 1, "cover-g2.normal-form.json"),
     (["classify", "--in", "{E}/bad-coefficient-g2.json"], 2,
      "bad-coefficient-g2.classify.json"),
+    (["classify", "--in", "{E}/repeated-key-g2.json"], 2,
+     "repeated-key-g2.classify.json"),
 ]
 
 
@@ -552,9 +554,17 @@ _N_LABEL_6 = dict(_DIAG2, N=dict(_DIAG2["N"], torsion="000000"))
 _ZERO_COEFF = ["0/1"] * 8
 _BAD_COEFF = ["0/1"] * 7 + ["1/0"]
 
-# (command, datum document, exit code, payload): each reaches a clause
-# that only the datum's own checks, its stability rules or the decoding
-# of its coefficients give
+
+def _repeating(doc, field: str, text: str) -> str:
+    """The JSON text of ``doc`` with the value of ``field`` written as
+    ``text``, an object text that may repeat a key."""
+    return json.dumps(dict(doc, **{field: None})).replace(
+        '"%s": null' % field, '"%s": %s' % (field, text))
+
+
+# (command, datum document or its JSON text, exit code, payload): each
+# reaches a clause that only the datum's own checks, its stability rules,
+# the decoding of its coefficients or the JSON reader give
 DATUM_PATHS = {
     "torsion-label-length": (
         "classify", dict(_SPLIT, t1="0000"), 1,
@@ -630,6 +640,20 @@ DATUM_PATHS = {
         {"error": "ParseError",
          "clause": "coefficient: cannot read %r (coordinate '1/0' has a zero "
                    "denominator)" % (_BAD_COEFF,)}),
+    # a repeated key is named, not read as its last value: a genus of 3
+    # would fail on the length of N's label, with exit 1
+    "repeated-genus": (
+        "classify", json.dumps(_DIAG2)[:-1] + ', "genus": 3}', 2,
+        {"error": "ParseError", "clause": "repeated key 'genus'"}),
+    # in a nested object, and with the same value both times
+    "repeated-key-in-a-bundle": (
+        "normal-form", _repeating(_DIAG2, "N", '{"extra_degree": 1, "k_power": "1/2", '
+                                             '"torsion": "0000", "k_power": "1/2"}'), 2,
+        {"error": "ParseError", "clause": "repeated key 'k_power'"}),
+    "repeated-key-in-a-slot": (
+        "stability", _repeating(_SL2, "gamma", '{"coeffs": [], "coeffs": [], "bundle": %s}'
+                                % json.dumps(_SL2["gamma"]["bundle"])), 2,
+        {"error": "ParseError", "clause": "repeated key 'coeffs'"}),
 }
 
 
@@ -637,7 +661,7 @@ DATUM_PATHS = {
 def test_datum_command_paths(tmp_path, capsys, name):
     cmd, doc, want_code, want = DATUM_PATHS[name]
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if type(doc) is str else json.dumps(doc))
     code, out = run_cli(capsys, cmd, "--in", str(path))
     assert (code, out) == (want_code, printed(want))
 

@@ -9,7 +9,11 @@ the input, the CLI exits 0, 1 or 2, prints exactly one JSON object
 (nothing at all is allowed only with exit 2) and lets no exception
 escape.  ``docs/datum-schema.json`` accepts a mutant exactly when
 ``datum_from_json`` raises no ParseError, apart from the cases the
-schema cannot state, which are named below.
+schema cannot state, which are named below.  A key repeated in one
+object is another: JSON Schema reads the parsed document, in which the
+last value has replaced the others, so ``load_datum`` rejects it while
+parsing (the repeated-key rows of test_cli.py), and the mutants here,
+being parsed documents, never hold one.
 """
 
 import contextlib

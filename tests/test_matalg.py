@@ -1,5 +1,6 @@
 """Matrix algebra: kron, symplectic checks, fixed constants."""
 
+import ast
 import json
 import math
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sp4higgs.matalg
 from sp4higgs.matalg import (
     H_PERM, H_SYM3, H_SYM3_INV, HTILDE, I2, I4, J0, J12, J13, J2, T2, T4,
     SingularMatrix, SqMatrix, _cayley_conjugate, _flat, _monomial_conjugate,
@@ -383,13 +385,14 @@ def test_every_ring_matches_reference(n, support):
             s.inv()
 
 
-# SqMatrix.__mul__, scale and kron run in the smallest ring of their two
-# operands' entries together (matalg._small_ring_product): one int per
-# entry over Q, two over one Q(b_k), the 8-int loop of numfield._mul_into
-# over two or more b_k.  These draw operands of every kind on each side of
-# that choice: Q, each Q(b_k), entries mixed across Q(b_1) and Q(b_6) in
-# one matrix (the first on both, so that the kind never fits one
-# subfield), and dense; about a quarter of the entries are zero.
+# SqMatrix.__mul__, scale and kron are one kernel, matalg._bilinear, on
+# the pair tables _GRID, _SCALE and _KRON, in the smallest ring of their
+# two operands' entries together: one int per entry over Q, two over one
+# Q(b_k), the 8-int loop of numfield._mul_into over two or more b_k,
+# which skips a zero factor.  These draw operands of every kind on each
+# side of that choice: Q, each Q(b_k), entries mixed across Q(b_1) and
+# Q(b_6) in one matrix (the first on both, so that the kind never fits
+# one subfield), and dense; about a quarter of the entries are zero.
 
 KERNEL_KINDS = {"Q": [(0,)], **{"Q(b%d)" % k: [(0, k)] for k in range(1, 8)},
                 "Q(b1)|Q(b6)": [(0, 1, 6), (0, 1), (0, 6)], "dense": [tuple(range(8))]}
@@ -439,6 +442,21 @@ def test_small_ring_kernels_match_entrywise_reference(kind):
             assert_canonical(got)
     # a kind in one subfield meets kinds both in its ring and beyond it
     assert took == ({True, False} if len(KERNEL_KINDS[kind][0]) <= 2 else {False})
+
+
+def test_one_bilinear_kernel():
+    # the 8-int product loop is reached only from _bilinear (and the row
+    # and column operations of _unipotent_conjugate), and products, scale
+    # and kron each go through _bilinear, or through scale
+    tree = ast.parse(Path(sp4higgs.matalg.__file__).read_text())
+    calls = [(f.name, {getattr(c.func, "id", getattr(c.func, "attr", None))
+                       for c in ast.walk(f) if isinstance(c, ast.Call)})
+             for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    assert {name for name, called in calls if "_mul_into" in called} <= {
+        "_bilinear", "_unipotent_conjugate"}
+    for op in ("__mul__", "scale", "kron"):
+        found = [called for name, called in calls if name == op]
+        assert found and all(called & {"_bilinear", "scale"} for called in found)
 
 
 def test_ring_elements_times_zero():
